@@ -55,11 +55,6 @@ def _parse_fracs(text: str) -> tuple[Fraction, ...]:
     return tuple(Fraction(t) for t in text.split(","))
 
 
-def _perm_of_matrix(mat) -> list[int]:
-    n = len(mat)
-    return [next(i for i in range(n) if mat[i][j] == 1) for j in range(n)]
-
-
 def _cmd_census(args) -> CommandResult:
     rd = build_root_datum(args.group)
     g = split_gamma(rd, args.p, args.e, r=args.r)
@@ -121,11 +116,11 @@ def _cmd_adm(args) -> CommandResult:
         word, om = reduced_word(z, base)
         items.append({
             "translation": list(z.translation),
-            "finite": _perm_of_matrix(z.finite.matrix),
+            "finite": list(z.finite.perm()),
             "length": length(z, base),
             "word": word,
             "omega": {"translation": list(om.translation),
-                      "finite": _perm_of_matrix(om.finite.matrix)},
+                      "finite": list(om.finite.perm())},
         })
     return CommandResult("ok", {"mu": list(mu), "size": len(adm), "elements": items})
 

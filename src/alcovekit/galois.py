@@ -23,27 +23,8 @@ from .rootdata import (
     RefusedError,
     RootDatum,
     WeylElement,
-    identity_matrix,
     weyl_group,
 )
-
-
-def _identity_weyl(rd: RootDatum) -> WeylElement:
-    return WeylElement(tuple(tuple(r) for r in identity_matrix(rd.dim)))
-
-
-def _psi_perm(g: GammaData) -> list[int]:
-    """psi as a coordinate permutation; cocycle algebra needs this shape."""
-    mat = g.psi.matrix
-    n = len(mat)
-    perm = [0] * n
-    for j in range(n):
-        col = [mat[i][j] for i in range(n)]
-        ones = [i for i, x in enumerate(col) if x == 1]
-        if len(ones) != 1 or sum(abs(x) for x in col) != 1:
-            raise RefusedError("pinned automorphism is not a coordinate permutation")
-        perm[j] = ones[0]
-    return perm
 
 
 @dataclass(frozen=True)
@@ -60,7 +41,7 @@ class GaloisType:
         if g.inertial.apply(lam) != lam:
             raise ValueError("lambda must be fixed by the inertial action")
         lams = tuple(tuple(g.psi_power(j).apply(lam)) for j in range(g.r))
-        ws = tuple(_identity_weyl(rd) for _ in range(g.r))
+        ws = (WeylElement.identity(rd.dim),) * g.r
         return GaloisType(rd, g, lams, ws)
 
     def point(self) -> ApartmentPoint:
@@ -92,8 +73,7 @@ def _n_family(t: GaloisType) -> list[MonomialMatrix]:
 
 def _sigma_of(g: GammaData, fam: Sequence[MonomialMatrix], j: int) -> MonomialMatrix:
     """(^sigma fam)_j = psi(fam_{j-1})."""
-    perm = _psi_perm(g)
-    return fam[(j - 1) % g.r].conjugate_by_permutation(perm)
+    return fam[(j - 1) % g.r].conjugate_by_permutation(g.psi.perm())
 
 
 def _iota_exp(g: GammaData, j: int) -> int:
@@ -128,7 +108,7 @@ def check_cocycle_relations(t: GaloisType) -> dict[str, bool]:
     e, p, r = g.e, g.p, g.r
     gamma_order = all(all((x * e) % e == 0 for x in lam) for lam in vals.tau_gamma_exps)
 
-    perm = _psi_perm(g)
+    perm = g.psi.perm()
     braid = True
     for j in range(r):
         # (^sigma tau(gamma))_j = psi(tau(gamma)_{j-1}); moving the value from
@@ -365,7 +345,7 @@ def shapiro(g: GammaData, f_values: Sequence[MonomialMatrix]) -> tuple[MonomialM
     """
     if len(f_values) != g.r:
         raise ValueError("need one value per coset representative")
-    perm = _psi_perm(g)
+    perm = g.psi.perm()
     out = []
     for j, val in enumerate(f_values):
         m = val.coef_frobenius(pow(g.p, j, val.mod) if val.mod > 1 else 1)
@@ -376,10 +356,7 @@ def shapiro(g: GammaData, f_values: Sequence[MonomialMatrix]) -> tuple[MonomialM
 
 
 def shapiro_inverse(g: GammaData, tup: Sequence[MonomialMatrix]) -> tuple[MonomialMatrix, ...]:
-    perm = _psi_perm(g)
-    inv_perm = [0] * len(perm)
-    for i, x in enumerate(perm):
-        inv_perm[x] = i
+    inv_perm = g.psi.inv().perm()
     out = []
     for j, val in enumerate(tup):
         m = val
@@ -398,19 +375,6 @@ class TypeConstruction:
     lam_digits: tuple[tuple[tuple[int, ...], ...], ...]  # per j, per coordinate
     c_finite: tuple[WeylElement, ...]
     c_translation: tuple[tuple[int, ...], ...]
-
-
-def _apply_perm_to_seq(w: WeylElement, seq: Sequence) -> tuple:
-    """Apply a 0/1 permutation matrix to a vector of arbitrary objects."""
-    n = len(seq)
-    out = [None] * n
-    for i in range(n):
-        row = w.matrix[i]
-        js = [j for j in range(n) if row[j] == 1]
-        if len(js) != 1 or sum(abs(x) for x in row) != 1:
-            raise ValueError("not a permutation matrix")
-        out[i] = seq[js[0]]
-    return tuple(out)
 
 
 def type_from_s_mu(
@@ -450,21 +414,25 @@ def type_from_s_mu(
     digits0 = tuple(tuple(b[i] for b in betas) for i in range(rd.dim))
     digit_rows = [digits0]
     sp = s * psi
+    if r > 1 and -1 in sp.signs:
+        raise ValueError("s psi carries a sign, so it cannot permute digit rows")
     for _ in range(r - 1):
-        digit_rows.append(_apply_perm_to_seq(sp, digit_rows[-1]))
+        digit_rows.append(sp.apply(digit_rows[-1]))
     for j in range(r):
         for i in range(rd.dim):
-            assert sum(d * p**k for k, d in enumerate(digit_rows[j][i])) == lams[j][i]
+            if sum(d * p**k for k, d in enumerate(digit_rows[j][i])) != lams[j][i]:
+                raise AssertionError("digit table does not reproduce lambda")
 
     psi_inv = g.psi_power(r - 1)
     ws: list[WeylElement] = [None] * r  # type: ignore[list-item]
-    ws[r - 1] = _identity_weyl(rd)
+    ws[r - 1] = WeylElement.identity(rd.dim)
     for j in range(r - 2, -1, -1):
         # invert w_{j+1} = s psi(w_j), psi acting by conjugation on W
         ws[j] = psi_inv * (s_inv * ws[j + 1]) * psi_inv.inv()
     # closure: w_0 must equal s psi(w_{r-1}) = s
     psiw = psi * ws[r - 1] * psi.inv()
-    assert (s * psiw).matrix == ws[0].matrix, "w-recursion failed to close"
+    if s * psiw != ws[0]:
+        raise AssertionError("w-recursion failed to close")
 
     t = GaloisType(rd, g, tuple(lams), tuple(ws))
     x = t.point()

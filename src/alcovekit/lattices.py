@@ -23,10 +23,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]):
     return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
 
 
-def mat_vec(a: Sequence[Sequence], v: Sequence):
-    return tuple(sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a)))
-
-
 def smith_normal_form(mat: Sequence[Sequence[int]]) -> list[int]:
     """Diagonal entries d_1 | d_2 | ... of the Smith normal form of `mat`.
 

@@ -219,14 +219,6 @@ class TruncSeries:
         return TruncSeries.make(self.ring, {p * k: v for k, v in self.coeffs},
                                 lo=p * self.lo, prec=prec)
 
-    def describe(self) -> str:
-        if not self.coeffs:
-            body = "0"
-        else:
-            body = " + ".join(f"{v}*u^{k}" if k else str(v) for k, v in self.coeffs)
-        tail = "" if self.prec is None else f" + O(u^{self.prec})"
-        return body + tail
-
 
 def _min_prec(a: int | None, b: int | None) -> int | None:
     if a is None:

@@ -24,7 +24,8 @@ class MonomialMatrix:
     upows: tuple[int, ...]
 
     def __post_init__(self):
-        assert sorted(self.cols) == list(range(self.n)), "not a monomial matrix"
+        if sorted(self.cols) != list(range(self.n)):
+            raise ValueError(f"cols {self.cols} are not a permutation of range({self.n})")
 
     @staticmethod
     def identity(n: int, mod: int) -> "MonomialMatrix":
@@ -36,36 +37,22 @@ class MonomialMatrix:
         return MonomialMatrix(n, mod, tuple(range(n)), (0,) * n, tuple(lam))
 
     @staticmethod
-    def diag_omega(exps: Sequence[int], mod: int) -> "MonomialMatrix":
-        n = len(exps)
-        return MonomialMatrix(n, mod, tuple(range(n)), tuple(e % mod for e in exps), (0,) * n)
-
-    @staticmethod
     def from_signed_matrix(mat: Sequence[Sequence[int]], mod: int) -> "MonomialMatrix":
         """Lift a matrix with entries in {0, 1, -1}; -1 becomes omega^(mod/2)."""
-        n = len(mat)
-        cols = []
-        exps = []
-        for i in range(n):
-            nz = [(j, mat[i][j]) for j in range(n) if mat[i][j] != 0]
-            if len(nz) != 1 or nz[0][1] not in (1, -1):
-                raise ValueError("matrix has no monomial lift")
-            j, s = nz[0]
-            cols.append(j)
-            if s == 1:
-                exps.append(0)
-            else:
-                if mod % 2 != 0:
-                    raise ValueError("sign -1 needs an even coefficient-group order")
-                exps.append(mod // 2)
-        return MonomialMatrix(n, mod, tuple(cols), tuple(exps), (0,) * n)
+        return MonomialMatrix.from_weyl(WeylElement(mat), mod)
 
     @staticmethod
     def from_weyl(w: WeylElement, mod: int) -> "MonomialMatrix":
-        return MonomialMatrix.from_signed_matrix(w.matrix, mod)
+        """Lift a signed permutation; the sign -1 becomes omega^(mod/2)."""
+        n = len(w.cols)
+        if -1 in w.signs and mod % 2 != 0:
+            raise ValueError("sign -1 needs an even coefficient-group order")
+        exps = tuple(0 if s == 1 else mod // 2 for s in w.signs)
+        return MonomialMatrix(n, mod, w.cols, exps, (0,) * n)
 
     def __mul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        assert self.n == other.n and self.mod == other.mod
+        if self.n != other.n or self.mod != other.mod:
+            raise ValueError("product of monomial matrices of different size or modulus")
         cols = []
         exps = []
         upows = []
@@ -93,21 +80,6 @@ class MonomialMatrix:
             tuple((e * p) % self.mod for e in self.exps), self.upows,
         )
 
-    def u_frobenius(self, p: int) -> "MonomialMatrix":
-        return MonomialMatrix(
-            self.n, self.mod, self.cols,
-            tuple((e * p) % self.mod for e in self.exps),
-            tuple(m * p for m in self.upows),
-        )
-
-    def gamma_twist(self, omega_unit_exp: int) -> "MonomialMatrix":
-        """Apply gamma: u -> omega u, i.e. each entry gains omega^{u-power}."""
-        return MonomialMatrix(
-            self.n, self.mod, self.cols,
-            tuple((e + m * omega_unit_exp) % self.mod for e, m in zip(self.exps, self.upows)),
-            self.upows,
-        )
-
     def conjugate_by_permutation(self, perm: Sequence[int]) -> "MonomialMatrix":
         """P M P^{-1} for the permutation matrix P: e_j -> e_{perm[j]}."""
         inv = [0] * self.n
@@ -122,19 +94,6 @@ class MonomialMatrix:
             exps[i] = self.exps[src]
             upows[i] = self.upows[src]
         return MonomialMatrix(self.n, self.mod, tuple(cols), tuple(exps), tuple(upows))
-
-    def power(self, k: int) -> "MonomialMatrix":
-        out = MonomialMatrix.identity(self.n, self.mod)
-        base = self
-        if k < 0:
-            base = self.inv()
-            k = -k
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def is_identity(self) -> bool:
         return (
@@ -156,7 +115,8 @@ class MonomialMatrix:
 
     def rescale_mod(self, new_mod: int) -> "MonomialMatrix":
         """Push exponents into a larger coefficient group of order new_mod."""
-        assert new_mod % self.mod == 0
+        if new_mod % self.mod != 0:
+            raise ValueError(f"{new_mod} is not a multiple of the modulus {self.mod}")
         f = new_mod // self.mod
         return MonomialMatrix(
             self.n, new_mod, self.cols, tuple(e * f for e in self.exps), self.upows
@@ -167,12 +127,3 @@ class MonomialMatrix:
         for i in range(self.n):
             out[i][self.cols[i]] = (self.exps[i], self.upows[i])
         return out
-
-    def describe(self) -> str:
-        parts = []
-        for i in range(self.n):
-            e, m = self.exps[i], self.upows[i]
-            coef = "1" if e == 0 else ("-1" if 2 * e == self.mod else f"w^{e}")
-            u = "" if m == 0 else (f"*u^{m}" if m != 1 else "*u")
-            parts.append(f"[{i},{self.cols[i]}]={coef}{u}")
-        return " ".join(parts)

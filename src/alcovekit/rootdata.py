@@ -9,7 +9,7 @@ of (possibly fractional) ambient vectors:
   * SL_n: the sum-zero sublattice,
   * PGL_n: the projection of Z^n to the sum-zero hyperplane (coweights).
 
-Weyl elements act on the ambient space as integer matrices, which keeps one
+Weyl elements act on the ambient space as signed permutations, which keeps one
 representation for permutation actions and for pinned automorphisms such as
 the unitary-group involution (a,b,c) -> (-c,-b,-a).
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 import re
 from typing import Sequence
 
@@ -24,7 +25,6 @@ from .lattices import (
     in_lattice,
     kernel_basis,
     mat_mul,
-    mat_vec,
     identity_matrix,
     quotient_invariants,
     solve_in_lattice,
@@ -45,63 +45,90 @@ class RefusedError(RuntimeError):
     """A mathematically stated precondition is not met; distinct from internal errors."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class WeylElement:
-    """An integer matrix acting on the ambient cocharacter coordinates."""
+    """A signed permutation of the ambient cocharacter coordinates.
 
-    matrix: tuple[tuple[int, ...], ...]
+    Row form: (w v)_i = signs[i] * v[cols[i]], so the matrix of w has the
+    single nonzero entry signs[i] in row i, column cols[i].  Elements compare
+    and sort exactly as their matrices do.  The constructor takes the matrix
+    and refuses anything that is not a signed permutation.
+    """
+
+    cols: tuple[int, ...]
+    signs: tuple[int, ...]
+
+    def __init__(self, matrix: Sequence[Sequence[int]]):
+        n = len(matrix)
+        cols = []
+        signs = []
+        for row in matrix:
+            nz = [(j, x) for j, x in enumerate(row) if x != 0]
+            if len(row) != n or len(nz) != 1 or nz[0][1] not in (1, -1):
+                raise ValueError(f"{matrix} is not a signed permutation matrix")
+            cols.append(nz[0][0])
+            signs.append(int(nz[0][1]))
+        if len(set(cols)) != n:
+            raise ValueError(f"{matrix} is not a signed permutation matrix")
+        object.__setattr__(self, "cols", tuple(cols))
+        object.__setattr__(self, "signs", tuple(signs))
+
+    @staticmethod
+    def _make(cols: tuple[int, ...], signs: tuple[int, ...]) -> "WeylElement":
+        w = object.__new__(WeylElement)
+        object.__setattr__(w, "cols", cols)
+        object.__setattr__(w, "signs", signs)
+        return w
+
+    @staticmethod
+    def identity(n: int) -> "WeylElement":
+        return WeylElement._make(tuple(range(n)), (1,) * n)
+
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        n = len(self.cols)
+        return tuple(tuple(s if j == c else 0 for j in range(n))
+                     for c, s in zip(self.cols, self.signs))
+
+    def perm(self) -> tuple[int, ...]:
+        """One-line form: w(e_j) = e_{perm[j]}; refused if w carries a sign."""
+        if -1 in self.signs:
+            raise RefusedError(f"{self} is not a coordinate permutation")
+        out = [0] * len(self.cols)
+        for i, c in enumerate(self.cols):
+            out[c] = i
+        return tuple(out)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(tuple(tuple(r) for r in mat_mul(self.matrix, other.matrix)))
+        oc, os_ = other.cols, other.signs
+        return WeylElement._make(tuple(oc[c] for c in self.cols),
+                                 tuple(s * os_[c] for c, s in zip(self.cols, self.signs)))
 
     def inv(self) -> "WeylElement":
-        n = len(self.matrix)
-        m = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(self.matrix)]
-        mf = [[Fraction(x) for x in row] for row in m]
-        for c in range(n):
-            pr = next(i for i in range(c, n) if mf[i][c] != 0)
-            mf[c], mf[pr] = mf[pr], mf[c]
-            inv = 1 / mf[c][c]
-            mf[c] = [x * inv for x in mf[c]]
-            for i in range(n):
-                if i != c and mf[i][c] != 0:
-                    f = mf[i][c]
-                    mf[i] = [x - f * y for x, y in zip(mf[i], mf[c])]
-        out = tuple(tuple(int(mf[i][n + j]) for j in range(n)) for i in range(n))
-        return WeylElement(out)
+        n = len(self.cols)
+        cols = [0] * n
+        signs = [0] * n
+        for i, (c, s) in enumerate(zip(self.cols, self.signs)):
+            cols[c] = i
+            signs[c] = s
+        return WeylElement._make(tuple(cols), tuple(signs))
 
     def apply(self, v: Sequence) -> tuple:
-        return mat_vec(self.matrix, v)
+        if len(v) != len(self.cols):
+            raise ValueError(f"vector of length {len(v)} in dimension {len(self.cols)}")
+        return tuple(v[c] if s == 1 else -v[c] for c, s in zip(self.cols, self.signs))
 
     def is_identity(self) -> bool:
-        n = len(self.matrix)
-        return all(self.matrix[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
+        return self.cols == tuple(range(len(self.cols))) and -1 not in self.signs
 
+    def __lt__(self, other: "WeylElement") -> bool:
+        # row i of the matrix orders as signs[i] * (n - cols[i])
+        n = len(self.cols)
+        return (tuple(s * (n - c) for c, s in zip(self.cols, self.signs))
+                < tuple(s * (n - c) for c, s in zip(other.cols, other.signs)))
 
-def permutation_matrix(perm: Sequence[int]) -> WeylElement:
-    """Matrix of the place permutation (sigma v)_i = v_{sigma^{-1}(i)}.
-
-    `perm` is given in one-line notation: perm[j] = sigma(j), 0-indexed.
-    Columns map e_j -> e_{perm[j]}, so composition of matrices matches
-    right-to-left composition of permutations.
-    """
-    n = len(perm)
-    return WeylElement(tuple(tuple(1 if perm[j] == i else 0 for j in range(n)) for i in range(n)))
-
-
-def block_diag(elements: Sequence[WeylElement]) -> WeylElement:
-    dims = [len(e.matrix) for e in elements]
-    total = sum(dims)
-    rows = []
-    off = 0
-    for e, d in zip(elements, dims):
-        for i in range(d):
-            row = [0] * total
-            for j in range(d):
-                row[off + j] = e.matrix[i][j]
-            rows.append(tuple(row))
-        off += d
-    return WeylElement(tuple(rows))
+    def __repr__(self) -> str:
+        return f"WeylElement({self.matrix})"
 
 
 @dataclass(frozen=True)
@@ -295,8 +322,8 @@ def weyl_group(rd: RootDatum, cap: int = 10**6) -> list[WeylElement]:
             raise CapExceeded(f"Weyl group larger than cap {cap}")
         return cached
     gens = [rd.reflection(i) for i in rd.simple_indices]
-    ident = WeylElement(tuple(tuple(r) for r in identity_matrix(rd.dim)))
-    seen = {ident.matrix: ident}
+    ident = WeylElement.identity(rd.dim)
+    seen = {ident}
     order: list[WeylElement] = [ident]
     frontier = [ident]
     while frontier:
@@ -304,12 +331,12 @@ def weyl_group(rd: RootDatum, cap: int = 10**6) -> list[WeylElement]:
         for w in frontier:
             for g in gens:
                 x = g * w
-                if x.matrix not in seen:
-                    seen[x.matrix] = x
+                if x not in seen:
+                    seen.add(x)
                     new.append(x)
                     if len(seen) > cap:
                         raise CapExceeded(f"Weyl group larger than cap {cap}")
-        new.sort(key=lambda e: e.matrix)
+        new.sort()
         order.extend(new)
         frontier = new
     _WEYL_CACHE[rd] = order
@@ -359,7 +386,7 @@ class GammaData:
 
     def psi_power(self, k: int) -> WeylElement:
         k %= self.r if self.r else 1
-        w = WeylElement(tuple(tuple(r) for r in identity_matrix(len(self.psi.matrix))))
+        w = WeylElement.identity(len(self.psi.cols))
         for _ in range(k):
             w = self.psi * w
         return w
@@ -369,12 +396,14 @@ def split_gamma(rd: RootDatum, p: int, e: int, r: int | None = None,
                 psi: WeylElement | None = None) -> GammaData:
     """GammaData with trivial inertial action; r defaults to ord_e(p)."""
     if r is None:
+        if e < 1 or gcd(p, e) != 1:
+            raise ValueError(f"ord_e(p) needs e >= 1 and gcd(p, e) = 1, got p={p}, e={e}")
         r = 1
         acc = p % e if e > 1 else 0
         while e > 1 and acc != 1 % e:
             acc = (acc * p) % e
             r += 1
-    ident = WeylElement(tuple(tuple(row) for row in identity_matrix(rd.dim)))
+    ident = WeylElement.identity(rd.dim)
     return GammaData(p=p, e=e, r=r, psi=psi if psi is not None else ident, inertial=ident)
 
 
@@ -467,10 +496,3 @@ def dominance_leq(rd: RootDatum, nu: Sequence[int], mu: Sequence[int]) -> bool:
                 return False
         off += size
     return True
-
-
-def h_height(rd: RootDatum, mu: Sequence[int]) -> int:
-    """max_a <a, mu> over all roots a (the height controlling conjugation loss)."""
-    if not rd.roots:
-        return 0
-    return max(int(rd.pairing(a, mu)) for a in rd.roots)

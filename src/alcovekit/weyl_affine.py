@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .rootdata import CapExceeded, RootDatum, WeylElement, identity_matrix, weyl_group
+from .rootdata import CapExceeded, RootDatum, WeylElement, weyl_group
 
 RatVec = tuple[Fraction, ...]
 
@@ -42,20 +42,18 @@ class AffineWeylElement:
         return tuple(a - b for a, b in zip(img, self.translation))
 
     def key(self):
-        return (self.translation, self.finite.matrix)
+        return (self.translation, self.finite)
 
     def __repr__(self) -> str:
         return f"v^{list(self.translation)}*w{self.finite.matrix}"
 
 
 def affine_identity(rd: RootDatum) -> AffineWeylElement:
-    ident = WeylElement(tuple(tuple(r) for r in identity_matrix(rd.dim)))
-    return AffineWeylElement(rd, (0,) * rd.dim, ident)
+    return translation_element(rd, (0,) * rd.dim)
 
 
 def translation_element(rd: RootDatum, nu: Sequence[int]) -> AffineWeylElement:
-    ident = WeylElement(tuple(tuple(r) for r in identity_matrix(rd.dim)))
-    return AffineWeylElement(rd, tuple(nu), ident)
+    return AffineWeylElement(rd, tuple(nu), WeylElement.identity(rd.dim))
 
 
 @dataclass(frozen=True)
@@ -213,8 +211,7 @@ def admissible_set(
             raise CapExceeded("admissible set search space exceeds cap")
         for key in _closures.get(target, base):
             if key not in found:
-                nu, mat = key
-                found[key] = AffineWeylElement(rd, nu, WeylElement(mat))
+                found[key] = AffineWeylElement(rd, *key)
     out = list(found.values())
     out.sort(key=lambda z: (length(z, base), reduced_word(z, base)[0], z.key()))
     return out
@@ -225,41 +222,6 @@ def h_mu(rd: RootDatum, mu: Sequence[int]) -> int:
     if not rd.roots:
         return 0
     return max(int(rd.pairing(a, mu)) for a in rd.roots)
-
-
-def admissible_set_modulo(
-    rd: RootDatum, mu: Sequence[int], stabilizer_gens: Sequence[AffineWeylElement],
-    base: BaseAlcove | None = None, cap: int = 10**4,
-) -> list[list[AffineWeylElement]]:
-    """Thin wrapper for Adm^x(mu): the generic set grouped into W_x-double cosets.
-
-    The facet stabilizer W_x is supplied by the caller as generators; it is
-    closed off as a finite group and Adm(mu) is partitioned by the relation
-    z ~ u z v for u, v in W_x.
-    """
-    if base is None:
-        base = base_alcove(rd)
-    ident = affine_identity(rd)
-    group = {ident.key(): ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for g in frontier:
-            for s in stabilizer_gens:
-                for x in (s * g, g * s):
-                    if x.key() not in group:
-                        group[x.key()] = x
-                        new.append(x)
-                        if len(group) > cap:
-                            raise CapExceeded("facet stabilizer closure exceeds cap")
-        frontier = new
-    wx = list(group.values())
-    adm = admissible_set(rd, mu, base)
-    classes: dict = {}
-    for z in adm:
-        key = min((u * z * v).key() for u in wx for v in wx)
-        classes.setdefault(key, []).append(z)
-    return [classes[k] for k in sorted(classes)]
 
 
 def elements_of_length_at_most(rd: RootDatum, bound: int,

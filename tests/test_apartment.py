@@ -20,7 +20,6 @@ from alcovekit.rootdata import (
     GammaData,
     WeylElement,
     build_root_datum,
-    identity_matrix,
     split_gamma,
 )
 
@@ -28,7 +27,7 @@ F = Fraction
 
 
 def ident(n):
-    return WeylElement(tuple(tuple(r) for r in identity_matrix(n)))
+    return WeylElement.identity(n)
 
 
 def sl2_point(n, p=7, e=24):

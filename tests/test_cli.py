@@ -126,3 +126,18 @@ def test_verify_wiring(capsys, monkeypatch):
     code = cli.main(["verify"])
     out = capsys.readouterr().out
     assert code == 1 and "[FAIL]" in out
+
+
+def test_census_wild_e_is_an_error_not_a_hang(capsys):
+    # 7 divides e = 14, so ord_e(7) does not exist; this input used to loop forever
+    code, doc = run_json(capsys, ["census", "--group", "SL2", "--p", "7", "--e", "14"])
+    assert code == 2 and doc["schema"] == 1 and doc["status"] == "error"
+
+
+def test_wrong_length_vector_is_an_error(capsys):
+    code, doc = run_json(capsys, [
+        "generic", "--group", "GL3", "--p", "19", "--e", "36", "--eta", "1/4", "--d", "2"])
+    assert code == 2 and doc["status"] == "error"
+    code, doc = run_json(capsys, [
+        "frobinv", "--group", "SL2", "--p", "7", "--e", "24", "--lam=1,2,3"])
+    assert code == 2 and doc["status"] == "error"

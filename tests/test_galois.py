@@ -22,14 +22,13 @@ from alcovekit.rootdata import (
     GammaData,
     WeylElement,
     build_root_datum,
-    identity_matrix,
     split_gamma,
     weyl_group,
 )
 
 
 def ident(n):
-    return WeylElement(tuple(tuple(r) for r in identity_matrix(n)))
+    return WeylElement.identity(n)
 
 
 SL2 = build_root_datum("SL2")
@@ -292,3 +291,35 @@ def test_linearize_sigma():
     out2 = linearize_sigma(tau, b, psi_perm=[1, 0])
     twisted = b.conjugate_by_permutation([1, 0])
     assert (out2 * twisted).entries() == tau.entries()
+
+
+def test_signed_psi_is_refused_as_a_permutation():
+    gl3 = build_root_datum("GL3")
+    twist = WeylElement(((0, 0, -1), (0, -1, 0), (-1, 0, 0)))
+    g = GammaData(p=5, e=24, r=2, psi=twist, inertial=ident(3))
+    with pytest.raises(RefusedError):
+        shapiro(g, [MonomialMatrix.identity(3, 24)] * 2)
+    with pytest.raises(ValueError):
+        type_from_s_mu(gl3, ident(3), (0, 0, 0), g)
+
+
+def test_monomial_checks_survive_optimized_mode():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import alcovekit
+
+    code = (
+        "from alcovekit.monomial import MonomialMatrix\n"
+        "try:\n"
+        "    MonomialMatrix(2, 4, (0, 0), (0, 0), (0, 0))\n"
+        "except ValueError:\n"
+        "    raise SystemExit(0 if not __debug__ else 3)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(alcovekit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

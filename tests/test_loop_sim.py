@@ -24,13 +24,12 @@ from alcovekit.rootdata import (
     RefusedError,
     WeylElement,
     build_root_datum,
-    identity_matrix,
     split_gamma,
 )
 
 
 def ident(n):
-    return WeylElement(tuple(tuple(r) for r in identity_matrix(n)))
+    return WeylElement.identity(n)
 
 
 def test_series_basics():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+import itertools
 import math
 
 import pytest
@@ -10,20 +12,19 @@ from alcovekit.rootdata import (
     WeylElement,
     build_root_datum,
     dominance_leq,
-    h_height,
-    identity_matrix,
     pi1,
     pi1_coinvariants,
     split_gamma,
     tate_h0,
     weyl_group,
 )
+from alcovekit.weyl_affine import h_mu
 
 U3_TWIST = WeylElement(((0, 0, -1), (0, -1, 0), (-1, 0, 0)))
 
 
 def ident(n):
-    return WeylElement(tuple(tuple(r) for r in identity_matrix(n)))
+    return WeylElement.identity(n)
 
 
 def test_build_examples():
@@ -160,9 +161,9 @@ def test_dominance_and_height():
     assert dominance_leq(rd, (1, 1, 0), (2, 0, 0))
     assert not dominance_leq(rd, (2, 0, 0), (1, 1, 0))
     assert not dominance_leq(rd, (1, 0, 0), (2, 0, 0))  # different totals
-    assert h_height(rd, (2, 1, 0)) == 2
-    assert h_height(rd, (0, 0, 0)) == 0
-    assert h_height(build_root_datum("GL3xGL3"), (1, 0, 0, 1, 0, 0)) == 1
+    assert h_mu(rd, (2, 1, 0)) == 2
+    assert h_mu(rd, (0, 0, 0)) == 0
+    assert h_mu(build_root_datum("GL3xGL3"), (1, 0, 0, 1, 0, 0)) == 1
 
 
 def test_datum_json_roundtrip():
@@ -171,3 +172,59 @@ def test_datum_json_roundtrip():
         data = rd.to_json()
         rd2 = RootDatum.from_json(data)
         assert rd2 == rd
+
+
+# dense reference for the signed-permutation representation of WeylElement
+
+def _dense_mul(a, b):
+    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0])))
+                 for i in range(len(a)))
+
+
+def _dense_vec(a, v):
+    return tuple(sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a)))
+
+
+def _signed_permutations(n):
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            yield WeylElement(tuple(tuple(signs[i] if j == perm[i] else 0 for j in range(n))
+                                    for i in range(n)))
+
+
+def _weyl_samples():
+    for label in ("GL2", "GL3", "GL4", "SL3", "PGL3", "GL2xGL3", "GL3xGL3"):
+        yield label, weyl_group(build_root_datum(label))
+    yield "U3", [w * U3_TWIST for w in weyl_group(build_root_datum("GL3"))] + [U3_TWIST]
+    for n in (1, 2, 3):
+        yield f"signed{n}", list(_signed_permutations(n))
+
+
+def test_weyl_element_matches_dense_reference():
+    for label, ws in _weyl_samples():
+        n = len(ws[0].matrix)
+        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        ints = tuple(3 * i - 4 for i in range(n))
+        fracs = tuple(Fraction(2 * i - 3, i + 2) for i in range(n))
+        for a in ws:
+            assert WeylElement(a.matrix) == a
+            assert _dense_mul(a.matrix, a.inv().matrix) == ident, label
+            for v in (ints, fracs):
+                got = a.apply(v)
+                assert got == _dense_vec(a.matrix, v), label
+                assert [type(x) for x in got] == [type(x) for x in v], label
+            for b in ws:
+                assert (a * b).matrix == _dense_mul(a.matrix, b.matrix), label
+        assert sorted(ws) == sorted(ws, key=lambda w: w.matrix), label
+
+
+def test_weyl_element_rejects_non_signed_permutations():
+    for bad in (((2, 0), (0, 1)), ((1, 1), (0, 1)), ((1, 0, 0), (0, 1, 0)),
+                ((1, 0), (1, 0))):
+        with pytest.raises(ValueError):
+            WeylElement(bad)
+    for v in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            WeylElement.identity(2).apply(v)
+    assert WeylElement.identity(3) == WeylElement(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert WeylElement(((0, 1, 0), (0, 0, 1), (1, 0, 0))).perm() == (2, 0, 1)

@@ -152,16 +152,3 @@ def test_composition_law_associative():
         for b in els[3:6]:
             for c in els[6:]:
                 assert ((a * b) * c).key() == (a * (b * c)).key()
-
-
-def test_admissible_modulo_facet_stabilizer():
-    from alcovekit.weyl_affine import admissible_set_modulo
-
-    s1 = BASE3.simple_affine_reflections[0]
-    classes = admissible_set_modulo(GL3, (1, 0, 0), [s1], BASE3)
-    total = sum(len(c) for c in classes)
-    assert total == 7
-    assert 1 <= len(classes) < 7
-    # trivial stabilizer keeps all seven classes separate
-    singletons = admissible_set_modulo(GL3, (1, 0, 0), [], BASE3)
-    assert len(singletons) == 7
