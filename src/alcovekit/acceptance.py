@@ -219,7 +219,8 @@ def _c6_straightening() -> CriterionResult:
     details = []
     for (p, a, f, hmu) in ((7, 1, 1, 1), (5, 2, 2, 1)):
         gap = straightening_gap(p, a, f, hmu)
-        assert gap > 0
+        if gap <= 0:
+            raise AssertionError(f"straightening gap {gap} is not positive")
         ring = Ring(p, a, 1)
         window = 4 * p
         budget = window // gap + 2

@@ -34,9 +34,8 @@ class ApartmentPoint:
     etas: tuple[RatVec, ...]  # one vector per embedding j
 
     def __post_init__(self):
-        assert len(self.etas) == self.gamma.r
-        for eta in self.etas:
-            assert len(eta) == self.rd.dim
+        if len(self.etas) != self.gamma.r or any(len(eta) != self.rd.dim for eta in self.etas):
+            raise ValueError(f"need {self.gamma.r} vectors of length {self.rd.dim}")
 
     def eta(self, j: int = 0) -> RatVec:
         return self.etas[j % self.gamma.r]

@@ -3,11 +3,17 @@
 Used by the strictification routine to double-check monomial identities with
 honest field arithmetic.  Elements are coefficient tuples over Z/p; the
 modulus is the lexicographically smallest monic primitive polynomial of the
-requested degree.
+requested degree (as a tuple of coefficients from the constant term up),
+found once when the field is built.
+
+Primitivity test: with q = p^k, a monic f of degree k is primitive iff
+x^(q-1) = 1 and x^((q-1)/l) != 1 modulo f for every prime l dividing q - 1
+(either condition alone lets some reducible f through).  Candidates whose
+norm (-1)^k f(0) is not a primitive root mod p are skipped before that.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 
@@ -29,40 +35,45 @@ def _poly_mul_mod(a: tuple, b: tuple, modulus: tuple, p: int) -> tuple:
     return tuple(out[:k])
 
 
-def _is_primitive(modulus: tuple, p: int) -> bool:
-    k = len(modulus) - 1
-    q = p**k
-    x = tuple([0, 1] + [0] * (k - 2)) if k >= 2 else (1 % p,)
-    # x must have multiplicative order exactly q - 1
-    order = q - 1
-    acc = (1,) + (0,) * (k - 1)
-    seen_one_at = None
-    for i in range(1, order + 1):
-        acc = _poly_mul_mod(acc, x, modulus, p)
-        if acc == (1,) + (0,) * (k - 1):
-            seen_one_at = i
-            break
-    return seen_one_at == order
+def _poly_pow_mod(a: tuple, e: int, modulus: tuple, p: int) -> tuple:
+    """a^e modulo `modulus` by square-and-multiply, e >= 0."""
+    acc = (1,) + (0,) * (len(modulus) - 2)
+    while e:
+        if e & 1:
+            acc = _poly_mul_mod(acc, a, modulus, p)
+        a = _poly_mul_mod(a, a, modulus, p)
+        e >>= 1
+    return acc
+
+
+def _prime_factors(n: int) -> list[int]:
+    """Distinct primes dividing n >= 1, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
 
 
 def primitive_polynomial(p: int, k: int) -> tuple:
     """Lexicographically smallest monic primitive polynomial of degree k over F_p."""
-    if k == 1:
-        # x - g for the smallest primitive root g of F_p
-        for g in range(2, p):
-            acc, order = g % p, 1
-            while acc != 1:
-                acc = (acc * g) % p
-                order += 1
-            if order == p - 1:
-                return ((-g) % p, 1)
-        return (0, 1)  # p == 2
-    for coeffs in product(range(p), repeat=k):
-        modulus = coeffs + (1,)
-        if modulus[0] == 0:
+    q = p**k
+    one = (1,) + (0,) * (k - 1)
+    cofactors = [(q - 1) // l for l in _prime_factors(q - 1)]
+    norm_cofactors = [(p - 1) // l for l in _prime_factors(p - 1)]
+    for c0 in range(1, p):
+        norm = (-1) ** k * c0 % p
+        if any(pow(norm, d, p) == 1 for d in norm_cofactors):
             continue
-        if _is_primitive(modulus, p):
-            return modulus
+        for rest in product(range(p), repeat=k - 1):
+            modulus = (c0,) + rest + (1,)
+            x = _poly_mul_mod((0, 1), (1,), modulus, p)  # x reduced modulo the candidate
+            if _poly_pow_mod(x, q - 1, modulus, p) == one and all(
+                    _poly_pow_mod(x, d, modulus, p) != one for d in cofactors):
+                return modulus
     raise RuntimeError("no primitive polynomial found")
 
 
@@ -70,37 +81,25 @@ def primitive_polynomial(p: int, k: int) -> tuple:
 class GF:
     p: int
     k: int
+    modulus: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "modulus", primitive_polynomial(self.p, self.k))
 
     @property
     def q(self) -> int:
         return self.p**self.k
 
-    def modulus(self) -> tuple:
-        return primitive_polynomial(self.p, self.k)
-
     def generator_power(self, e: int) -> tuple:
         """omega^e as a coefficient tuple, omega = the class of x (primitive)."""
-        e %= self.q - 1
-        modulus = self.modulus()
-        x = tuple([0, 1] + [0] * (self.k - 2)) if self.k >= 2 else (
-            ((-modulus[0]) % self.p),
-        )
-        acc = (1,) + (0,) * (self.k - 1)
-        for _ in range(e):
-            acc = _poly_mul_mod(acc, x, modulus, self.p)
-        return acc
+        x = _poly_mul_mod((0, 1), (1,), self.modulus, self.p)
+        return _poly_pow_mod(x, e % (self.q - 1), self.modulus, self.p)
 
     def mul(self, a: tuple, b: tuple) -> tuple:
-        return _poly_mul_mod(a, b, self.modulus(), self.p)
+        return _poly_mul_mod(a, b, self.modulus, self.p)
 
     def zero(self) -> tuple:
         return (0,) * self.k
-
-    def one(self) -> tuple:
-        return (1,) + (0,) * (self.k - 1)
-
-    def neg(self, a: tuple) -> tuple:
-        return tuple((-x) % self.p for x in a)
 
     def add(self, a: tuple, b: tuple) -> tuple:
         return tuple((x + y) % self.p for x, y in zip(a, b))
@@ -118,7 +117,8 @@ class GF:
 
     def monomial_to_matrix(self, m) -> list:
         """Realize a constant MonomialMatrix over this field; mod must equal q-1."""
-        assert m.mod == self.q - 1 and m.is_constant()
+        if m.mod != self.q - 1 or not m.is_constant():
+            raise ValueError("need a constant monomial matrix with mod = q - 1")
         n = m.n
         out = [[self.zero()] * n for _ in range(n)]
         for i in range(n):

@@ -76,12 +76,6 @@ def _sigma_of(g: GammaData, fam: Sequence[MonomialMatrix], j: int) -> MonomialMa
     return fam[(j - 1) % g.r].conjugate_by_permutation(g.psi.perm())
 
 
-def _iota_exp(g: GammaData, j: int) -> int:
-    """Global exponent of iota_j(omega) in the (q-1) group."""
-    q = g.q
-    return ((q - 1) // g.e) * pow(g.p, (g.r - j) % g.r if g.r > 1 else 0, g.e)
-
-
 def cocycle_values(t: GaloisType) -> CocycleValues:
     """tau(gamma) and tau(sigma) as monomial data; errors if no u-free value exists."""
     g = t.gamma
@@ -185,10 +179,6 @@ def census(rd: RootDatum, g: GammaData, cap: int = 10**6) -> CensusResult:
         raise RefusedError("census requires a split inertial action")
     if rd.rank > 3 or g.e > 10**4:
         raise CapExceeded("census limited to rank <= 3 and e <= 10^4")
-    if rd.rank == 0:
-        t = GaloisType.from_lambda(rd, g, ())
-        flag, witness = frobenius_invariant(t)
-        return CensusResult(1, int(flag), (CensusClass((), (), flag, witness),))
     e = g.e
     if e**rd.rank > cap:
         raise CapExceeded("census enumeration domain exceeds cap")
@@ -232,13 +222,16 @@ class CoboundaryChain:
     b_extended: tuple[MonomialMatrix, ...]
 
 
-def strictify(b: Sequence[MonomialMatrix], p: int, gf_check_cap: int = 10**6) -> CoboundaryChain:
+GF_CHECK_MAX_Q = 10**6  # largest field the check in strictify builds
+
+
+def strictify(b: Sequence[MonomialMatrix], p: int) -> CoboundaryChain:
     """Solve b = phi(c) c^{-1} by the chain c_j = b_j^{-1} c_{j-1}, c_0 = 1.
 
     The chain closes up after replicating b over an unramified extension of
     degree s = order(b_0 b_1 ... b_{r-1}).  The identity is verified on every
-    slot, and re-verified with honest finite-field arithmetic when the
-    extension field is small enough.
+    slot, and re-verified with honest finite-field arithmetic in the least
+    GF(p^k) with mod | p^k - 1, when it has at most GF_CHECK_MAX_Q elements.
     """
     r = len(b)
     prod = b[0]
@@ -255,25 +248,18 @@ def strictify(b: Sequence[MonomialMatrix], p: int, gf_check_cap: int = 10**6) ->
         # b_j = (phi c)_j c_j^{-1} = c_{j-1} c_j^{-1}, including the wrap at j = 0
         if not (c[(j - 1) % slots] * c[j].inv() * bext[j].inv()).is_identity():
             raise AssertionError("coboundary chain failed to close")
-    # independent field-level verification
-    q_big = None
-    k = 1
-    while True:
-        if p**k - 1 >= mod and (p**k - 1) % mod == 0:
-            q_big = p**k
-            break
-        k += 1
-        if p**k > gf_check_cap:
-            break
-    if q_big is not None and q_big <= gf_check_cap:
+    # independent field-level verification in GF(p^k), k least with p^k = 1 mod `mod`
+    k, q = 1, p
+    while 1 < q <= GF_CHECK_MAX_Q and q % mod != 1 % mod:
+        k, q = k + 1, q * p
+    if 1 < q <= GF_CHECK_MAX_Q:
         field = GF(p, k)
-        scale = (q_big - 1) // mod
         for j in range(slots):
             lhs = field.mat_mul(
-                field.monomial_to_matrix(c[(j - 1) % slots].rescale_mod(q_big - 1)),
-                field.monomial_to_matrix(c[j].inv().rescale_mod(q_big - 1)),
+                field.monomial_to_matrix(c[(j - 1) % slots].rescale_mod(q - 1)),
+                field.monomial_to_matrix(c[j].inv().rescale_mod(q - 1)),
             )
-            rhs = field.monomial_to_matrix(bext[j].rescale_mod(q_big - 1))
+            rhs = field.monomial_to_matrix(bext[j].rescale_mod(q - 1))
             if lhs != rhs:
                 raise AssertionError("finite-field check of the chain failed")
     return CoboundaryChain(s, slots, tuple(c), bext)

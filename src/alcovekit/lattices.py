@@ -19,7 +19,8 @@ def identity_matrix(n: int) -> Matrix:
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]):
     n, k, m = len(a), len(b), len(b[0]) if b else 0
-    assert all(len(row) == k for row in a)
+    if any(len(row) != k for row in a):
+        raise ValueError("matrix shapes do not match")
     return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
 
 

@@ -13,7 +13,7 @@ import random
 from typing import Sequence
 
 from .apartment import ValuationPattern
-from .rootdata import RefusedError
+from .rootdata import RefusedError, check_prime
 
 
 class PrecisionError(RuntimeError):
@@ -25,6 +25,11 @@ class Ring:
     p: int
     a: int
     e: int = 1
+
+    def __post_init__(self):
+        check_prime(self.p)
+        if self.a < 1 or self.e < 1:
+            raise ValueError(f"need a >= 1 and e >= 1, got a={self.a}, e={self.e}")
 
     @property
     def modulus(self) -> int:
@@ -81,17 +86,14 @@ class TruncSeries:
                 return v
         return 0
 
-    @property
-    def pole_bound(self) -> int:
-        return max(0, -self.lo)
-
     def with_prec(self, prec: int | None) -> "TruncSeries":
         if prec is not None and prec <= self.lo:
             return TruncSeries(self.ring, (), prec, prec)
         return TruncSeries.make(self.ring, dict(self.coeffs), lo=self.lo, prec=prec)
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        assert self.ring == other.ring
+        if self.ring != other.ring:
+            raise ValueError("series over different rings")
         prec = _min_prec(self.prec, other.prec)
         out = dict(self.coeffs)
         for k, v in other.coeffs:
@@ -113,7 +115,8 @@ class TruncSeries:
         return self.prec  # all known coefficients vanish
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        assert self.ring == other.ring
+        if self.ring != other.ring:
+            raise ValueError("series over different rings")
         m = self.ring.modulus
         cands = []
         if self.prec is not None:
@@ -137,11 +140,6 @@ class TruncSeries:
             lo = prec
         return TruncSeries.make(self.ring, out, lo=lo, prec=prec)
 
-    def scalar(self, c: int) -> "TruncSeries":
-        m = self.ring.modulus
-        return TruncSeries.make(self.ring, {k: (v * c) % m for k, v in self.coeffs},
-                                lo=self.lo, prec=self.prec)
-
     def is_zero(self) -> bool:
         """Zero on the whole known window."""
         return not self.coeffs
@@ -149,14 +147,6 @@ class TruncSeries:
     def val(self) -> int | None:
         """Lowest exponent with a nonzero known coefficient; None if none known."""
         return self.coeffs[0][0] if self.coeffs else None
-
-    def val_at_least(self, bound: int) -> bool:
-        """Certified statement val >= bound; needs the window to reach `bound`."""
-        if any(k < bound for k, _ in self.coeffs):
-            return False
-        if self.prec is not None and self.prec < bound:
-            raise PrecisionError("window too small to certify the valuation bound")
-        return True
 
     def equals(self, other: "TruncSeries") -> bool:
         """Agreement on the overlap of the two known windows."""
@@ -254,14 +244,12 @@ class LoopElement:
                   for j in range(n)) for i in range(n)))
 
     @staticmethod
-    def from_monomial(ring: Ring, cols: Sequence[int], upows: Sequence[int],
-                      signs: Sequence[int] | None = None) -> "LoopElement":
+    def from_monomial(ring: Ring, cols: Sequence[int], upows: Sequence[int]) -> "LoopElement":
         n = len(cols)
-        signs = signs or [1] * n
         rows = []
         for i in range(n):
             row = [TruncSeries.zero(ring) for _ in range(n)]
-            row[cols[i]] = TruncSeries.monomial(ring, upows[i], signs[i] % ring.modulus)
+            row[cols[i]] = TruncSeries.monomial(ring, upows[i])
             rows.append(tuple(row))
         return LoopElement(ring, tuple(rows))
 
@@ -380,7 +368,8 @@ def membership(a: LoopElement, pattern: ValuationPattern) -> tuple[bool, int]:
     subgroup: off-diagonal slots gain n, diagonal entries are 1 mod v^n.
     """
     e = pattern.e
-    assert a.ring.e == e
+    if a.ring.e != e:
+        raise ValueError(f"ring has e={a.ring.e}, the pattern needs e={e}")
     bounds = pattern.bounds_u()
     n = pattern.n
     ok = True

@@ -8,6 +8,7 @@ nothing here ever touches a general field element.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Sequence
 
 from .rootdata import WeylElement
@@ -105,13 +106,25 @@ class MonomialMatrix:
     def is_constant(self) -> bool:
         return all(m == 0 for m in self.upows)
 
-    def order(self, cap: int = 10**6) -> int:
-        acc = self
-        for k in range(1, cap + 1):
-            if acc.is_identity():
-                return k
-            acc = acc * self
-        raise RuntimeError("order exceeds cap")
+    def order(self) -> int:
+        """Least m >= 1 with self^m = 1: the lcm over the cycles of `cols` of
+        length * mod / gcd(mod, summed exponent); infinite if the u-powers on a
+        cycle do not sum to 0."""
+        out, seen = 1, [False] * self.n
+        for start in range(self.n):
+            length = exp = upow = 0
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                length += 1
+                exp += self.exps[i]
+                upow += self.upows[i]
+                i = self.cols[i]
+            if upow:
+                raise RuntimeError("infinite order: the u-powers on a cycle do not cancel")
+            if length:  # 0 when start lies on a cycle already counted
+                out = lcm(out, length * (self.mod // gcd(self.mod, exp)))
+        return out
 
     def rescale_mod(self, new_mod: int) -> "MonomialMatrix":
         """Push exponents into a larger coefficient group of order new_mod."""

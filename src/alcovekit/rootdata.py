@@ -45,6 +45,21 @@ class RefusedError(RuntimeError):
     """A mathematically stated precondition is not met; distinct from internal errors."""
 
 
+def check_prime(p: int) -> None:
+    """Raise ValueError unless p is prime: Miller-Rabin with the primes up to
+    41 as bases, which decides every p < 3.3 * 10^24 (CapExceeded above)."""
+    if p >= 3317044064679887385961981:
+        raise CapExceeded("primality is only decided below 3.3 * 10^24")
+    if p < 2:
+        raise ValueError(f"p={p} is not prime")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        if b < p and pow(b, d, p) != 1 and all(pow(b, d << i, p) != p - 1 for i in range(s)):
+            raise ValueError(f"p={p} is not prime")
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class WeylElement:
     """A signed permutation of the ambient cocharacter coordinates.
@@ -148,10 +163,6 @@ class RootDatum:
     @property
     def simple_roots(self) -> tuple[Vec, ...]:
         return tuple(self.roots[i] for i in self.simple_indices)
-
-    @property
-    def simple_coroots(self) -> tuple[Vec, ...]:
-        return tuple(self.coroots[i] for i in self.simple_indices)
 
     def positive_roots(self) -> tuple[Vec, ...]:
         # positive = expressible with nonnegative simple-root coefficients;
@@ -358,11 +369,9 @@ class GammaData:
     r: int
     psi: WeylElement
     inertial: WeylElement
-    validate: bool = True
 
     def __post_init__(self):
-        if not self.validate:
-            return
+        check_prime(self.p)
         q = self.p**self.r
         if self.e % self.p == 0:
             raise ValueError("tameness requires p not dividing e")
@@ -392,8 +401,7 @@ class GammaData:
         return w
 
 
-def split_gamma(rd: RootDatum, p: int, e: int, r: int | None = None,
-                psi: WeylElement | None = None) -> GammaData:
+def split_gamma(rd: RootDatum, p: int, e: int, r: int | None = None) -> GammaData:
     """GammaData with trivial inertial action; r defaults to ord_e(p)."""
     if r is None:
         if e < 1 or gcd(p, e) != 1:
@@ -404,7 +412,7 @@ def split_gamma(rd: RootDatum, p: int, e: int, r: int | None = None,
             acc = (acc * p) % e
             r += 1
     ident = WeylElement.identity(rd.dim)
-    return GammaData(p=p, e=e, r=r, psi=psi if psi is not None else ident, inertial=ident)
+    return GammaData(p=p, e=e, r=r, psi=ident, inertial=ident)
 
 
 def _coroot_coord_rows(rd: RootDatum) -> list[list[int]]:

@@ -219,6 +219,8 @@ def admissible_set(
 
 def h_mu(rd: RootDatum, mu: Sequence[int]) -> int:
     """The height of mu: max over roots a of <a, mu>."""
+    if len(mu) != rd.dim:
+        raise ValueError(f"mu has {len(mu)} entries, the group needs {rd.dim}")
     if not rd.roots:
         return 0
     return max(int(rd.pairing(a, mu)) for a in rd.roots)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from alcovekit import cli
 
 
@@ -141,3 +143,16 @@ def test_wrong_length_vector_is_an_error(capsys):
     code, doc = run_json(capsys, [
         "frobinv", "--group", "SL2", "--p", "7", "--e", "24", "--lam=1,2,3"])
     assert code == 2 and doc["status"] == "error"
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--group", "SL2", "--p", "0", "--e", "1"],    # was a ZeroDivisionError
+    ["census", "--group", "SL2", "--p", "6", "--e", "5"],    # p not prime
+    ["census", "--group", "SL2", "--p", "-7", "--e", "24"],
+    ["compare", "--p", "3", "--a", "0", "--n", "2"],         # was a TypeError
+    ["compare", "--p", "4", "--a", "2", "--n", "5"],
+    ["hmu", "--group", "GL3", "--mu", "5"],                  # mu of the wrong length
+])
+def test_bad_p_a_mu_are_errors(capsys, argv):
+    code, doc = run_json(capsys, argv)
+    assert code == 2 and doc["schema"] == 1 and doc["status"] == "error"

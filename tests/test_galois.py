@@ -183,6 +183,38 @@ def test_strictified_cocycle_is_strict():
     assert is_strictly_invariant(new_sigma, new_gamma)
 
 
+def _strictify_fields(monkeypatch, b, p):
+    """Run strictify and return the (p, k) of every field its check builds."""
+    import alcovekit.galois as galois
+
+    built = []
+    real = galois.GF
+
+    def spy(p, k):
+        built.append((p, k))
+        return real(p, k)
+
+    monkeypatch.setattr(galois, "GF", spy)
+    strictify(b, p)
+    return built
+
+
+def test_strictify_checks_over_the_least_field(monkeypatch):
+    beta = MonomialMatrix.from_signed_matrix(((0, 1), (-1, 0)), 3**12 - 1)
+    assert _strictify_fields(monkeypatch, [beta] * 4, 3) == [(3, 12)]
+    beta48 = MonomialMatrix.from_signed_matrix(((0, 1), (-1, 0)), 48)
+    assert _strictify_fields(monkeypatch, [beta48] * 2, 7) == [(7, 2)]
+    # 48 divides 7^2 - 1 but not 7 - 1; mod 6 divides 7 - 1
+    assert _strictify_fields(monkeypatch, [MonomialMatrix.identity(2, 6)], 7) == [(7, 1)]
+
+
+def test_strictify_skips_the_check_without_a_small_field(monkeypatch):
+    # gcd(p, mod) > 1: no power of p is 1 mod `mod`
+    assert _strictify_fields(monkeypatch, [MonomialMatrix.identity(2, 6)], 3) == []
+    # the order of 2 mod the prime 10^6 + 3 is far beyond any field of <= 10^6 elements
+    assert _strictify_fields(monkeypatch, [MonomialMatrix.identity(2, 10**6 + 3)], 2) == []
+
+
 def test_shapiro():
     rd = build_root_datum("GL2")
     g = split_gamma(rd, 5, 8)  # r = 2
@@ -312,12 +344,18 @@ def test_monomial_checks_survive_optimized_mode():
     import alcovekit
 
     code = (
+        "from alcovekit.ff import GF\n"
         "from alcovekit.monomial import MonomialMatrix\n"
-        "try:\n"
-        "    MonomialMatrix(2, 4, (0, 0), (0, 0), (0, 0))\n"
-        "except ValueError:\n"
-        "    raise SystemExit(0 if not __debug__ else 3)\n"
-        "raise SystemExit(1)\n"
+        "if __debug__:\n"
+        "    raise SystemExit(3)\n"
+        "for bad in (lambda: MonomialMatrix(2, 4, (0, 0), (0, 0), (0, 0)),\n"
+        "            lambda: GF(7, 2).monomial_to_matrix(MonomialMatrix.diag_upow((1, 0), 48)),\n"
+        "            lambda: GF(7, 2).monomial_to_matrix(MonomialMatrix.identity(2, 24))):\n"
+        "    try:\n"
+        "        bad()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(1)\n"
     )
     src = str(Path(alcovekit.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": src},

@@ -32,6 +32,12 @@ def ident(n):
     return WeylElement.identity(n)
 
 
+def test_ring_validation():
+    for p, a, e in ((4, 2, 1), (1, 1, 1), (3, 0, 1), (5, 1, 0)):
+        with pytest.raises(ValueError):
+            Ring(p, a, e)
+
+
 def test_series_basics():
     ring = Ring(3, 2, 1)
     vp = TruncSeries.v_plus_p(ring)

@@ -11,6 +11,7 @@ from alcovekit.rootdata import (
     UnsupportedLabel,
     WeylElement,
     build_root_datum,
+    check_prime,
     dominance_leq,
     pi1,
     pi1_coinvariants,
@@ -154,6 +155,28 @@ def test_gamma_validation():
         GammaData(p=3, e=6, r=2, psi=ident(2), inertial=ident(2))  # p | e
     g = split_gamma(sl2, 7, 24)
     assert g.r == 2 and g.q == 49 and g.split()
+    for p in (0, 1, 6, -7):
+        with pytest.raises(ValueError):
+            GammaData(p=p, e=1, r=1, psi=ident(2), inertial=ident(2))
+
+
+def test_check_prime_matches_trial_division():
+    def is_prime(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    def passes(n):
+        try:
+            check_prime(n)
+            return True
+        except ValueError:
+            return False
+
+    assert all(passes(n) == is_prime(n) for n in range(-5, 20000))
+    # strong pseudoprimes to the bases up to 7 and up to 23, then two primes near 2^60
+    assert not passes(3215031751) and not passes(3825123056546413051)
+    assert passes(10**18 + 9) and passes(2**61 - 1)
+    with pytest.raises(CapExceeded):
+        check_prime(10**30)
 
 
 def test_dominance_and_height():
