@@ -1,8 +1,9 @@
 """Command-line interface: every operation as a subcommand with JSON output.
 
-Exit codes: 0 ok, 1 refused or failed, 2 usage error.  `refused` is reserved
-for unmet mathematically-stated preconditions (e.g. the straightening bound),
-as opposed to internal errors.  The environment variable ALCOVEKIT_PRECISION
+Exit codes: 0 ok, 1 refused or failed, 2 usage error, 3 internal error.
+`refused` is reserved for unmet mathematically-stated preconditions (e.g. the
+straightening bound), as opposed to internal errors, whose `error` envelope is
+marked `"internal": true`.  The environment variable ALCOVEKIT_PRECISION
 overrides the simulator window.
 """
 from __future__ import annotations
@@ -154,6 +155,10 @@ def _cmd_straighten(args) -> CommandResult:
         window = int(env)
     if window is None:
         window = 4 * args.p
+    if window < 1:
+        raise ValueError(f"the precision window must be at least 1, got {window}")
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     ring = Ring(args.p, args.a, 1)
     rng = random.Random(args.seed)
     mu = tuple([args.hmu] + [0] * (args.n - 1))
@@ -330,6 +335,11 @@ def main(argv=None) -> int:
     except (UnsupportedLabel, CapExceeded, ValueError) as exc:
         _emit(CommandResult("error", {"error": str(exc)}), emit)
         return 2
+    except (RuntimeError, AssertionError) as exc:
+        # a broken internal invariant (PrecisionError included), not bad input
+        _emit(CommandResult("error", {"error": f"{type(exc).__name__}: {exc}",
+                                      "internal": True}), emit)
+        return 3
     _emit(result, emit)
     if result.status == "ok":
         return 0

@@ -8,12 +8,17 @@ printed zero really is a zero of the mathematical object.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 import random
+import struct
 from typing import Sequence
 
 from .apartment import ValuationPattern
-from .rootdata import RefusedError, check_prime
+from .rootdata import CapExceeded, RefusedError, check_prime
+
+# det and inverse expand by minors, at a cost growing as n!
+MAX_LOOP_N = 6
 
 
 class PrecisionError(RuntimeError):
@@ -117,28 +122,11 @@ class TruncSeries:
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         if self.ring != other.ring:
             raise ValueError("series over different rings")
-        m = self.ring.modulus
-        cands = []
-        if self.prec is not None:
-            off = other._support_lo()
-            if off is not None:
-                cands.append(self.prec + off)
-        if other.prec is not None:
-            off = self._support_lo()
-            if off is not None:
-                cands.append(other.prec + off)
-        prec = min(cands) if cands else None
-        out: dict[int, int] = {}
-        for k1, v1 in self.coeffs:
-            for k2, v2 in other.coeffs:
-                k = k1 + k2
-                if prec is not None and k >= prec:
-                    continue
-                out[k] = (out.get(k, 0) + v1 * v2) % m
-        lo = self.lo + other.lo
-        if prec is not None and prec < lo:
-            lo = prec
-        return TruncSeries.make(self.ring, out, lo=lo, prec=prec)
+        lo, prec = _mul_window(self, other)
+        nb = _slot_bytes(min(len(self.coeffs), len(other.coeffs)), self.ring.modulus)
+        pair = (_pack(self, nb, _reach(self, [prec], [other.val()])),
+                _pack(other, nb, _reach(other, [prec], [self.val()])))
+        return _dot(self.ring, [pair], nb, lo, prec)
 
     def is_zero(self) -> bool:
         """Zero on the whole known window."""
@@ -228,6 +216,106 @@ def _window_width(s: TruncSeries) -> int:
     return max(1, s.prec - s.lo)
 
 
+def _mul_window(a: TruncSeries, b: TruncSeries) -> tuple[int, int | None]:
+    """(lo, prec) of the product a * b.
+
+    Each factor's window ends at its prec; shifted by the lowest exponent the
+    other factor can carry, that bounds what the product knows.
+    """
+    cands = []
+    if a.prec is not None:
+        off = b._support_lo()
+        if off is not None:
+            cands.append(a.prec + off)
+    if b.prec is not None:
+        off = a._support_lo()
+        if off is not None:
+            cands.append(b.prec + off)
+    prec = min(cands) if cands else None
+    lo = a.lo + b.lo
+    if prec is not None and prec < lo:
+        lo = prec
+    return lo, prec
+
+
+# Kronecker substitution: a series with coefficients c_k becomes the integer
+# sum c_k 2^(8 nb (k - k0)), so a product of series is one big-int product.
+# A slot of nb bytes holds any sum of `terms` products of residues mod m, so
+# no carry crosses into the next slot.  Slots of 1, 2, 4 or 8 bytes convert
+# through struct's little-endian words; wider slots through bytes.
+_WORD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _slot_bytes(terms: int, m: int) -> int:
+    nb = -(-(max(terms, 1) * (m - 1) ** 2).bit_length() // 8)
+    return nb if nb > 8 else 1 << (nb - 1).bit_length()  # 1, 2, 4 or 8
+
+
+def _reach(s: TruncSeries, precs, partner_vals) -> int | None:
+    """Exponent from which the terms of s reach no known coefficient of the
+    products s enters: each product's prec less the lowest exponent of the
+    factor s meets there.  None when one of those products is exact."""
+    if not s.coeffs:
+        return None
+    stop = s.coeffs[0][0]  # no term is needed unless some product wants it
+    for prec, low in zip(precs, partner_vals):
+        if low is not None:
+            if prec is None:
+                return None
+            stop = max(stop, prec - low)
+    return stop
+
+
+def _pack(s: TruncSeries, nb: int, stop: int | None) -> tuple[int, int] | None:
+    """(lowest exponent k0, packed coefficients) of the terms of s below
+    `stop`; None when there are none.  Packing costs the exponent span, so
+    the cut keeps a wide series (phi spreads exponents by p) as cheap as the
+    window of the product it enters."""
+    cs = s.coeffs if stop is None else s.coeffs[:bisect_left(s.coeffs, (stop,))]
+    if not cs:
+        return None
+    base = cs[0][0]
+    slots = [0] * (cs[-1][0] - base + 1)
+    for k, v in cs:
+        slots[k - base] = v
+    code = _WORD_CODES.get(nb)
+    if code is None:
+        raw = b"".join(v.to_bytes(nb, "little") for v in slots)
+    else:
+        raw = struct.pack(f"<{len(slots)}{code}", *slots)
+    return base, int.from_bytes(raw, "little")
+
+
+def _unpack(x: int, nb: int, base: int, stop: int | None,
+            m: int) -> tuple[tuple[int, int], ...]:
+    """Sorted nonzero (exponent, value mod m) of x's slots, slot 0 at `base`,
+    for the exponents below `stop`."""
+    raw = x.to_bytes(-(-x.bit_length() // (8 * nb)) * nb, "little")
+    if stop is not None:
+        raw = raw[:max(0, stop - base) * nb]
+    code = _WORD_CODES.get(nb)
+    if code is None:
+        slots = [int.from_bytes(raw[i:i + nb], "little") for i in range(0, len(raw), nb)]
+    else:
+        slots = struct.unpack(f"<{len(raw) // nb}{code}", raw)
+    return tuple([(base + t, r) for t, s in enumerate(slots) if (r := s % m)])
+
+
+def _dot(ring: Ring, pairs, nb: int, lo: int, prec: int | None) -> TruncSeries:
+    """The series sum of a * b over packed pairs (a, b), on the window (lo, prec).
+
+    The products are summed as integers, each shifted to the least base, and
+    unpacked once: below prec every term is known, so the sum is exact there.
+    """
+    parts = [(a[0] + b[0], a[1] * b[1]) for a, b in pairs if a and b]
+    if not parts:
+        return TruncSeries(ring, (), lo, prec)
+    base = min([k for k, _ in parts])
+    width = 8 * nb
+    total = sum([x << (width * (k - base)) for k, x in parts])
+    return TruncSeries(ring, _unpack(total, nb, base, prec, ring.modulus), lo, prec)
+
+
 @dataclass(frozen=True)
 class LoopElement:
     ring: Ring
@@ -260,20 +348,45 @@ class LoopElement:
                                          [ring.e * k for k in nu])
 
     def __mul__(self, other: "LoopElement") -> "LoopElement":
+        """Entry (i, j) is the sum over k of the series products, on the window
+        of that sum: the least prec and the least lo of the terms."""
         n = self.n
-        rows = []
+        ring = self.ring
+        if other.ring != ring or other.n != n:
+            raise ValueError("loop elements over different rings or sizes")
+        terms = max((len(s.coeffs) for el in (self, other) for row in el.rows for s in row),
+                    default=0)
+        nb = _slot_bytes(n * terms, ring.modulus)
+        wins = []
         for i in range(n):
             row = []
             for j in range(n):
-                acc = self.rows[i][0] * other.rows[0][j]
+                lo, prec = _mul_window(self.rows[i][0], other.rows[0][j])
                 for k in range(1, n):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return LoopElement(self.ring, tuple(rows))
+                    lo_k, prec_k = _mul_window(self.rows[i][k], other.rows[k][j])
+                    lo = min(lo, lo_k)
+                    prec = _min_prec(prec, prec_k)
+                row.append((lo, prec))
+            wins.append(row)
+        # entry (i, k) of self enters the products of row i, entry (k, j) of
+        # other those of column j
+        precs = [[prec for _, prec in row] for row in wins]
+        prec_cols = list(zip(*precs))
+        a_cols = list(zip(*self.rows))
+        pa = [[_pack(s, nb, _reach(s, precs[i], [t.val() for t in other.rows[k]]))
+               for k, s in enumerate(row)] for i, row in enumerate(self.rows)]
+        pb_cols = list(zip(*(
+            [_pack(s, nb, _reach(s, prec_cols[j], [t.val() for t in a_cols[k]]))
+             for j, s in enumerate(row)] for k, row in enumerate(other.rows))))
+        return LoopElement(ring, tuple(
+            tuple(_dot(ring, zip(pa[i], pb_cols[j]), nb, *wins[i][j]) for j in range(n))
+            for i in range(n)))
 
     def det(self) -> TruncSeries:
+        """Laplace expansion along the first row; CapExceeded above MAX_LOOP_N."""
         n = self.n
+        if n > MAX_LOOP_N:
+            raise CapExceeded(f"determinant of a {n}x{n} loop element: the limit is {MAX_LOOP_N}")
         if n == 1:
             return self.rows[0][0]
         acc = None
@@ -309,6 +422,10 @@ class LoopElement:
     def phi(self) -> "LoopElement":
         return LoopElement(self.ring, tuple(tuple(s.phi() for s in row) for row in self.rows))
 
+    def __sub__(self, other: "LoopElement") -> "LoopElement":
+        return LoopElement(self.ring, tuple(
+            tuple(x - y for x, y in zip(r, s)) for r, s in zip(self.rows, other.rows)))
+
     def sub_identity(self) -> "LoopElement":
         n = self.n
         rows = []
@@ -343,15 +460,19 @@ def phi_c(a: LoopElement, c: LoopElement | None = None,
     fa = a.phi()
     if c is None:
         return fa
-    return c * fa * c.inverse(window)
+    return c * (fa * c.inverse(window))
 
 
 def identity_depth(a: LoopElement) -> int:
     """Largest certified n with a = 1 mod v^n entrywise (v-units)."""
+    return _zero_depth(a.sub_identity())
+
+
+def _zero_depth(a: LoopElement) -> int:
+    """Largest certified n with a = 0 mod v^n entrywise (v-units)."""
     e = a.ring.e
     best = None
-    diff = a.sub_identity()
-    for row in diff.rows:
+    for row in a.rows:
         for s in row:
             v = s.val()
             if v is None:
@@ -472,22 +593,28 @@ def straighten_right(x, b: LoopElement, f: int, h_mu: int,
     slack = window + ring.e * (abs(h_mu) * x_prod.n + 4 * ring.a + 8)
     binv = b.inverse(slack)
     xinv = inverse_of(x_factors, slack)
+    xb = xinv * binv
     cinv = c.inverse(slack) if c is not None else None
     a_cur = start if start is not None else LoopElement.identity(ring, x_prod.n)
     a_cur = a_cur.with_prec(window)
     trace = []
     iterations = 0
     for _ in range(max_iter):
+        # phi spreads the window over p times the exponents; each product
+        # that takes it meets a finite-window factor, so only the part below
+        # that window is multiplied
         fa = a_cur.phi()
         if c is not None:
-            fa = c * fa * cinv
-        a_next = (x_prod * fa * xinv * binv).with_prec(window)
+            fa = c * (fa * cinv)
+        a_next = (x_prod * (fa * xb)).with_prec(window)
         iterations += 1
         got = a_next.min_prec()
         if got is not None and got < window:
             raise PrecisionError("window slack exhausted during iteration")
-        step = a_cur.inverse(slack) * a_next
-        trace.append(identity_depth(step))
+        # depth of the update a_cur^{-1} a_next: a_cur is an integral unit, so
+        # a_cur^{-1} a_next - 1 = a_cur^{-1} (a_next - a_cur) has the valuation
+        # of a_next - a_cur
+        trace.append(_zero_depth(a_next - a_cur))
         if a_next.equals(a_cur):
             a_cur = a_next
             break

@@ -377,14 +377,12 @@ class GammaData:
             raise ValueError("tameness requires p not dividing e")
         if (q - 1) % self.e != 0:
             raise ValueError(f"e={self.e} must divide q-1={q - 1}")
-        w = self.psi
-        for _ in range(self.r):
-            if w.is_identity():
-                break
-            w = w * self.psi
-        else:
-            if not self.psi.is_identity():
-                raise ValueError("psi must have order dividing r")
+        # psi^r = 1 iff the order of psi divides r
+        w, order = self.psi, 1
+        while not w.is_identity() and order < self.r:
+            w, order = w * self.psi, order + 1
+        if not w.is_identity() or self.r % order:
+            raise ValueError("psi must have order dividing r")
 
     @property
     def q(self) -> int:

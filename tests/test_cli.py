@@ -3,6 +3,7 @@ import json
 import pytest
 
 from alcovekit import cli
+from alcovekit.loop_sim import PrecisionError
 
 
 def run_json(capsys, argv):
@@ -156,3 +157,50 @@ def test_wrong_length_vector_is_an_error(capsys):
 def test_bad_p_a_mu_are_errors(capsys, argv):
     code, doc = run_json(capsys, argv)
     assert code == 2 and doc["schema"] == 1 and doc["status"] == "error"
+
+
+@pytest.mark.parametrize("argv", [
+    ["straighten", "--p", "7", "--window", "0"],    # was a PrecisionError traceback
+    ["straighten", "--p", "7", "--window", "-3"],
+    ["straighten", "--p", "7", "--n", "0"],         # was an AttributeError traceback
+    ["straighten", "--p", "7", "--n", "7"],         # above MAX_LOOP_N: minors cost n!
+])
+def test_bad_straighten_inputs_are_errors(capsys, argv):
+    code, doc = run_json(capsys, argv)
+    assert code == 2 and doc["schema"] == 1 and doc["status"] == "error"
+    assert "internal" not in doc["payload"]
+
+
+def test_zero_precision_env_is_an_error(capsys, monkeypatch):
+    monkeypatch.setenv("ALCOVEKIT_PRECISION", "0")
+    code, doc = run_json(capsys, ["straighten", "--p", "7"])
+    assert code == 2 and doc["status"] == "error"
+
+
+@pytest.mark.parametrize("exc", [
+    PrecisionError("window slack exhausted during iteration"),
+    RuntimeError("boom"),
+    AssertionError("broken invariant"),
+])
+def test_internal_errors_get_their_own_envelope(capsys, monkeypatch, exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "straighten_right", broken)
+    code, doc = run_json(capsys, ["straighten", "--p", "7"])
+    assert code == 3 and doc["schema"] == 1 and doc["status"] == "error"
+    assert doc["payload"]["internal"] is True
+    assert type(exc).__name__ in doc["payload"]["error"]
+    # text mode reports the same status
+    code = cli.main(["straighten", "--p", "7"])
+    assert code == 3 and "status: error" in capsys.readouterr().out
+
+
+def test_straighten_with_a_huge_prime_and_a_small_window(capsys):
+    # phi spreads the window over p times the exponents; only the part below
+    # the window is multiplied, so this takes milliseconds (packing the whole
+    # span asked for about 10^19 slots)
+    code, doc = run_json(capsys, ["straighten", "--p", str(2**61 - 1), "--window", "4"])
+    assert code == 0 and doc["status"] == "ok"
+    assert doc["payload"]["iterations"] == 2 and doc["payload"]["update_depths"] == [1, 4]
+    assert doc["payload"]["residual_is_identity"] is True

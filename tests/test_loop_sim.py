@@ -4,6 +4,7 @@ import pytest
 
 from alcovekit.apartment import point_from_type, parahoric_pattern
 from alcovekit.loop_sim import (
+    MAX_LOOP_N,
     LoopElement,
     PrecisionError,
     Ring,
@@ -21,6 +22,7 @@ from alcovekit.loop_sim import (
     straighten_right,
 )
 from alcovekit.rootdata import (
+    CapExceeded,
     RefusedError,
     WeylElement,
     build_root_datum,
@@ -321,3 +323,232 @@ def test_contraction_failure_search_reports():
     # bound violated: only a report, no assertion either way
     rep = search_contraction_failure(3, 2, 1, 1, trials=5, seed=3)
     assert rep["gap"] <= 0 and rep["trials"] == 5
+
+
+# ---------------------------------------------------------------------------
+# The packed (Kronecker) product against a schoolbook reference that applies
+# the window rules term by term.
+
+def _ref_series_mul(a, b):
+    m = a.ring.modulus
+    cands = []
+    for s, t in ((a, b), (b, a)):
+        if s.prec is not None:
+            off = t.coeffs[0][0] if t.coeffs else t.prec
+            if off is not None:
+                cands.append(s.prec + off)
+    prec = min(cands) if cands else None
+    out = {}
+    for k1, v1 in a.coeffs:
+        for k2, v2 in b.coeffs:
+            if prec is None or k1 + k2 < prec:
+                out[k1 + k2] = (out.get(k1 + k2, 0) + v1 * v2) % m
+    lo = a.lo + b.lo
+    if prec is not None and prec < lo:
+        lo = prec
+    return TruncSeries.make(a.ring, out, lo=lo, prec=prec)
+
+
+def _ref_loop_mul(x, y):
+    n = x.n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = _ref_series_mul(x.rows[i][0], y.rows[0][j])
+            for k in range(1, n):
+                acc = acc + _ref_series_mul(x.rows[i][k], y.rows[k][j])
+            row.append(acc)
+        rows.append(tuple(row))
+    return LoopElement(x.ring, tuple(rows))
+
+
+def _state(s):
+    return s.coeffs, s.lo, s.prec
+
+
+# 2: one-byte slots; 65521: eight-byte slots; 2^31 - 1: slots wider than a word
+KERNEL_RINGS = (Ring(2, 1), Ring(3, 2), Ring(7, 2), Ring(5, 3), Ring(65521, 1),
+                Ring(2**31 - 1, 1))
+SERIES_KINDS = ("exact", "window", "pole", "sparse", "zero", "exact_zero", "one_term")
+
+
+def _random_series(rng, ring, kind):
+    m = ring.modulus
+    if kind == "exact_zero":
+        return TruncSeries.zero(ring)
+    if kind == "zero":
+        lo = rng.randrange(-4, 6)
+        return TruncSeries(ring, (), lo, lo + rng.randrange(0, 8))
+    if kind == "one_term":
+        k = rng.randrange(-5, 12)
+        prec = rng.choice((None, k + 1 + rng.randrange(10)))
+        return TruncSeries.monomial(ring, k, rng.randrange(1, m), prec=prec)
+    lo = rng.randrange(-6, 0) if kind == "pole" else rng.randrange(0, 4)
+    hi = lo + rng.randrange(1, 30)
+    step = rng.randrange(2, 8) if kind == "sparse" else 1
+    coeffs = {k: rng.randrange(m) for k in range(lo, hi, step)}
+    prec = None
+    if kind in ("window", "pole") or (kind == "sparse" and rng.randrange(2)):
+        prec = rng.randrange(lo, hi + 5)
+    return TruncSeries.make(ring, coeffs, lo=min(lo, rng.randrange(lo - 2, lo + 1)), prec=prec)
+
+
+def test_series_product_matches_schoolbook():
+    rng = random.Random(2026)
+    for ring in KERNEL_RINGS:
+        for ka in SERIES_KINDS:
+            for kb in SERIES_KINDS:
+                for _ in range(6):
+                    a = _random_series(rng, ring, ka)
+                    b = _random_series(rng, ring, kb)
+                    assert _state(a * b) == _state(_ref_series_mul(a, b)), (ring, ka, kb)
+
+
+def test_series_product_at_the_slot_width_limit():
+    # every coefficient m - 1: the central slot holds terms * (m - 1)^2 exactly
+    for ring in KERNEL_RINGS:
+        m = ring.modulus
+        for length in (1, 2, 3, 17, 64):
+            full = TruncSeries.make(ring, {k: m - 1 for k in range(length)})
+            assert _state(full * full) == _state(_ref_series_mul(full, full))
+            # an entry of a matrix product sums n such products in one slot
+            for n in (2, 3):
+                el = LoopElement(ring, tuple((full,) * n for _ in range(n)))
+                got, want = el * el, _ref_loop_mul(el, el)
+                assert [[_state(s) for s in row] for row in got.rows] == \
+                    [[_state(s) for s in row] for row in want.rows], (ring, length, n)
+
+
+def test_loop_product_matches_schoolbook():
+    rng = random.Random(4242)
+    for ring in KERNEL_RINGS:
+        for n in (1, 2, 3):
+            for _ in range(8):
+                x, y = (LoopElement(ring, tuple(
+                    tuple(_random_series(rng, ring, rng.choice(SERIES_KINDS)) for _ in range(n))
+                    for _ in range(n))) for _ in range(2))
+                got, want = x * y, _ref_loop_mul(x, y)
+                assert [[_state(s) for s in row] for row in got.rows] == \
+                    [[_state(s) for s in row] for row in want.rows], (ring, n)
+
+
+def test_loop_product_checks_shapes():
+    ring = Ring(5, 1)
+    with pytest.raises(ValueError):
+        LoopElement.identity(ring, 2) * LoopElement.identity(ring, 3)
+    with pytest.raises(ValueError):
+        LoopElement.identity(ring, 2) * LoopElement.identity(Ring(7, 1), 2)
+
+
+def _packed_slots(monkeypatch):
+    """Record the number of slots of every packed factor."""
+    from alcovekit import loop_sim
+
+    seen = []
+    real = loop_sim._pack
+
+    def spy(s, nb, stop):
+        out = real(s, nb, stop)
+        if out is not None:
+            seen.append(-(-out[1].bit_length() // (8 * nb)))
+        return out
+
+    monkeypatch.setattr(loop_sim, "_pack", spy)
+    return seen
+
+
+def test_wide_factor_is_packed_only_up_to_the_product_window(monkeypatch):
+    # phi spreads a window of 6 over 6p exponents; a product with a factor of
+    # window 12 needs only the exponents below 12 plus that factor's pole
+    seen = _packed_slots(monkeypatch)
+    rng = random.Random(77)
+    ring = Ring(1000003, 2)
+    m = ring.modulus
+    fa = TruncSeries.make(ring, {k: rng.randrange(1, m) for k in range(6)}, prec=6).phi()
+    b = TruncSeries.make(ring, {k: rng.randrange(1, m) for k in range(-2, 12)}, lo=-2, prec=12)
+    for x, y in ((fa, b), (b, fa), (fa, fa.with_prec(9))):
+        assert _state(x * y) == _state(_ref_series_mul(x, y))
+    fa_el = random_depth_element(rng, ring, 2, 1, 5).with_prec(6).phi()
+    b_el = random_depth_element(rng, ring, 2, 1, 5).with_prec(12)
+    x_el = LoopElement(ring, tuple(
+        tuple(random_polynomial(rng, ring, 0, 4) for _ in range(2)) for _ in range(2)))
+    for x, y in ((fa_el, b_el), (b_el, fa_el), (x_el, fa_el * b_el)):
+        got, want = x * y, _ref_loop_mul(x, y)
+        assert [[_state(s) for s in row] for row in got.rows] == \
+            [[_state(s) for s in row] for row in want.rows]
+    assert seen and max(seen) <= 32
+
+
+def test_straightening_cost_does_not_grow_with_p(monkeypatch):
+    # at window 4 every product stays within the internal slack, whatever p
+    seen = _packed_slots(monkeypatch)
+    for p in (1000003, 2**61 - 1):
+        ring = Ring(p, 1, 1)
+        rng = random.Random(5)
+        xf = random_bounded_x(rng, ring, 2, (1, 0), 4, use_v_plus_p=True, window=24)
+        b = random_depth_element(rng, ring, 2, 1, 5)
+        res = straighten_right(xf, b, 1, 1, window=4)
+        assert res.residual_is_one and res.trace == (1, 4)
+    assert max(seen) <= 64
+
+
+def test_windowed_straightening_matches_a_wider_window():
+    # the result at window w is the result at window 3w, truncated to w
+    for p, a, n, seed in ((7, 1, 2, 3), (7, 2, 2, 8), (5, 2, 3, 11), (11, 1, 3, 19)):
+        ring = Ring(p, a, 1)
+        out = {}
+        w = 2 * p
+        for window in (w, 3 * w):
+            rng = random.Random(seed)
+            xf = random_bounded_x(rng, ring, n, (1,) + (0,) * (n - 1), 4,
+                                  use_v_plus_p=True, window=window + 20)
+            b = random_depth_element(rng, ring, n, 1, 5)
+            res = straighten_right(xf, b, 1, 1, window=window)
+            assert res.residual_is_one
+            out[window] = res.a_elem
+        # lo is only a declared pole bound, which depends on the window
+        narrow, wide = out[w], out[3 * w].with_prec(w)
+        assert [[(s.coeffs, s.prec) for s in row] for row in narrow.rows] == \
+            [[(s.coeffs, s.prec) for s in row] for row in wide.rows]
+
+
+def _trace_by_inverse(xf, b, f, h_mu, window):
+    """The update depths as depth(a_cur^{-1} a_next), each with its own inverse."""
+    x = product_of(xf)
+    ring = x.ring
+    slack = window + ring.e * (abs(h_mu) * x.n + 4 * ring.a + 8)
+    xinv, binv = inverse_of(xf, slack), b.inverse(slack)
+    a_cur = LoopElement.identity(ring, x.n).with_prec(window)
+    trace = []
+    while True:
+        a_next = (x * a_cur.phi() * xinv * binv).with_prec(window)
+        trace.append(identity_depth(a_cur.inverse(slack) * a_next))
+        if a_next.equals(a_cur):
+            return a_next, trace
+        a_cur = a_next
+
+
+def test_update_depths_match_the_inverse_based_trace():
+    for p, a, n, seed in ((7, 1, 2, 5), (7, 2, 2, 6), (5, 2, 3, 7), (11, 1, 2, 9),
+                          (7, 1, 3, 10), (13, 1, 2, 12)):
+        ring = Ring(p, a, 1)
+        window = 4 * p
+        rng = random.Random(seed)
+        xf = random_bounded_x(rng, ring, n, (1,) + (0,) * (n - 1), 4,
+                              use_v_plus_p=True, window=window + 20)
+        b = random_depth_element(rng, ring, n, 1, 5)
+        res = straighten_right(xf, b, 1, 1, window=window)
+        a_ref, trace = _trace_by_inverse(xf, b, 1, 1, window)
+        assert list(res.trace) == trace
+        assert res.a_elem.equals(a_ref)
+
+
+def test_determinant_size_is_capped():
+    ring = Ring(5, 1)
+    big = LoopElement.identity(ring, MAX_LOOP_N + 1)
+    with pytest.raises(CapExceeded):
+        big.det()
+    with pytest.raises(CapExceeded):
+        big.inverse(10)
+    assert LoopElement.identity(ring, 3).inverse(10).is_identity()

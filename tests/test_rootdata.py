@@ -160,6 +160,15 @@ def test_gamma_validation():
             GammaData(p=p, e=1, r=1, psi=ident(2), inertial=ident(2))
 
 
+def test_gamma_psi_order_must_divide_r():
+    swap = WeylElement(((0, 1), (1, 0)))
+    # psi^2 = 1 but psi^3 = psi: order 2 does not divide r = 3
+    with pytest.raises(ValueError):
+        GammaData(p=5, e=4, r=3, psi=swap, inertial=ident(2))
+    for r in (2, 4):
+        assert GammaData(p=5, e=4, r=r, psi=swap, inertial=ident(2)).psi == swap
+
+
 def test_check_prime_matches_trial_division():
     def is_prime(n):
         return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
