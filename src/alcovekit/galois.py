@@ -86,21 +86,27 @@ def cocycle_values(t: GaloisType) -> CocycleValues:
         if not v.is_constant():
             raise ValueError("type data inconsistent: tau(sigma) keeps a u-power")
         sig.append(v)
-    gam = tuple(tuple(c % g.e for c in lam) for lam in t.lams)
+    # census representatives carry lambda as integral Fractions
+    if any(c != int(c) for lam in t.lams for c in lam):
+        raise ValueError("type data inconsistent: lambda is not integral")
+    gam = tuple(tuple(int(c) % g.e for c in lam) for lam in t.lams)
     return CocycleValues(gam, tuple(sig))
 
 
 def check_cocycle_relations(t: GaloisType) -> dict[str, bool]:
     """Matrix-level checks of the presentation relations on tau.
 
-    gamma_order:  tau(gamma)^e = 1
+    gamma_order:  tau(gamma)^e = 1, checked as: every exponent in
+                  tau_gamma_exps is an int x with 0 <= x < e, so tau(gamma) is
+                  a diagonal of e-th roots of unity iota(omega)^x
     sigma_braid:  tau(sigma) (^sigma tau(gamma)) tau(sigma)^{-1} = tau(gamma)^p
     sigma_wrap:   tau(sigma^r) = 1
     """
     g = t.gamma
     vals = cocycle_values(t)
     e, p, r = g.e, g.p, g.r
-    gamma_order = all(all((x * e) % e == 0 for x in lam) for lam in vals.tau_gamma_exps)
+    gamma_order = all(isinstance(x, int) and 0 <= x < e
+                      for lam in vals.tau_gamma_exps for x in lam)
 
     perm = g.psi.perm()
     braid = True

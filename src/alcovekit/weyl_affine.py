@@ -7,12 +7,14 @@ system, with vertices o, o-(1,0,...,0), o-(1,1,0,...,0), ...; its walls give
 the simple affine reflections s~_1, ..., s~_n of each GL_n block.
 
 Lengths are computed geometrically: l(w) is the number of affine root
-hyperplanes <a, y> = k separating the base alcove from its image, counted
-with exact rational arithmetic.  Reduced words come from a greedy gallery
-walk and Bruhat order from the subword property.
+hyperplanes <a, y> = k separating the base alcove from its image, counted in
+integers by the Iwahori-Matsumoto formula from walls precomputed once per
+base alcove.  Reduced words come from a greedy gallery walk and Bruhat order
+from the subword property.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -20,6 +22,10 @@ from typing import Sequence
 from .rootdata import CapExceeded, RootDatum, WeylElement, weyl_group
 
 RatVec = tuple[Fraction, ...]
+# (L, Y, walls): L the common denominator of the base alcove's interior,
+# Y = L * interior in integers, and one (i, j, floor(<a, interior>)) per
+# positive root a = e_i - e_j
+Walls = tuple[int, tuple[int, ...], tuple[tuple[int, int, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -62,6 +68,17 @@ class BaseAlcove:
     simple_affine_reflections: tuple[AffineWeylElement, ...]
     omega_generators: tuple[AffineWeylElement, ...]
     interior: RatVec  # barycenter, guaranteed off every affine wall
+    walls: Walls
+
+
+def _walls(rd: RootDatum, bary: RatVec) -> Walls:
+    denom = math.lcm(*(c.denominator for c in bary))
+    y = tuple(int(c * denom) for c in bary)
+    walls = []
+    for a in rd.positive_roots():
+        i, j = a.index(1), a.index(-1)
+        walls.append((i, j, (y[i] - y[j]) // denom))
+    return denom, y, tuple(walls)
 
 
 def base_alcove(rd: RootDatum) -> BaseAlcove:
@@ -85,7 +102,9 @@ def base_alcove(rd: RootDatum) -> BaseAlcove:
         for k in range(size):
             bary[off + k] = Fraction(-(size - 1 - k), size)
         off += size
-    alc = BaseAlcove(rd, tuple(refl), (), tuple(bary))
+    bary = tuple(bary)
+    walls = _walls(rd, bary)
+    alc = BaseAlcove(rd, tuple(refl), (), bary, walls)
     omegas = []
     off = 0
     for size in rd.block_sizes:
@@ -94,27 +113,24 @@ def base_alcove(rd: RootDatum) -> BaseAlcove:
         _, om = reduced_word(translation_element(rd, nu), alc)
         omegas.append(om)
         off += size
-    return BaseAlcove(rd, tuple(refl), tuple(omegas), tuple(bary))
-
-
-def _integers_strictly_between(s: Fraction, t: Fraction) -> int:
-    if s > t:
-        s, t = t, s
-    lo = s.numerator // s.denominator + 1  # smallest integer > s
-    hi = -((-t.numerator) // t.denominator) - 1  # largest integer < t
-    return max(0, hi - lo + 1)
+    return BaseAlcove(rd, tuple(refl), tuple(omegas), bary, walls)
 
 
 def length(w: AffineWeylElement, base: BaseAlcove | None = None) -> int:
-    """Number of affine hyperplanes separating the base alcove from w(base)."""
+    """Number of affine hyperplanes separating the base alcove from w(base).
+
+    Iwahori-Matsumoto count in integers: for each positive root a = e_i - e_j
+    the walls <a, y> = k between the interior y0 and its image w(y0) =
+    w y0 - nu number |floor(<a, w(y0)>) - floor(<a, y0>)|, because neither
+    pairing is an integer (w permutes the walls and y0 lies on none).
+    """
     if base is None:
         base = base_alcove(w.rd)
-    y0 = base.interior
-    y1 = w.act(y0)
-    total = 0
-    for a in w.rd.positive_roots():
-        total += _integers_strictly_between(w.rd.pairing(a, y0), w.rd.pairing(a, y1))
-    return total
+    denom, y, walls = base.walls
+    wy = w.finite.apply(y)
+    nu = w.translation
+    return sum(abs((wy[i] - wy[j]) // denom - nu[i] + nu[j] - floor0)
+               for i, j, floor0 in walls)
 
 
 def reduced_word(
@@ -154,7 +170,6 @@ def recompose(rd: RootDatum, word: Sequence[int], omega: AffineWeylElement,
 def _subword_closure(b: AffineWeylElement, base: BaseAlcove) -> frozenset:
     word, om = reduced_word(b, base)
     seen: set = set()
-    elems = {(): om}
     # products of all subwords of the fixed reduced word, times the omega part
     n = len(word)
     for mask in range(1 << n):
@@ -182,13 +197,13 @@ _closures = _ClosureCache()
 
 def bruhat_leq(a: AffineWeylElement, b: AffineWeylElement,
                base: BaseAlcove | None = None) -> bool:
-    """Subword criterion; elements in different Omega-cosets are incomparable."""
+    """Subword criterion; elements in different Omega-cosets are incomparable.
+
+    Every element of b's subword closure is a subword product times b's Omega
+    part, so it lies in b's Omega-coset: membership alone decides both.
+    """
     if base is None:
         base = base_alcove(a.rd)
-    _, oma = reduced_word(a, base)
-    _, omb = reduced_word(b, base)
-    if oma.key() != omb.key():
-        return False
     return a.key() in _closures.get(b, base)
 
 
@@ -200,6 +215,10 @@ def admissible_set(
 
     Returned in deterministic order: by (length, reduced word).
     """
+    if len(mu) != rd.dim:
+        raise ValueError(f"mu has {len(mu)} entries, the group needs {rd.dim}")
+    if not rd.in_cochar_lattice(mu):
+        raise ValueError(f"mu={tuple(mu)} is not in the cocharacter lattice of {rd.label}")
     if base is None:
         base = base_alcove(rd)
     W = weyl_group(rd)

@@ -22,6 +22,22 @@ def test_adm(capsys):
     assert words[(0, 1, 0)] == [1, 3]
 
 
+@pytest.mark.parametrize("group, mu, ok", [
+    ("SL3", "1,0,0", False),   # was answered with 7 elements
+    ("PGL3", "1,0,0", False),
+    ("SL3", "1,0,-1", True),
+    ("PGL3", "1,0,-1", True),
+])
+def test_adm_refuses_mu_outside_the_cocharacter_lattice(capsys, group, mu, ok):
+    code, doc = run_json(capsys, ["adm", "--group", group, "--mu", mu])
+    assert doc["schema"] == 1
+    if ok:
+        assert code == 0 and doc["status"] == "ok"
+    else:
+        assert code == 2 and doc["status"] == "error"
+        assert "cocharacter lattice" in doc["payload"]["error"]
+
+
 def test_hmu(capsys):
     code, doc = run_json(capsys, ["hmu", "--group", "GL3xGL3", "--mu", "1,0,0,1,0,0"])
     assert code == 0 and doc["payload"]["h_mu"] == 1

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from alcovekit.galois import (
+    CocycleValues,
     GaloisType,
     RefusedError,
     census,
@@ -309,6 +311,28 @@ def test_cocycle_relations_on_census():
         for cls in census(rd, g).classes:
             t = GaloisType.from_lambda(rd, g, cls.lam)
             assert all(check_cocycle_relations(t).values())
+
+
+@pytest.mark.parametrize("bad", [24, -1, Fraction(1, 2)])
+def test_gamma_order_fails_on_a_bad_exponent(monkeypatch, bad):
+    import alcovekit.galois as galois
+
+    t = GaloisType.from_lambda(SL2, G24, (-3, 3))
+    vals = cocycle_values(t)
+    assert check_cocycle_relations(t)["gamma_order"]
+    broken = CocycleValues(((bad, 3),) + vals.tau_gamma_exps[1:], vals.tau_sigma)
+    monkeypatch.setattr(galois, "cocycle_values", lambda _: broken)
+    assert not check_cocycle_relations(t)["gamma_order"]
+
+
+def test_cocycle_values_refuse_a_fractional_lambda():
+    # PGL2 census representatives include (1/2, -1/2): no diagonal of e-th
+    # roots of unity has these exponents
+    rd = build_root_datum("PGL2")
+    g = split_gamma(rd, 7, 24)
+    t = GaloisType.from_lambda(rd, g, (Fraction(1, 2), Fraction(-1, 2)))
+    with pytest.raises(ValueError, match="not integral"):
+        cocycle_values(t)
 
 
 def test_linearize_sigma():

@@ -1,11 +1,15 @@
 import random
 
+import pytest
+
 from alcovekit.rootdata import build_root_datum, weyl_group
 from alcovekit.weyl_affine import (
+    _closures,
     admissible_set,
     affine_identity,
     base_alcove,
     bruhat_leq,
+    elements_of_length_at_most,
     h_mu,
     length,
     recompose,
@@ -152,3 +156,56 @@ def test_composition_law_associative():
         for b in els[3:6]:
             for c in els[6:]:
                 assert ((a * b) * c).key() == (a * (b * c)).key()
+
+
+def _fraction_length(z, base):
+    """Reference: count the walls <a, y> = k strictly between the base
+    alcove's interior and its image with exact rational pairings."""
+    y0 = base.interior
+    y1 = z.act(y0)
+    total = 0
+    for a in z.rd.positive_roots():
+        s, t = sorted((z.rd.pairing(a, y0), z.rd.pairing(a, y1)))
+        lo = s.numerator // s.denominator + 1  # smallest integer > s
+        hi = -((-t.numerator) // t.denominator) - 1  # largest integer < t
+        total += max(0, hi - lo + 1)
+    return total
+
+
+@pytest.mark.parametrize("label", [
+    "GL1xGL2", "GL2", "GL3", "GL4", "SL2", "SL3", "PGL3", "GL2xGL3", "GL3xGL3"])
+def test_integer_length_matches_the_fraction_count(label):
+    rd = build_root_datum(label)
+    base = base_alcove(rd)
+    assert all(isinstance(c, int) for c in base.walls[1])
+    rng = random.Random(2024)
+    shifts = [(0,) * rd.dim, tuple(range(rd.dim)),
+              tuple(rng.randint(-7, 7) for _ in range(rd.dim))]
+    poset = elements_of_length_at_most(rd, 4 if rd.dim < 5 else 3, base)
+    om = base.omega_generators[0]
+    for z in poset + [z * om for z in poset]:
+        for nu in shifts:
+            x = translation_element(rd, nu) * z
+            ell = length(x, base)
+            assert ell == _fraction_length(x, base), (label, x)
+            assert len(reduced_word(x, base)[0]) == ell
+
+
+def _bruhat_leq_with_omega_check(a, b, base):
+    _, oma = reduced_word(a, base)
+    _, omb = reduced_word(b, base)
+    return oma.key() == omb.key() and a.key() in _closures.get(b, base)
+
+
+@pytest.mark.parametrize("rd, base", [(GL2, BASE2), (GL3, BASE3)])
+def test_bruhat_needs_no_separate_omega_check(rd, base):
+    om = base.omega_generators[0]
+    poset = elements_of_length_at_most(rd, 4, base)
+    elems = poset + [z * om for z in poset]
+    for a in elems:
+        for b in elems:
+            assert bruhat_leq(a, b, base) == _bruhat_leq_with_omega_check(a, b, base)
+    # z and z * omega lie in different Omega-cosets
+    for z in poset:
+        assert not bruhat_leq(z, z * om, base)
+        assert not bruhat_leq(z * om, z, base)
