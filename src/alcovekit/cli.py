@@ -1,6 +1,7 @@
 """Command-line interface: every operation as a subcommand with JSON output.
 
-Exit codes: 0 ok, 1 refused or failed, 2 usage error, 3 internal error.
+Exit codes: 0 ok, 1 refused or failed (also when stdout is closed before
+the output is written), 2 usage error, 3 internal error.
 `refused` is reserved for unmet mathematically-stated preconditions (e.g. the
 straightening bound), as opposed to internal errors, whose `error` envelope is
 marked `"internal": true`.  The environment variable ALCOVEKIT_PRECISION
@@ -33,7 +34,7 @@ from .rootdata import (
     build_root_datum,
     split_gamma,
 )
-from .weyl_affine import admissible_set, base_alcove, h_mu, length, reduced_word
+from .weyl_affine import admissible_set, base_alcove, h_mu, reduced_word
 
 
 @dataclass
@@ -118,7 +119,7 @@ def _cmd_adm(args) -> CommandResult:
         items.append({
             "translation": list(z.translation),
             "finite": list(z.finite.perm()),
-            "length": length(z, base),
+            "length": len(word),
             "word": word,
             "omega": {"translation": list(om.translation),
                       "finite": list(om.finite.perm())},
@@ -330,20 +331,23 @@ def main(argv=None) -> int:
     emit = getattr(args, "emit", "text")
     try:
         result = args.func(args)
+        code = 0 if result.status == "ok" else 1
     except RefusedError as exc:
-        result = CommandResult("refused", {"reason": str(exc)})
+        result, code = CommandResult("refused", {"reason": str(exc)}), 1
     except (UnsupportedLabel, CapExceeded, ValueError) as exc:
-        _emit(CommandResult("error", {"error": str(exc)}), emit)
-        return 2
+        result, code = CommandResult("error", {"error": str(exc)}), 2
     except (RuntimeError, AssertionError) as exc:
         # a broken internal invariant (PrecisionError included), not bad input
-        _emit(CommandResult("error", {"error": f"{type(exc).__name__}: {exc}",
-                                      "internal": True}), emit)
-        return 3
-    _emit(result, emit)
-    if result.status == "ok":
-        return 0
-    return 1
+        result, code = CommandResult("error", {"error": f"{type(exc).__name__}: {exc}",
+                                               "internal": True}), 3
+    try:
+        _emit(result, emit)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; keep the exit-time flush silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -12,6 +12,8 @@ sigma-twist additionally applies the pinned automorphism psi.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .apartment import ApartmentPoint, frobenius, point_from_type
@@ -23,6 +25,7 @@ from .rootdata import (
     RefusedError,
     RootDatum,
     WeylElement,
+    _action_in_basis,
     weyl_group,
 )
 
@@ -178,46 +181,61 @@ class CensusResult:
 def census(rd: RootDatum, g: GammaData, cap: int = 10**6) -> CensusResult:
     """All type classes at fixed (p, e): lambda in X_* / (W-action + e X_*).
 
-    Classes are canonicalized as the lexicographically least W-image of the
-    basis coordinates mod e; each class is tested for Frobenius invariance.
+    A class is named by its canonical coordinates: the lexicographically least
+    W-image, mod e, of its basis coordinates.  The search is one integer pass
+    over (Z/e)^rank in lexicographic order, with one mark per point in a
+    bytearray indexed by the point's base-e number.  The first unmarked point
+    is the least element of its W-orbit, hence a new class; its |W| images
+    are marked, so classes come out sorted and each is found once.
+
+    Frobenius invariance is decided in two steps.  If lambda is invariant,
+    the witness w(p psi^{-1} lambda) - lambda lies in e X_*, so p psi^{-1}
+    lambda mod e is in lambda's W-orbit: a lookup in the images just marked.
+    Classes failing it are not invariant and get (False, None).  The lookup
+    is necessary, not sufficient: frobenius_invariant also needs the
+    difference to be integral in ambient coordinates, which for PGL_n means
+    e Q^vee, not e X_*.  So the exact scan decides, and supplies the witness,
+    for every class that passes.
     """
     if not g.split():
         raise RefusedError("census requires a split inertial action")
     if rd.rank > 3 or g.e > 10**4:
         raise CapExceeded("census limited to rank <= 3 and e <= 10^4")
-    e = g.e
-    if e**rd.rank > cap:
+    e, rank = g.e, rd.rank
+    if e**rank > cap:
         raise CapExceeded("census enumeration domain exceeds cap")
-    W = weyl_group(rd)
-    basis_actions = []
-    for w in W:
-        cols = [rd.basis_coords(w.apply(b)) for b in rd.cochar_basis]
-        basis_actions.append(cols)  # column j = image of basis vector j
-    import itertools
+    place = [e ** (rank - 1 - i) for i in range(rank)]
 
-    seen: dict[tuple[int, ...], None] = {}
-    reps: list[tuple[int, ...]] = []
-    for coords in itertools.product(range(e), repeat=rd.rank):
-        best = None
-        for cols in basis_actions:
-            img = tuple(
-                sum(cols[j][i] * coords[j] for j in range(rd.rank)) % e
-                for i in range(rd.rank)
-            )
-            if best is None or img < best:
-                best = img
-        if best not in seen:
-            seen[best] = None
-            reps.append(best)
+    def index(rows, coords) -> int:
+        """Base-e number of rows @ coords mod e."""
+        return sum(sum(a * c for a, c in zip(row, coords)) % e * pl
+                   for row, pl in zip(rows, place))
+
+    actions = [_action_in_basis(rd, w) for w in weyl_group(rd)]
+    frob = [[g.p * a for a in row]
+            for row in _action_in_basis(rd, g.psi_power(g.r - 1))]
+    # representatives as Fraction(integer, den) over the integer-scaled basis
+    den = lcm(*(c.denominator for b in rd.cochar_basis for c in b))
+    scaled = [[int(c * den) for c in b] for b in rd.cochar_basis]
+    marked = bytearray(e**rank)
     classes = []
     inv_count = 0
-    for coords in sorted(reps):
-        lam_frac = rd.from_basis_coords(coords)
-        t = GaloisType.from_lambda(rd, g, tuple(lam_frac))
-        flag, witness = frobenius_invariant(t)
+    i = marked.find(0)
+    while i >= 0:
+        coords = tuple(i // pl % e for pl in place)
+        orbit = {index(rows, coords) for rows in actions}
+        for j in orbit:
+            marked[j] = 1
+        lam = tuple(Fraction(sum(c * b[k] for c, b in zip(coords, scaled)), den)
+                    for k in range(rd.dim))
+        if index(frob, coords) in orbit:
+            flag, witness = frobenius_invariant(GaloisType.from_lambda(rd, g, lam))
+        else:
+            flag, witness = False, None
         inv_count += flag
-        classes.append(CensusClass(tuple(lam_frac), coords, flag, witness))
-    return CensusResult(len(reps), inv_count, tuple(classes))
+        classes.append(CensusClass(lam, coords, flag, witness))
+        i = marked.find(0, i + 1)
+    return CensusResult(len(classes), inv_count, tuple(classes))
 
 
 @dataclass(frozen=True)

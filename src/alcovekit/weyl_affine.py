@@ -223,10 +223,9 @@ def admissible_set(
         base = base_alcove(rd)
     W = weyl_group(rd)
     found: dict = {}
-    for w in W:
-        target = translation_element(rd, w.apply(mu))
-        word, _ = reduced_word(target, base)
-        if len(W) * (1 << len(word)) > cap:
+    for nu in dict.fromkeys(w.apply(mu) for w in W):
+        target = translation_element(rd, nu)
+        if len(W) * (1 << length(target, base)) > cap:
             raise CapExceeded("admissible set search space exceeds cap")
         for key in _closures.get(target, base):
             if key not in found:

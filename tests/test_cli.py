@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from alcovekit import cli
+import alcovekit
+from alcovekit import cli, weyl_affine
 from alcovekit.loop_sim import PrecisionError
 
 
@@ -20,6 +25,25 @@ def test_adm(capsys):
     assert words[(1, 0, 0)] == [3, 2]
     assert words[(0, 0, 1)] == [2, 1]
     assert words[(0, 1, 0)] == [1, 3]
+
+
+def test_adm_takes_each_reduced_word_once(capsys, monkeypatch):
+    calls = []
+    real = weyl_affine.reduced_word
+
+    def spy(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(weyl_affine, "reduced_word", spy)
+    monkeypatch.setattr(cli, "reduced_word", spy)
+    monkeypatch.setattr(weyl_affine, "_closures", weyl_affine._ClosureCache())
+    code, doc = run_json(capsys, ["adm", "--group", "GL4", "--mu", "1,1,0,0"])
+    assert code == 0 and doc["payload"]["size"] == 33
+    assert all(e["length"] == len(e["word"]) for e in doc["payload"]["elements"])
+    # 1 for the base alcove, 6 for the distinct translations v^{w mu}, then
+    # 33 sort keys in admissible_set and 33 words in the CLI (97 before)
+    assert len(calls) == 73
 
 
 @pytest.mark.parametrize("group, mu, ok", [
@@ -220,3 +244,17 @@ def test_straighten_with_a_huge_prime_and_a_small_window(capsys):
     assert code == 0 and doc["status"] == "ok"
     assert doc["payload"]["iterations"] == 2 and doc["payload"]["update_depths"] == [1, 4]
     assert doc["payload"]["residual_is_identity"] is True
+
+
+def test_closed_stdout_ends_quietly():
+    # the reader stops after one byte, as `alcovekit census ... | head -c 1` does
+    src = str(Path(alcovekit.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "alcovekit", "census", "--group", "GL3", "--p", "7", "--e", "24"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.read(1) == b"s"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

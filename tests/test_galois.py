@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -116,6 +117,94 @@ def test_census_caps():
     gl3 = build_root_datum("GL3")
     with pytest.raises(CapExceeded):
         census(gl3, split_gamma(gl3, 101, 100), cap=10**4)
+
+
+def _least_image(actions, coords, e):
+    """Least W-image mod e of basis coordinates; actions[w][j] = w(b_j)."""
+    rank = len(coords)
+    return min(tuple(sum(cols[j][i] * coords[j] for j in range(rank)) % e
+                     for i in range(rank))
+               for cols in actions)
+
+
+def _basis_actions(rd):
+    return [[rd.basis_coords(w.apply(b)) for b in rd.cochar_basis] for w in weyl_group(rd)]
+
+
+def _census_reference(rd, g):
+    """census as first written: the least W-image of every point of
+    (Z/e)^rank, then the exact Frobenius scan on every class."""
+    actions = _basis_actions(rd)
+    reps = {_least_image(actions, coords, g.e)
+            for coords in itertools.product(range(g.e), repeat=rd.rank)}
+    out = []
+    for coords in sorted(reps):
+        lam = rd.from_basis_coords(coords)
+        flag, witness = frobenius_invariant(GaloisType.from_lambda(rd, g, lam))
+        out.append((coords, lam, flag, witness))
+    return out
+
+
+def _lookup_passes(rd, g, actions, coords):
+    """p psi^{-1} lambda mod e lies in the W-orbit of lambda mod e."""
+    lam = rd.from_basis_coords(coords)
+    image = rd.basis_coords(g.psi_power(g.r - 1).apply(lam))
+    return _least_image(actions, tuple(g.p * c for c in image), g.e) == coords
+
+
+CENSUS_CASES = [
+    ("GL1", 7, 12), ("GL1", 5, 8), ("trivial", 7, 3),
+    ("SL2", 7, 24), ("SL2", 13, 84), ("GL2", 5, 8), ("GL2", 3, 13),
+    ("PGL2", 7, 24), ("PGL2", 5, 12), ("SL3", 5, 8), ("SL3", 3, 13),
+    ("GL3", 5, 8), ("GL3", 3, 13), ("PGL3", 7, 12), ("PGL3", 5, 8),
+    ("SL4", 5, 8), ("SL4", 3, 8), ("PGL4", 5, 8), ("PGL4", 3, 8),
+    ("GL2xGL1", 5, 8), ("GL2xGL1", 7, 6), ("PGL2xSL2", 5, 8), ("PGL2xSL2", 7, 12),
+]
+
+
+def _twisted_gammas():
+    swap = WeylElement(((0, 1), (1, 0)))
+    twist = WeylElement(((0, 0, -1), (0, -1, 0), (-1, 0, 0)))
+    yield build_root_datum("GL2"), GammaData(p=5, e=8, r=2, psi=swap, inertial=ident(2))
+    yield build_root_datum("GL3"), GammaData(p=5, e=8, r=2, psi=twist, inertial=ident(3))
+    yield build_root_datum("PGL3"), GammaData(p=7, e=12, r=2, psi=twist, inertial=ident(3))
+
+
+def _check_census_against_reference(rd, g):
+    res = census(rd, g)
+    ref = _census_reference(rd, g)
+    assert [(c.coords, c.lam, c.invariant, c.witness) for c in res.classes] == ref
+    assert all(type(x) is Fraction for c in res.classes for x in c.lam)
+    assert res.total == len(ref)
+    assert res.invariant_count == sum(flag for _, _, flag, _ in ref)
+    return res
+
+
+@pytest.mark.parametrize("label, p, e", CENSUS_CASES)
+def test_census_matches_the_reference_class_by_class(label, p, e):
+    rd = build_root_datum(label)
+    _check_census_against_reference(rd, split_gamma(rd, p, e))
+
+
+@pytest.mark.parametrize("rd, g", list(_twisted_gammas()))
+def test_census_with_a_twisted_frobenius_matches_the_reference(rd, g):
+    res = _check_census_against_reference(rd, g)
+    assert 0 < res.invariant_count < res.total
+
+
+@pytest.mark.parametrize("label, p, e, misses", [
+    ("PGL2", 7, 24, 3), ("PGL3", 7, 12, 8), ("PGL4", 5, 8, 10), ("PGL2xSL2", 5, 8, 3),
+])
+def test_census_class_lookup_alone_would_overcount_for_pgl(label, p, e, misses):
+    # p psi^{-1} lambda can lie in lambda's orbit modulo e X_* without the
+    # difference lying in e Q^vee, so the exact scan must decide
+    rd = build_root_datum(label)
+    g = split_gamma(rd, p, e)
+    actions = _basis_actions(rd)
+    classes = census(rd, g).classes
+    assert all(_lookup_passes(rd, g, actions, c.coords) for c in classes if c.invariant)
+    assert sum(not c.invariant and _lookup_passes(rd, g, actions, c.coords)
+               for c in classes) == misses
 
 
 def test_invariance_constant_on_classes():
