@@ -53,8 +53,15 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split(","))
 
 
+def _parse_frac(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+
+
 def _parse_fracs(text: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(t) for t in text.split(","))
+    return tuple(_parse_frac(t) for t in text.split(","))
 
 
 def _cmd_census(args) -> CommandResult:
@@ -104,7 +111,7 @@ def _cmd_generic(args) -> CommandResult:
     return CommandResult("ok", {
         "eta": [_frac_str(c) for c in eta],
         "d": args.d,
-        "generic": is_d_generic(x, Fraction(args.d)),
+        "generic": is_d_generic(x, _parse_frac(args.d)),
     })
 
 
@@ -139,7 +146,7 @@ def _cmd_pattern(args) -> CommandResult:
     eta = _parse_fracs(args.eta)
     etas = tuple(tuple(g.psi_power(j).apply(eta)) for j in range(g.r))
     x = ApartmentPoint(rd, g, etas)
-    f = ZERO_PLUS if args.f.strip() == "0+" else Fraction(args.f)
+    f = ZERO_PLUS if args.f.strip() == "0+" else _parse_frac(args.f)
     pat = parahoric_pattern(x, f)
     return CommandResult("ok", {
         "n": pat.n,

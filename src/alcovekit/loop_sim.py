@@ -1,15 +1,17 @@
 """Truncated loop-group simulator over Z/p^a: Frobenius twists and straightening.
 
 Series are Laurent polynomials in u (with u^e = v; the default simulator runs
-at e = 1 so u is v itself) with coefficients in Z/p^a, tracked exactly on a
-window [-pole, precision).  Everything downstream of the window is unknown and
-the arithmetic propagates windows with the usual ultrametric rules, so a
-printed zero really is a zero of the mathematical object.
+at e = 1 so u is v itself) with coefficients in Z/p^a, tracked exactly below a
+precision.  Everything from the precision on is unknown and the arithmetic
+propagates precisions with the usual ultrametric rules, so a printed zero
+really is a zero of the mathematical object.  A series stores only its known
+nonzero terms and its precision; the pole bound is derived from those terms.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 import random
 import struct
 from typing import Sequence
@@ -44,44 +46,44 @@ class Ring:
 @dataclass(frozen=True)
 class TruncSeries:
     ring: Ring
-    coeffs: tuple[tuple[int, int], ...]  # sorted (exponent, value mod p^a), value != 0
-    lo: int  # all coefficients below lo vanish
+    # sorted (exponent, value mod p^a), value != 0: every known nonzero term,
+    # so the pole bound `lo` is derived from them, not stored
+    coeffs: tuple[tuple[int, int], ...]
     prec: int | None  # coefficients at >= prec are unknown; None = exact
 
     @staticmethod
-    def make(ring: Ring, coeffs: dict[int, int], lo: int | None = None,
-             prec: int | None = None) -> "TruncSeries":
+    def make(ring: Ring, coeffs: dict[int, int], prec: int | None = None) -> "TruncSeries":
         m = ring.modulus
         clean = {}
         for k, v in coeffs.items():
             v %= m
-            if v:
-                if prec is not None and k >= prec:
-                    continue
+            if v and (prec is None or k < prec):
                 clean[k] = v
-        if lo is None:
-            lo = min(clean) if clean else 0
-        if any(k < lo for k in clean):
-            raise ValueError("coefficient below the declared pole bound")
-        if prec is not None and lo > prec:
-            raise ValueError("pole bound above precision")
-        return TruncSeries(ring, tuple(sorted(clean.items())), lo, prec)
+        return TruncSeries(ring, tuple(sorted(clean.items())), prec)
 
     @staticmethod
     def zero(ring: Ring, prec: int | None = None) -> "TruncSeries":
-        return TruncSeries(ring, (), 0, prec)
+        return TruncSeries(ring, (), prec)
 
     @staticmethod
     def one(ring: Ring, prec: int | None = None) -> "TruncSeries":
-        return TruncSeries.make(ring, {0: 1}, lo=0, prec=prec)
+        return TruncSeries.make(ring, {0: 1}, prec=prec)
 
     @staticmethod
     def monomial(ring: Ring, k: int, c: int = 1, prec: int | None = None) -> "TruncSeries":
-        return TruncSeries.make(ring, {k: c}, lo=min(k, 0), prec=prec)
+        return TruncSeries.make(ring, {k: c}, prec=prec)
 
     @staticmethod
     def v_plus_p(ring: Ring, prec: int | None = None) -> "TruncSeries":
-        return TruncSeries.make(ring, {ring.e: 1, 0: ring.p}, lo=0, prec=prec)
+        return TruncSeries.make(ring, {ring.e: 1, 0: ring.p}, prec=prec)
+
+    @property
+    def lo(self) -> int:
+        """Pole bound: all coefficients below lo vanish.  Derived from the
+        support, never stored: min(0, lowest known exponent), 0 for an exact
+        zero."""
+        low = self._support_lo()
+        return 0 if low is None else min(0, low)
 
     def coeff(self, k: int) -> int:
         if self.prec is not None and k >= self.prec:
@@ -92,9 +94,8 @@ class TruncSeries:
         return 0
 
     def with_prec(self, prec: int | None) -> "TruncSeries":
-        if prec is not None and prec <= self.lo:
-            return TruncSeries(self.ring, (), prec, prec)
-        return TruncSeries.make(self.ring, dict(self.coeffs), lo=self.lo, prec=prec)
+        cut = len(self.coeffs) if prec is None else bisect_left(self.coeffs, (prec,))
+        return TruncSeries(self.ring, self.coeffs[:cut], prec)
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         if self.ring != other.ring:
@@ -103,12 +104,11 @@ class TruncSeries:
         out = dict(self.coeffs)
         for k, v in other.coeffs:
             out[k] = out.get(k, 0) + v
-        return TruncSeries.make(self.ring, out, lo=min(self.lo, other.lo), prec=prec)
+        return TruncSeries.make(self.ring, out, prec=prec)
 
     def __neg__(self) -> "TruncSeries":
         m = self.ring.modulus
-        return TruncSeries(self.ring, tuple((k, (-v) % m) for k, v in self.coeffs),
-                           self.lo, self.prec)
+        return TruncSeries(self.ring, tuple((k, (-v) % m) for k, v in self.coeffs), self.prec)
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
         return self + (-other)
@@ -122,11 +122,11 @@ class TruncSeries:
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         if self.ring != other.ring:
             raise ValueError("series over different rings")
-        lo, prec = _mul_window(self, other)
+        prec = _mul_window(self, other)
         nb = _slot_bytes(min(len(self.coeffs), len(other.coeffs)), self.ring.modulus)
         pair = (_pack(self, nb, _reach(self, [prec], [other.val()])),
                 _pack(other, nb, _reach(other, [prec], [self.val()])))
-        return _dot(self.ring, [pair], nb, lo, prec)
+        return _dot(self.ring, [pair], nb, prec)
 
     def is_zero(self) -> bool:
         """Zero on the whole known window."""
@@ -152,6 +152,7 @@ class TruncSeries:
         nilpotent coefficients sit below the unit term.  An exact input with
         an infinite inverse needs an explicit `window`; a finite-precision
         input propagates its window soundly (prec + 2 val of the inverse).
+        The geometric series is summed by doubling, in O(log window) products.
         """
         p = self.ring.p
         m = self.ring.modulus
@@ -167,19 +168,26 @@ class TruncSeries:
             if window is None:
                 raise PrecisionError("exact series has an infinite inverse; set a window")
             a = self.ring.a
-            work = window + abs(kstar) + a * (abs(kstar) + abs(min(0, self.lo))) + 2
+            work = window + abs(kstar) + a * (abs(kstar) + abs(self.lo)) + 2
             t = t.with_prec(work)
+        # 1/(1+t) = (1+x)(1+x^2)(1+x^4)... with x = -t: each step doubles the
+        # number of terms summed, until x vanishes on its window
         geom = TruncSeries.one(self.ring, prec=t.prec)
-        power = TruncSeries.one(self.ring, prec=t.prec)
-        max_iter = _window_width(t) + self.ring.a * (abs(t.lo) + 2) + 4
-        for _ in range(max_iter):
-            power = (-t) * power
-            power = power.with_prec(_min_prec(power.prec, t.prec))
-            if power.is_zero():
+        x = -t
+        doublings = (_window_width(t) + self.ring.a * (abs(t.lo) + 2) + 4).bit_length() + 1
+        for _ in range(doublings):
+            if x.is_zero():
                 break
-            geom = geom + power
+            geom = geom + geom * x
+            x = x * x
+            x = x.with_prec(_min_prec(x.prec, t.prec))
         else:
             raise PrecisionError("inverse iteration failed to terminate")
+        # the terms left out, x^(2^j) (1 + x + x^2 + ...), vanish below x.prec
+        # lowered by at most a - 1 terms of t below 0, which are nilpotent
+        t_low = t.val()
+        if x.prec is not None and t_low is not None and t_low < 0:
+            geom = geom.with_prec(min(geom.prec, x.prec + (self.ring.a - 1) * t_low))
         inv = lead_inv * geom
         low = inv.val()
         low = low if low is not None else -kstar
@@ -194,8 +202,7 @@ class TruncSeries:
         """u -> u^p on exponents; coefficients are Frobenius-fixed in Z/p^a."""
         p = self.ring.p
         prec = None if self.prec is None else p * self.prec
-        return TruncSeries.make(self.ring, {p * k: v for k, v in self.coeffs},
-                                lo=p * self.lo, prec=prec)
+        return TruncSeries(self.ring, tuple((p * k, v) for k, v in self.coeffs), prec)
 
 
 def _min_prec(a: int | None, b: int | None) -> int | None:
@@ -216,8 +223,8 @@ def _window_width(s: TruncSeries) -> int:
     return max(1, s.prec - s.lo)
 
 
-def _mul_window(a: TruncSeries, b: TruncSeries) -> tuple[int, int | None]:
-    """(lo, prec) of the product a * b.
+def _mul_window(a: TruncSeries, b: TruncSeries) -> int | None:
+    """The prec of the product a * b.
 
     Each factor's window ends at its prec; shifted by the lowest exponent the
     other factor can carry, that bounds what the product knows.
@@ -231,11 +238,7 @@ def _mul_window(a: TruncSeries, b: TruncSeries) -> tuple[int, int | None]:
         off = a._support_lo()
         if off is not None:
             cands.append(b.prec + off)
-    prec = min(cands) if cands else None
-    lo = a.lo + b.lo
-    if prec is not None and prec < lo:
-        lo = prec
-    return lo, prec
+    return min(cands) if cands else None
 
 
 # Kronecker substitution: a series with coefficients c_k becomes the integer
@@ -301,19 +304,19 @@ def _unpack(x: int, nb: int, base: int, stop: int | None,
     return tuple([(base + t, r) for t, s in enumerate(slots) if (r := s % m)])
 
 
-def _dot(ring: Ring, pairs, nb: int, lo: int, prec: int | None) -> TruncSeries:
-    """The series sum of a * b over packed pairs (a, b), on the window (lo, prec).
+def _dot(ring: Ring, pairs, nb: int, prec: int | None) -> TruncSeries:
+    """The series sum of a * b over packed pairs (a, b), known below prec.
 
     The products are summed as integers, each shifted to the least base, and
     unpacked once: below prec every term is known, so the sum is exact there.
     """
     parts = [(a[0] + b[0], a[1] * b[1]) for a, b in pairs if a and b]
     if not parts:
-        return TruncSeries(ring, (), lo, prec)
+        return TruncSeries(ring, (), prec)
     base = min([k for k, _ in parts])
     width = 8 * nb
     total = sum([x << (width * (k - base)) for k, x in parts])
-    return TruncSeries(ring, _unpack(total, nb, base, prec, ring.modulus), lo, prec)
+    return TruncSeries(ring, _unpack(total, nb, base, prec, ring.modulus), prec)
 
 
 @dataclass(frozen=True)
@@ -348,8 +351,8 @@ class LoopElement:
                                          [ring.e * k for k in nu])
 
     def __mul__(self, other: "LoopElement") -> "LoopElement":
-        """Entry (i, j) is the sum over k of the series products, on the window
-        of that sum: the least prec and the least lo of the terms."""
+        """Entry (i, j) is the sum over k of the series products, known below
+        the least prec of the terms."""
         n = self.n
         ring = self.ring
         if other.ring != ring or other.n != n:
@@ -357,20 +360,10 @@ class LoopElement:
         terms = max((len(s.coeffs) for el in (self, other) for row in el.rows for s in row),
                     default=0)
         nb = _slot_bytes(n * terms, ring.modulus)
-        wins = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                lo, prec = _mul_window(self.rows[i][0], other.rows[0][j])
-                for k in range(1, n):
-                    lo_k, prec_k = _mul_window(self.rows[i][k], other.rows[k][j])
-                    lo = min(lo, lo_k)
-                    prec = _min_prec(prec, prec_k)
-                row.append((lo, prec))
-            wins.append(row)
+        precs = [[reduce(_min_prec, (_mul_window(self.rows[i][k], other.rows[k][j])
+                                     for k in range(n))) for j in range(n)] for i in range(n)]
         # entry (i, k) of self enters the products of row i, entry (k, j) of
         # other those of column j
-        precs = [[prec for _, prec in row] for row in wins]
         prec_cols = list(zip(*precs))
         a_cols = list(zip(*self.rows))
         pa = [[_pack(s, nb, _reach(s, precs[i], [t.val() for t in other.rows[k]]))
@@ -379,7 +372,7 @@ class LoopElement:
             [_pack(s, nb, _reach(s, prec_cols[j], [t.val() for t in a_cols[k]]))
              for j, s in enumerate(row)] for k, row in enumerate(other.rows))))
         return LoopElement(ring, tuple(
-            tuple(_dot(ring, zip(pa[i], pb_cols[j]), nb, *wins[i][j]) for j in range(n))
+            tuple(_dot(ring, zip(pa[i], pb_cols[j]), nb, precs[i][j]) for j in range(n))
             for i in range(n)))
 
     def det(self) -> TruncSeries:
@@ -470,16 +463,14 @@ def identity_depth(a: LoopElement) -> int:
 
 def _zero_depth(a: LoopElement) -> int:
     """Largest certified n with a = 0 mod v^n entrywise (v-units)."""
-    e = a.ring.e
-    best = None
-    for row in a.rows:
-        for s in row:
-            v = s.val()
-            if v is None:
-                v = s.prec if s.prec is not None else e * 10**9
-            d = v // e
-            best = d if best is None else min(best, d)
-    return best if best is not None else 0
+    return min((_vanishing_below(s) // a.ring.e for row in a.rows for s in row), default=0)
+
+
+def _vanishing_below(s: TruncSeries) -> int:
+    """An exponent below which s is known to vanish: its val, else its prec;
+    an exact zero vanishes everywhere and stands in as u^(e 10^9)."""
+    low = s._support_lo()
+    return low if low is not None else s.ring.e * 10**9
 
 
 def membership(a: LoopElement, pattern: ValuationPattern) -> tuple[bool, int]:
@@ -499,10 +490,7 @@ def membership(a: LoopElement, pattern: ValuationPattern) -> tuple[bool, int]:
         for j in range(n):
             s = a.rows[i][j]
             if i == j:
-                d = s - TruncSeries.one(a.ring, prec=s.prec)
-                v = d.val()
-                if v is None:
-                    v = d.prec if d.prec is not None else e * 10**9
+                v = _vanishing_below(s - TruncSeries.one(a.ring, prec=s.prec))
                 lead = s.coeff(0) if (s.prec is None or s.prec > 0) else 0
                 if lead % a.ring.p == 0:
                     ok = False
@@ -510,9 +498,7 @@ def membership(a: LoopElement, pattern: ValuationPattern) -> tuple[bool, int]:
                     ok = False
                 slot_depth = v // e
             else:
-                v = s.val()
-                if v is None:
-                    v = s.prec if s.prec is not None else e * 10**9
+                v = _vanishing_below(s)
                 if s.val() is not None and s.val() < bounds[i][j]:
                     ok = False
                 slot_depth = (v - bounds[i][j]) // e
@@ -711,7 +697,7 @@ def search_contraction_failure(p: int, a: int, f: int, h_mu: int,
 def random_polynomial(rng: random.Random, ring: Ring, lo: int, deg: int) -> TruncSeries:
     """An exact random polynomial supported on [lo, deg)."""
     coeffs = {k: rng.randrange(ring.modulus) for k in range(lo, deg)}
-    return TruncSeries.make(ring, coeffs, lo=min(lo, 0), prec=None)
+    return TruncSeries.make(ring, coeffs)
 
 
 def random_depth_element(rng: random.Random, ring: Ring, n: int, depth: int,

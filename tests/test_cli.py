@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -140,6 +142,39 @@ def test_figure(tmp_path, capsys):
     assert out.read_text().startswith("<?xml")
 
 
+def test_readme_cli_examples(tmp_path, capsys):
+    # every line of the README's CLI block, with the counts its comments state
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    ran = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "alcovekit", line
+        argv = argv[1:]
+        if argv[0] == "verify":  # test_acceptance.py runs the criteria
+            continue
+        if "--out" in argv:
+            argv[argv.index("--out") + 1] = str(tmp_path / "fig.svg")
+        code = cli.main(argv + ["--emit", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0 and doc["schema"] == 1 and doc["status"] == "ok", line
+        payload = doc["payload"]
+        stated = [int(n) for n in re.findall(r"\d+", comment)]
+        if argv[0] == "census":
+            assert stated == [payload["total"], payload["invariant"]] == [13, 7]
+        elif argv[0] == "adm":
+            assert stated == [payload["size"]] == [7]
+        elif argv[0] == "hmu":
+            assert stated == [payload["h_mu"]] == [1]
+        else:
+            assert stated == [], line
+        ran.append(argv[0])
+    assert ran == ["census", "frobinv", "generic", "adm", "hmu", "pattern", "straighten",
+                   "compare", "figure"]
+    assert (tmp_path / "fig.svg").read_text().startswith("<?xml")
+
+
 def test_usage_error():
     assert cli.main(["nonsense"]) == 2
     assert cli.main(["adm"]) == 2  # missing required arguments
@@ -193,6 +228,10 @@ def test_wrong_length_vector_is_an_error(capsys):
     ["compare", "--p", "3", "--a", "0", "--n", "2"],         # was a TypeError
     ["compare", "--p", "4", "--a", "2", "--n", "5"],
     ["hmu", "--group", "GL3", "--mu", "5"],                  # mu of the wrong length
+    # zero denominators were ZeroDivisionError tracebacks
+    ["generic", "--group", "GL2", "--p", "5", "--e", "4", "--eta", "0,0", "--d", "1/0"],
+    ["generic", "--group", "GL2", "--p", "5", "--e", "4", "--eta", "1/0,0", "--d", "1"],
+    ["pattern", "--group", "GL2", "--p", "5", "--e", "4", "--eta", "0,-1/4", "--f", "1/0"],
 ])
 def test_bad_p_a_mu_are_errors(capsys, argv):
     code, doc = run_json(capsys, argv)

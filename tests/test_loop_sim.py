@@ -131,14 +131,13 @@ def _pattern_element(rng, ring, pat, level=0, plus=False, terms=3):
                 coeffs = {0: 1}
                 for t in range(max(diag_level, 1), max(diag_level, 1) + terms):
                     coeffs[e * t] = rng.randrange(ring.modulus)
-                row.append(TruncSeries.make(ring, coeffs, lo=0, prec=None))
+                row.append(TruncSeries.make(ring, coeffs))
                 continue
             base = -((-bounds[i][j]) // e) + level  # ceil(ulb/e) + level, v-units
             coeffs = {}
             for t in range(terms):
                 coeffs[e * (base + t)] = rng.randrange(ring.modulus)
-            s = TruncSeries.make(ring, coeffs, lo=min(0, e * base), prec=None)
-            row.append(s)
+            row.append(TruncSeries.make(ring, coeffs))
         rows.append(tuple(row))
     return LoopElement(ring, tuple(rows))
 
@@ -343,10 +342,7 @@ def _ref_series_mul(a, b):
         for k2, v2 in b.coeffs:
             if prec is None or k1 + k2 < prec:
                 out[k1 + k2] = (out.get(k1 + k2, 0) + v1 * v2) % m
-    lo = a.lo + b.lo
-    if prec is not None and prec < lo:
-        lo = prec
-    return TruncSeries.make(a.ring, out, lo=lo, prec=prec)
+    return TruncSeries.make(a.ring, out, prec=prec)
 
 
 def _ref_loop_mul(x, y):
@@ -364,7 +360,7 @@ def _ref_loop_mul(x, y):
 
 
 def _state(s):
-    return s.coeffs, s.lo, s.prec
+    return s.coeffs, s.prec
 
 
 # 2: one-byte slots; 65521: eight-byte slots; 2^31 - 1: slots wider than a word
@@ -379,7 +375,7 @@ def _random_series(rng, ring, kind):
         return TruncSeries.zero(ring)
     if kind == "zero":
         lo = rng.randrange(-4, 6)
-        return TruncSeries(ring, (), lo, lo + rng.randrange(0, 8))
+        return TruncSeries(ring, (), lo + rng.randrange(0, 8))
     if kind == "one_term":
         k = rng.randrange(-5, 12)
         prec = rng.choice((None, k + 1 + rng.randrange(10)))
@@ -391,7 +387,8 @@ def _random_series(rng, ring, kind):
     prec = None
     if kind in ("window", "pole") or (kind == "sparse" and rng.randrange(2)):
         prec = rng.randrange(lo, hi + 5)
-    return TruncSeries.make(ring, coeffs, lo=min(lo, rng.randrange(lo - 2, lo + 1)), prec=prec)
+    rng.randrange(lo - 2, lo + 1)  # unused, but the pinned inputs depend on this draw
+    return TruncSeries.make(ring, coeffs, prec=prec)
 
 
 def test_series_product_matches_schoolbook():
@@ -466,7 +463,7 @@ def test_wide_factor_is_packed_only_up_to_the_product_window(monkeypatch):
     ring = Ring(1000003, 2)
     m = ring.modulus
     fa = TruncSeries.make(ring, {k: rng.randrange(1, m) for k in range(6)}, prec=6).phi()
-    b = TruncSeries.make(ring, {k: rng.randrange(1, m) for k in range(-2, 12)}, lo=-2, prec=12)
+    b = TruncSeries.make(ring, {k: rng.randrange(1, m) for k in range(-2, 12)}, prec=12)
     for x, y in ((fa, b), (b, fa), (fa, fa.with_prec(9))):
         assert _state(x * y) == _state(_ref_series_mul(x, y))
     fa_el = random_depth_element(rng, ring, 2, 1, 5).with_prec(6).phi()
@@ -507,7 +504,6 @@ def test_windowed_straightening_matches_a_wider_window():
             res = straighten_right(xf, b, 1, 1, window=window)
             assert res.residual_is_one
             out[window] = res.a_elem
-        # lo is only a declared pole bound, which depends on the window
         narrow, wide = out[w], out[3 * w].with_prec(w)
         assert [[(s.coeffs, s.prec) for s in row] for row in narrow.rows] == \
             [[(s.coeffs, s.prec) for s in row] for row in wide.rows]
@@ -552,3 +548,201 @@ def test_determinant_size_is_capped():
     with pytest.raises(CapExceeded):
         big.inverse(10)
     assert LoopElement.identity(ring, 3).inverse(10).is_identity()
+
+
+# ---------------------------------------------------------------------------
+# The inverse sums its geometric series by doubling.  The term-by-term loop it
+# replaced is the reference where the two sums share their window rules, and
+# the true inverse, summed without windows, is the reference everywhere.
+
+def _inverse_term_by_term(s, window=None):
+    """The geometric series summed one power at a time, on the same rules."""
+    p, m, a = s.ring.p, s.ring.modulus, s.ring.a
+    unit_terms = [(k, v) for k, v in s.coeffs if v % p]
+    if not unit_terms:
+        raise ZeroDivisionError("no unit coefficient")
+    kstar, cstar = unit_terms[0]
+    lead_inv = TruncSeries.monomial(s.ring, -kstar, pow(cstar, -1, m))
+    shifted = None if s.prec is None else s.prec - kstar
+    t = s * lead_inv - TruncSeries.one(s.ring, prec=shifted)
+    if t.prec is None and any(k > 0 for k, _ in t.coeffs):
+        if window is None:
+            raise PrecisionError("exact series has an infinite inverse")
+        t = t.with_prec(window + abs(kstar) + a * (abs(kstar) + abs(s.lo)) + 2)
+    width = len(t.coeffs) + 1 if t.prec is None else max(1, t.prec - t.lo)
+    geom = power = TruncSeries.one(s.ring, prec=t.prec)
+    for _ in range(width + a * (abs(t.lo) + 2) + 4):
+        power = (-t) * power
+        if t.prec is not None and (power.prec is None or power.prec > t.prec):
+            power = power.with_prec(t.prec)
+        if power.is_zero():
+            break
+        geom = geom + power
+    else:
+        raise PrecisionError("inverse iteration failed to terminate")
+    inv = lead_inv * geom
+    low = inv.val() if inv.coeffs else -kstar
+    if s.prec is not None:
+        cap = s.prec + 2 * low
+        return inv.with_prec(cap if inv.prec is None else min(inv.prec, cap))
+    if window is not None and (inv.prec is None or inv.prec > window):
+        return inv.with_prec(window)
+    return inv
+
+
+def _true_inverse(s, stop):
+    """The coefficients of 1/s below `stop` for an exact s, with no window
+    rules: 1/s = c^-1 u^-k (1 - t + t^2 - ...), where the terms of t at
+    exponents <= 0 are nilpotent, so a nonzero product has fewer than a."""
+    p, m, a = s.ring.p, s.ring.modulus, s.ring.a
+    kstar, cstar = next((k, v) for k, v in s.coeffs if v % p)
+    cinv = pow(cstar, -1, m)
+    t = {k - kstar: v * cinv % m for k, v in s.coeffs}
+    t[0] = (t.get(0, 0) - 1) % m
+    drop = (a - 1) * -min(0, *t)  # the most that later factors lower an exponent
+    need = stop + kstar
+    power, total = {0: 1}, {0: 1}
+    for _ in range(need + drop + a):
+        nxt = {}
+        for k1, v1 in power.items():
+            for k2, v2 in t.items():
+                if v2 and k1 + k2 < need + drop:
+                    nxt[k1 + k2] = (nxt.get(k1 + k2, 0) - v1 * v2) % m
+        power = {k: v for k, v in nxt.items() if v}
+        for k, v in power.items():
+            total[k] = (total.get(k, 0) + v) % m
+    return {k - kstar: v * cinv % m for k, v in total.items() if v * cinv % m and k < need}
+
+
+def _is_sound(s, state, rng):
+    """state agrees with the true inverse of s, or of three completions of a
+    windowed s, below its prec."""
+    coeffs, prec = state
+    if prec is None:  # an exact inverse ends at its last term
+        prec = coeffs[-1][0] + 20
+    for _ in range(1 if s.prec is None else 3):
+        full = dict(s.coeffs)
+        if s.prec is not None:
+            full.update({k: rng.randrange(s.ring.modulus) for k in range(s.prec, s.prec + 8)})
+        if _true_inverse(TruncSeries.make(s.ring, full), prec) != dict(coeffs):
+            return False
+    return True
+
+
+def _inverse_outcome(f, s, window):
+    try:
+        return _state(f(s, window))
+    except (ZeroDivisionError, PrecisionError) as exc:
+        return type(exc)
+
+
+def _inverse_inputs(rng):
+    """(series, window) pairs: the kernel kinds, exact series with a window,
+    (v+p)^k, windowed units and units with nilpotent terms below them."""
+    for ring in KERNEL_RINGS + (Ring(2, 6), Ring(3, 4), Ring(5, 2, 3)):
+        m, p = ring.modulus, ring.p
+        for kind in SERIES_KINDS:
+            for _ in range(6):
+                yield _random_series(rng, ring, kind), rng.choice((None, rng.randrange(1, 40)))
+        for _ in range(12):
+            lo = rng.randrange(-3, 3)
+            coeffs = {k: rng.randrange(m) for k in range(lo, lo + rng.randrange(1, 12))}
+            yield TruncSeries.make(ring, coeffs), rng.randrange(1, 60)
+        vp = TruncSeries.v_plus_p(ring)
+        power = TruncSeries.one(ring)
+        for k in range(1, 6):
+            power = power * vp
+            yield power, rng.choice((None, rng.randrange(1, 30)))
+        for _ in range(12):
+            prec = rng.randrange(1, 40)
+            coeffs = {k: rng.randrange(m) for k in range(1, prec + 3)}
+            coeffs[0] = rng.randrange(1, p) + p * rng.randrange(m)
+            yield TruncSeries.make(ring, coeffs, prec=prec), None
+        for _ in range(12):
+            coeffs = {k: p * rng.randrange(m) for k in range(rng.randrange(-4, 0), 0)}
+            coeffs.update({k: rng.randrange(m) for k in range(1, rng.randrange(2, 16))})
+            coeffs[0] = rng.randrange(1, p) + p * rng.randrange(m)
+            yield (TruncSeries.make(ring, coeffs, prec=rng.choice((None, rng.randrange(1, 20)))),
+                   rng.randrange(1, 40))
+
+
+def _shares_window_rules(s):
+    """No nilpotent term sits below the unit term, or s is exact and ends
+    there, as (v+p)^k does: then t has no term below 0 or no window."""
+    kstar = next((k for k, v in s.coeffs if v % s.ring.p), None)
+    return kstar is None or s.coeffs[0][0] == kstar or (s.prec is None and s.coeffs[-1][0] == kstar)
+
+
+def test_inverse_matches_the_term_by_term_loop():
+    rng = random.Random(1974)
+    outcomes = []
+    for s, window in _inverse_inputs(rng):
+        if _shares_window_rules(s):
+            want = _inverse_outcome(_inverse_term_by_term, s, window)
+            assert _inverse_outcome(TruncSeries.inverse, s, window) == want, (s, window)
+            outcomes.append(want if isinstance(want, type) else tuple)
+    assert len(outcomes) > 500  # 617 of 747 inputs
+    assert set(outcomes) == {tuple, ZeroDivisionError, PrecisionError}
+
+
+def test_inverse_is_sound_below_the_window():
+    # where a nilpotent term sits below the unit term, the terms the sum leaves
+    # out reach below the window of the last power; the term-by-term loop did
+    # not account for them
+    rng = random.Random(1975)
+    checked = wrong_before = 0
+    for s, window in _inverse_inputs(rng):
+        got = _inverse_outcome(TruncSeries.inverse, s, window)
+        if isinstance(got, type):
+            continue
+        assert _is_sound(s, got, rng), (s, window)
+        checked += 1
+        if not _shares_window_rules(s):
+            old = _inverse_outcome(_inverse_term_by_term, s, window)
+            wrong_before += not _is_sound(s, old, rng)
+    assert checked > 500 and wrong_before > 0  # 570 and 42
+
+
+def test_inverse_bounds_the_powers_it_leaves_out():
+    # t has nilpotent terms below 0, so the powers of t left out of the sum
+    # reach below the window of the last power summed
+    ring = Ring(2, 3)
+    exact = TruncSeries.make(ring, {-2: 2, -1: 4, 0: 1, 1: 3})
+    assert _true_inverse(exact, 1) == {-4: 4, -3: 4, -2: 6, 0: 7}
+    assert _inverse_term_by_term(exact, 1).coeff(0) == 3  # claimed known, and wrong
+    assert _state(exact.inverse(1)) == (((-4, 4), (-3, 4), (-2, 6)), -1)
+    windowed = TruncSeries.make(ring, {-2: 4, -1: 6, 0: 1, 1: 5}, prec=8)
+    got = _state(windowed.inverse())
+    assert got == (((-1, 6),), 0) and _is_sound(windowed, got, random.Random(3))
+
+
+def test_inverse_makes_logarithmically_many_products(monkeypatch):
+    ring = Ring(5, 1)
+    window = 1024
+    calls = []
+    real = TruncSeries.__mul__
+
+    def spy(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(TruncSeries, "__mul__", spy)
+    inv = TruncSeries.make(ring, {0: 1, 1: 1}).inverse(window)
+    assert inv.prec == window
+    assert dict(inv.coeffs) == {k: (-1) ** k % 5 for k in range(window)}
+    # two products per doubling; the term-by-term loop made about `window`
+    assert len(calls) <= 3 * window.bit_length()
+
+
+def test_series_has_no_stored_pole_bound():
+    from dataclasses import fields
+
+    assert [f.name for f in fields(TruncSeries)] == ["ring", "coeffs", "prec"]
+    ring = Ring(5, 3)
+    for s, lo in ((TruncSeries.zero(ring), 0), (TruncSeries.zero(ring, prec=-4), -4),
+                  (TruncSeries.zero(ring, prec=7), 0),
+                  (TruncSeries.make(ring, {-2: 1, 3: 4}), -2),
+                  (TruncSeries.make(ring, {2: 1, 3: 4}, prec=9), 0)):
+        assert s.lo == lo
+    for p, a in ((3, 2), (5, 3), (7, 1), (2, 6)):
+        assert TruncSeries.v_plus_p(Ring(p, a)).inverse().lo == -a
