@@ -64,6 +64,19 @@ def _parse_fracs(text: str) -> tuple[Fraction, ...]:
     return tuple(_parse_frac(t) for t in text.split(","))
 
 
+def _witness_json(witness) -> dict:
+    return {"weyl": [list(r) for r in witness[0].matrix], "translation": list(witness[1])}
+
+
+def _apartment_point(args) -> tuple[tuple[Fraction, ...], ApartmentPoint]:
+    """--eta and the point (psi^j eta)_j it gives for --group, --p, --e, --r."""
+    rd = build_root_datum(args.group)
+    g = split_gamma(rd, args.p, args.e, r=args.r)
+    eta = _parse_fracs(args.eta)
+    etas = tuple(tuple(g.psi_power(j).apply(eta)) for j in range(g.r))
+    return eta, ApartmentPoint(rd, g, etas)
+
+
 def _cmd_census(args) -> CommandResult:
     rd = build_root_datum(args.group)
     g = split_gamma(rd, args.p, args.e, r=args.r)
@@ -76,10 +89,7 @@ def _cmd_census(args) -> CommandResult:
             "invariant": c.invariant,
         }
         if c.witness is not None:
-            entry["witness"] = {
-                "weyl": [list(r) for r in c.witness[0].matrix],
-                "translation": list(c.witness[1]),
-            }
+            entry["witness"] = _witness_json(c.witness)
         classes.append(entry)
     return CommandResult("ok", {
         "group": args.group, "p": args.p, "e": args.e, "r": g.r,
@@ -95,19 +105,12 @@ def _cmd_frobinv(args) -> CommandResult:
     flag, witness = frobenius_invariant(t)
     payload = {"lambda": list(lam), "invariant": flag}
     if witness is not None:
-        payload["witness"] = {
-            "weyl": [list(r) for r in witness[0].matrix],
-            "translation": list(witness[1]),
-        }
+        payload["witness"] = _witness_json(witness)
     return CommandResult("ok", payload)
 
 
 def _cmd_generic(args) -> CommandResult:
-    rd = build_root_datum(args.group)
-    g = split_gamma(rd, args.p, args.e, r=args.r)
-    eta = _parse_fracs(args.eta)
-    etas = tuple(tuple(g.psi_power(j).apply(eta)) for j in range(g.r))
-    x = ApartmentPoint(rd, g, etas)
+    eta, x = _apartment_point(args)
     return CommandResult("ok", {
         "eta": [_frac_str(c) for c in eta],
         "d": args.d,
@@ -141,11 +144,7 @@ def _cmd_hmu(args) -> CommandResult:
 
 
 def _cmd_pattern(args) -> CommandResult:
-    rd = build_root_datum(args.group)
-    g = split_gamma(rd, args.p, args.e, r=args.r)
-    eta = _parse_fracs(args.eta)
-    etas = tuple(tuple(g.psi_power(j).apply(eta)) for j in range(g.r))
-    x = ApartmentPoint(rd, g, etas)
+    _, x = _apartment_point(args)
     f = ZERO_PLUS if args.f.strip() == "0+" else _parse_frac(args.f)
     pat = parahoric_pattern(x, f)
     return CommandResult("ok", {

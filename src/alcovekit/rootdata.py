@@ -372,6 +372,8 @@ class GammaData:
 
     def __post_init__(self):
         check_prime(self.p)
+        if self.r < 1:
+            raise ValueError(f"need r >= 1, got r={self.r}")
         q = self.p**self.r
         if self.e % self.p == 0:
             raise ValueError("tameness requires p not dividing e")
@@ -392,7 +394,7 @@ class GammaData:
         return self.inertial.is_identity()
 
     def psi_power(self, k: int) -> WeylElement:
-        k %= self.r if self.r else 1
+        k %= self.r
         w = WeylElement.identity(len(self.psi.cols))
         for _ in range(k):
             w = self.psi * w

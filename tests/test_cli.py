@@ -232,6 +232,11 @@ def test_wrong_length_vector_is_an_error(capsys):
     ["generic", "--group", "GL2", "--p", "5", "--e", "4", "--eta", "0,0", "--d", "1/0"],
     ["generic", "--group", "GL2", "--p", "5", "--e", "4", "--eta", "1/0,0", "--d", "1"],
     ["pattern", "--group", "GL2", "--p", "5", "--e", "4", "--eta", "0,-1/4", "--f", "1/0"],
+    # r = 0 passed the q - 1 divisibility check and was a ZeroDivisionError
+    ["census", "--group", "SL2", "--p", "7", "--e", "24", "--r", "0"],
+    ["frobinv", "--group", "SL2", "--p", "7", "--e", "24", "--r", "0", "--lam=-3,3"],
+    ["generic", "--group", "GL2", "--p", "5", "--e", "4", "--r", "0", "--eta", "0,0", "--d", "1"],
+    ["pattern", "--group", "GL2", "--p", "5", "--e", "4", "--r", "0", "--eta", "0,-1/4"],
 ])
 def test_bad_p_a_mu_are_errors(capsys, argv):
     code, doc = run_json(capsys, argv)
@@ -242,12 +247,18 @@ def test_bad_p_a_mu_are_errors(capsys, argv):
     ["straighten", "--p", "7", "--window", "0"],    # was a PrecisionError traceback
     ["straighten", "--p", "7", "--window", "-3"],
     ["straighten", "--p", "7", "--n", "0"],         # was an AttributeError traceback
-    ["straighten", "--p", "7", "--n", "7"],         # above MAX_LOOP_N: minors cost n!
+    ["straighten", "--p", "7", "--n", "9"],         # MAX_LOOP_N + 1
 ])
 def test_bad_straighten_inputs_are_errors(capsys, argv):
     code, doc = run_json(capsys, argv)
     assert code == 2 and doc["schema"] == 1 and doc["status"] == "error"
     assert "internal" not in doc["payload"]
+
+
+def test_straighten_at_the_size_cap(capsys):
+    code, doc = run_json(capsys, ["straighten", "--p", "7", "--n", "8"])
+    assert code == 0 and doc["status"] == "ok"
+    assert doc["payload"]["residual_is_identity"] is True
 
 
 def test_zero_precision_env_is_an_error(capsys, monkeypatch):

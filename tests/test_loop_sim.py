@@ -551,6 +551,101 @@ def test_determinant_size_is_capped():
 
 
 # ---------------------------------------------------------------------------
+# det and inverse expand each minor once.  The recursive expansion below,
+# which built a new element per minor and expanded shared minors again, is
+# the reference: the same operations in the same order, so every result and
+# every exception must be the same.
+
+def _det_by_minors(x):
+    n = x.n
+    if n == 1:
+        return x.rows[0][0]
+    acc = None
+    for j in range(n):
+        minor = LoopElement(x.ring, tuple(
+            tuple(x.rows[i][k] for k in range(n) if k != j) for i in range(1, n)))
+        term = x.rows[0][j] * _det_by_minors(minor)
+        if j % 2 == 1:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _inverse_by_minors(x, window=None):
+    n = x.n
+    dinv = _det_by_minors(x).inverse(window)
+    if n == 1:
+        return LoopElement(x.ring, ((dinv,),))
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            minor = LoopElement(x.ring, tuple(
+                tuple(x.rows[r][c] for c in range(n) if c != i) for r in range(n) if r != j))
+            cof = _det_by_minors(minor)
+            if (i + j) % 2 == 1:
+                cof = -cof
+            row.append(cof * dinv)
+        rows.append(tuple(row))
+    return LoopElement(x.ring, tuple(rows))
+
+
+def _outcome(f, *args):
+    try:
+        got = f(*args)
+    except Exception as exc:
+        return type(exc)
+    if isinstance(got, TruncSeries):
+        return _state(got)
+    return tuple(tuple(_state(s) for s in row) for row in got.rows)
+
+
+def _random_loop_element(rng, n, kind):
+    """exact entries, exact entries cut to one window, entries of mixed
+    kinds and windows, or entries with poles."""
+    ring = rng.choice(KERNEL_RINGS[:4])
+    kinds = {"exact": ("exact",), "window": ("exact",), "mixed": SERIES_KINDS,
+             "pole": ("pole",)}[kind]
+    x = LoopElement(ring, tuple(tuple(_random_series(rng, ring, rng.choice(kinds))
+                                      for _ in range(n)) for _ in range(n)))
+    return x.with_prec(rng.randrange(1, 20)) if kind == "window" else x
+
+
+def test_det_and_inverse_match_the_recursive_expansion():
+    rng = random.Random(1812)
+    outcomes = set()
+    for n in range(1, 7):
+        for kind in ("exact", "window", "mixed", "pole"):
+            for _ in range({4: 30, 5: 2, 6: 1}.get(n, 8)):
+                x = _random_loop_element(rng, n, kind)
+                assert _outcome(LoopElement.det, x) == _outcome(_det_by_minors, x)
+                window = rng.choice((None, rng.randrange(1, 30)))
+                want = _outcome(_inverse_by_minors, x, window)
+                assert _outcome(LoopElement.inverse, x, window) == want, (n, kind, window)
+                outcomes.add(want if isinstance(want, type) else tuple)
+    assert outcomes == {tuple, ZeroDivisionError, PrecisionError}
+
+
+def test_det_expands_each_minor_once(monkeypatch):
+    rng = random.Random(6)
+    ring = Ring(7, 2)
+    x = LoopElement(ring, tuple(tuple(random_polynomial(rng, ring, 0, 3) for _ in range(6))
+                                for _ in range(6)))
+    assert all(not s.is_zero() for row in x.rows for s in row)
+    calls = []
+    real = TruncSeries.__mul__
+
+    def spy(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(TruncSeries, "__mul__", spy)
+    x.det()
+    # n 2^(n-1) = 192 at n = 6; expanding every minor anew made 1236 products
+    assert len(calls) <= 6 * 2**5
+
+
+# ---------------------------------------------------------------------------
 # The inverse sums its geometric series by doubling.  The term-by-term loop it
 # replaced is the reference where the two sums share their window rules, and
 # the true inverse, summed without windows, is the reference everywhere.

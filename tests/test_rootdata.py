@@ -153,6 +153,8 @@ def test_gamma_validation():
         GammaData(p=7, e=5, r=1, psi=ident(2), inertial=ident(2))  # 5 does not divide 6
     with pytest.raises(ValueError):
         GammaData(p=3, e=6, r=2, psi=ident(2), inertial=ident(2))  # p | e
+    with pytest.raises(ValueError):
+        GammaData(p=7, e=3, r=0, psi=ident(2), inertial=ident(2))  # r = 0: q - 1 = 0
     g = split_gamma(sl2, 7, 24)
     assert g.r == 2 and g.q == 49 and g.split()
     for p in (0, 1, 6, -7):
