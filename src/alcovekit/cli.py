@@ -10,6 +10,7 @@ overrides the simulator window.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -73,8 +74,7 @@ def _apartment_point(args) -> tuple[tuple[Fraction, ...], ApartmentPoint]:
     rd = build_root_datum(args.group)
     g = split_gamma(rd, args.p, args.e, r=args.r)
     eta = _parse_fracs(args.eta)
-    etas = tuple(tuple(g.psi_power(j).apply(eta)) for j in range(g.r))
-    return eta, ApartmentPoint(rd, g, etas)
+    return eta, ApartmentPoint(rd, g, g.psi_orbit(eta))
 
 
 def _cmd_census(args) -> CommandResult:
@@ -102,6 +102,8 @@ def _cmd_frobinv(args) -> CommandResult:
     g = split_gamma(rd, args.p, args.e, r=args.r)
     lam = _parse_ints(args.lam)
     t = GaloisType.from_lambda(rd, g, lam)
+    if not rd.in_cochar_lattice(lam):
+        raise ValueError(f"lambda={lam} is not in the cocharacter lattice of {rd.label}")
     flag, witness = frobenius_invariant(t)
     payload = {"lambda": list(lam), "invariant": flag}
     if witness is not None:
@@ -234,6 +236,7 @@ def _cmd_verify(args) -> CommandResult:
                          payload, trace="\n".join(lines))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--emit", choices=("json", "text"), default=argparse.SUPPRESS)

@@ -43,7 +43,7 @@ class GaloisType:
         lam = tuple(lam)
         if g.inertial.apply(lam) != lam:
             raise ValueError("lambda must be fixed by the inertial action")
-        lams = tuple(tuple(g.psi_power(j).apply(lam)) for j in range(g.r))
+        lams = g.psi_orbit(lam)
         ws = (WeylElement.identity(rd.dim),) * g.r
         return GaloisType(rd, g, lams, ws)
 
@@ -96,6 +96,14 @@ def cocycle_values(t: GaloisType) -> CocycleValues:
     return CocycleValues(gam, tuple(sig))
 
 
+def _perm_powers(perm: Sequence[int], k: int) -> list[tuple[int, ...]]:
+    """perm^0, ..., perm^(k-1) in one-line form, one composition each."""
+    powers = [tuple(range(len(perm)))]
+    for _ in range(k - 1):
+        powers.append(tuple(perm[i] for i in powers[-1]))
+    return powers
+
+
 def check_cocycle_relations(t: GaloisType) -> dict[str, bool]:
     """Matrix-level checks of the presentation relations on tau.
 
@@ -111,7 +119,6 @@ def check_cocycle_relations(t: GaloisType) -> dict[str, bool]:
     gamma_order = all(isinstance(x, int) and 0 <= x < e
                       for lam in vals.tau_gamma_exps for x in lam)
 
-    perm = g.psi.perm()
     braid = True
     for j in range(r):
         # (^sigma tau(gamma))_j = psi(tau(gamma)_{j-1}); moving the value from
@@ -123,15 +130,13 @@ def check_cocycle_relations(t: GaloisType) -> dict[str, bool]:
         rhs = [(p * x) % e for x in vals.tau_gamma_exps[j]]
         if conj != rhs:
             braid = False
+    powers = _perm_powers(g.psi.perm(), r)
     wrap = True
     for j in range(r):
         acc = MonomialMatrix.identity(vals.tau_sigma[0].n, vals.tau_sigma[0].mod)
         # tau(sigma^r)_j = prod_{i=0}^{r-1} (^{sigma^i} tau(sigma))_j
         for i in range(r):
-            shifted = vals.tau_sigma[(j - i) % r]
-            for _ in range(i):
-                shifted = shifted.conjugate_by_permutation(perm)
-            acc = acc * shifted
+            acc = acc * vals.tau_sigma[(j - i) % r].conjugate_by_permutation(powers[i])
         if not acc.is_identity():
             wrap = False
     return {"gamma_order": gamma_order, "sigma_braid": braid, "sigma_wrap": wrap}
@@ -153,8 +158,7 @@ def frobenius_invariant(t: GaloisType):
         raise ValueError("type's point must be Gamma-fixed")
     eta = x.eta(0)
     p = g.p
-    psi_inv = g.psi_power(g.r - 1)
-    shifted = tuple(p * c for c in psi_inv.apply(eta))
+    shifted = tuple(p * c for c in g.psi.inv().apply(eta))
     for w in weyl_group(t.rd):
         cand = w.apply(shifted)
         diff = tuple(a - b for a, b in zip(cand, eta))
@@ -213,7 +217,7 @@ def census(rd: RootDatum, g: GammaData, cap: int = 10**6) -> CensusResult:
 
     actions = [_action_in_basis(rd, w) for w in weyl_group(rd)]
     frob = [[g.p * a for a in row]
-            for row in _action_in_basis(rd, g.psi_power(g.r - 1))]
+            for row in _action_in_basis(rd, g.psi.inv())]
     # representatives as Fraction(integer, den) over the integer-scaled basis
     den = lcm(*(c.denominator for b in rd.cochar_basis for c in b))
     scaled = [[int(c * den) for c in b] for b in rd.cochar_basis]
@@ -355,23 +359,17 @@ def shapiro(g: GammaData, f_values: Sequence[MonomialMatrix]) -> tuple[MonomialM
     """
     if len(f_values) != g.r:
         raise ValueError("need one value per coset representative")
-    perm = g.psi.perm()
     out = []
-    for j, val in enumerate(f_values):
+    for j, (val, power) in enumerate(zip(f_values, _perm_powers(g.psi.perm(), g.r))):
         m = val.coef_frobenius(pow(g.p, j, val.mod) if val.mod > 1 else 1)
-        for _ in range(j):
-            m = m.conjugate_by_permutation(perm)
-        out.append(m)
+        out.append(m.conjugate_by_permutation(power))
     return tuple(out)
 
 
 def shapiro_inverse(g: GammaData, tup: Sequence[MonomialMatrix]) -> tuple[MonomialMatrix, ...]:
-    inv_perm = g.psi.inv().perm()
     out = []
-    for j, val in enumerate(tup):
-        m = val
-        for _ in range(j):
-            m = m.conjugate_by_permutation(inv_perm)
+    for j, (val, power) in enumerate(zip(tup, _perm_powers(g.psi.inv().perm(), len(tup)))):
+        m = val.conjugate_by_permutation(power)
         p_inv = pow(g.p, -1, val.mod) if val.mod > 1 else 1
         m = m.coef_frobenius(pow(p_inv, j, val.mod) if val.mod > 1 else 1)
         out.append(m)
@@ -433,7 +431,7 @@ def type_from_s_mu(
             if sum(d * p**k for k, d in enumerate(digit_rows[j][i])) != lams[j][i]:
                 raise AssertionError("digit table does not reproduce lambda")
 
-    psi_inv = g.psi_power(r - 1)
+    psi_inv = psi.inv()
     ws: list[WeylElement] = [None] * r  # type: ignore[list-item]
     ws[r - 1] = WeylElement.identity(rd.dim)
     for j in range(r - 2, -1, -1):
@@ -451,10 +449,11 @@ def type_from_s_mu(
 
     c_fin = []
     c_tr = []
+    pw = WeylElement.identity(rd.dim)  # psi^j
     for j in range(r):
-        pw = g.psi_power(j)
         c_fin.append(pw * s_inv * pw.inv())
         c_tr.append(tuple(-c for c in pw.apply(mu_eta)))
+        pw = psi * pw
     fx = frobenius(x)
     for j in range(r):
         w = c_fin[j]

@@ -1,12 +1,17 @@
-"""Exact integer lattice arithmetic: Smith/Hermite reduction and quotients.
+"""Exact integer lattice arithmetic: Smith normal form, kernels, quotients.
 
 Everything here works on plain Python integers (arbitrary precision) and
 lists of lists.  No floating point is allowed anywhere in this package's
-lattice computations.
+lattice computations, and no rational arithmetic is done here either: one
+integer routine, `_echelon`, brings a matrix to row echelon form by
+unimodular row operations and returns the transform with it.  The kernel is
+read off the transform, a lattice solve divides down the echelon pivots,
+and the Smith form alternates the routine on a matrix and its transpose
+(Cohen, A Course in Computational Algebraic Number Theory, section 2.4).
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 
@@ -24,80 +29,56 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]):
     return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
 
 
+def _echelon(rows: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix]:
+    """Row echelon form h of an integer matrix and a unimodular u with u @ rows == h.
+
+    The nonzero rows of h come first; each has a positive pivot strictly to
+    the right of the pivot of the row above, with zeros below every pivot.
+    """
+    h = [list(r) for r in rows]
+    u = identity_matrix(len(h))
+    top = 0
+    for c in range(len(h[0]) if h else 0):
+        # Euclid down column c: the entry of least absolute value reduces the rest
+        while nz := [i for i in range(top, len(h)) if h[i][c]]:
+            piv = min(nz, key=lambda i: abs(h[i][c]))
+            h[top], h[piv], u[top], u[piv] = h[piv], h[top], u[piv], u[top]
+            if len(nz) == 1:
+                if h[top][c] < 0:
+                    h[top], u[top] = [-x for x in h[top]], [-x for x in u[top]]
+                top += 1
+                break
+            for i in range(top + 1, len(h)):
+                if q := h[i][c] // h[top][c]:
+                    h[i] = [x - q * y for x, y in zip(h[i], h[top])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[top])]
+    return h, u
+
+
 def smith_normal_form(mat: Sequence[Sequence[int]]) -> list[int]:
     """Diagonal entries d_1 | d_2 | ... of the Smith normal form of `mat`.
 
     Returns the list of nonzero invariant factors (nonnegative, each dividing
     the next).  Zero rows/columns of the normal form are omitted.
     """
-    m = [list(row) for row in mat]
-    if not m or not m[0]:
+    if not mat or not mat[0]:
         return []
-    rows, cols = len(m), len(m[0])
-    diag: list[int] = []
-    top = 0
-    while top < rows and top < cols:
-        # find a nonzero pivot of least absolute value
-        pivot = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        m[top], m[pi] = m[pi], m[top]
-        for row in m:
-            row[top], row[pj] = row[pj], row[top]
-        # clear the pivot row and column; restart if a remainder shrinks the pivot
-        while True:
-            p = m[top][top]
-            dirty = False
-            for i in range(top + 1, rows):
-                if m[i][top] % p != 0:
-                    q = m[i][top] // p
-                    for j in range(cols):
-                        m[i][j] -= q * m[top][j]
-                    m[top], m[i] = m[i], m[top]
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            for i in range(top + 1, rows):
-                q = m[i][top] // p
-                for j in range(cols):
-                    m[i][j] -= q * m[top][j]
-            for j in range(top + 1, cols):
-                if m[top][j] % p != 0:
-                    q = m[top][j] // p
-                    for i in range(rows):
-                        m[i][j] -= q * m[i][top]
-                    for i in range(rows):
-                        m[i][top], m[i][j] = m[i][j], m[i][top]
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            for j in range(top + 1, cols):
-                q = m[top][j] // p
-                for i in range(rows):
-                    m[i][j] -= q * m[i][top]
-            break
-        diag.append(abs(m[top][top]))
-        top += 1
+    m = [list(row) for row in mat]
+    # echelon the rows, then the columns, until nothing is left off the diagonal
+    while any(x for i, row in enumerate(m) for j, x in enumerate(row) if i != j):
+        m = [list(col) for col in zip(*_echelon(m)[0])]
+    diag = [abs(m[i][i]) for i in range(min(len(m), len(m[0]))) if m[i][i]]
     # enforce the divisibility chain d_i | d_{i+1}
     changed = True
     while changed:
         changed = False
         for i in range(len(diag) - 1):
             a, b = diag[i], diag[i + 1]
-            if a and b % a != 0:
-                from math import gcd
-
+            if b % a != 0:
                 g = gcd(a, b)
                 diag[i], diag[i + 1] = g, a * b // g
                 changed = True
-    return [d for d in diag if d != 0]
+    return diag
 
 
 def quotient_invariants(rank: int, sub_gens: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
@@ -116,85 +97,43 @@ def quotient_invariants(rank: int, sub_gens: Sequence[Sequence[int]]) -> tuple[i
     return free, torsion
 
 
-def solve_in_lattice(gens: Sequence[Sequence[int]], target: Sequence[Fraction | int]):
+def solve_in_lattice(gens: Sequence[Sequence], target: Sequence):
     """Express `target` as an integer combination of `gens`, or return None.
 
-    `gens` are vectors in Q^n spanning a lattice; the coefficients must be
-    integers for membership.  Uses exact fraction Gaussian elimination.
+    `gens` are vectors in Q^n spanning a lattice, possibly dependent; the
+    coefficients must be integers for membership.  Generators and target are
+    scaled by their common denominator, the generators are echeloned, and
+    the target is reduced by exact integer division down the pivots.
     """
     if not gens:
         return [] if all(x == 0 for x in target) else None
-    rows = [[Fraction(x) for x in g] for g in gens]
-    ncols = len(rows[0])
-    aug = [row + [Fraction(1) if i == j else Fraction(0) for j in range(len(rows))]
-           for i, row in enumerate(rows)]
-    # row reduce the generator matrix, tracking the row operations
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    t = [Fraction(x) for x in target]
-    coeffs = [Fraction(0)] * len(gens)
-    residual = list(t)
-    for row_idx, c in enumerate(pivots):
-        f = residual[c]
-        if f != 0:
-            for j in range(ncols):
-                residual[j] -= f * aug[row_idx][j]
-            for j in range(len(gens)):
-                coeffs[j] += f * aug[row_idx][ncols + j]
-    if any(x != 0 for x in residual):
-        return None
-    if any(x.denominator != 1 for x in coeffs):
-        return None
-    return [int(x) for x in coeffs]
+    den = lcm(*(x.denominator for g in gens for x in g), *(x.denominator for x in target))
+    h, u = _echelon([[x.numerator * (den // x.denominator) for x in g] for g in gens])
+    residual = [x.numerator * (den // x.denominator) for x in target]
+    coeffs = [0] * len(gens)
+    for row, urow in zip(h, u):
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None:
+            break
+        f, rem = divmod(residual[c], row[c])
+        if rem:
+            return None
+        residual = [x - f * y for x, y in zip(residual, row, strict=True)]
+        coeffs = [x + f * y for x, y in zip(coeffs, urow)]
+    return None if any(residual) else coeffs
 
 
-def in_lattice(gens: Sequence[Sequence[int]], target: Sequence[Fraction | int]) -> bool:
+def in_lattice(gens: Sequence[Sequence], target: Sequence) -> bool:
     return solve_in_lattice(gens, target) is not None
 
 
 def kernel_basis(mat: Sequence[Sequence[int]]) -> list[list[int]]:
     """Basis of the integer kernel {v : mat @ v = 0} of an integer matrix.
 
-    Computed by reducing the transpose augmented with an identity; rows of
-    the identity part whose matrix part has reduced to zero span the kernel.
+    Read off the transform u that echelons the transpose: the rows of u
+    whose echelon row is zero span the kernel.
     """
-    rows, cols = len(mat), len(mat[0]) if mat else 0
-    if cols == 0:
+    if not mat or not mat[0]:
         return []
-    # work on [mat^T | I]; integer row reduction of the left block
-    work = [[mat[i][j] for i in range(rows)] + [1 if j == k else 0 for k in range(cols)]
-            for j in range(cols)]
-    r = 0
-    for c in range(rows):
-        while True:
-            pr = None
-            for i in range(r, cols):
-                if work[i][c] != 0 and (pr is None or abs(work[i][c]) < abs(work[pr][c])):
-                    pr = i
-            if pr is None:
-                break
-            work[r], work[pr] = work[pr], work[r]
-            done = True
-            for i in range(r + 1, cols):
-                if work[i][c] != 0:
-                    q = work[i][c] // work[r][c]
-                    work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-                    if work[i][c] != 0:
-                        done = False
-            if done:
-                r += 1
-                break
-    return [row[rows:] for row in work if all(x == 0 for x in row[:rows])]
+    h, u = _echelon([list(col) for col in zip(*mat)])
+    return [urow for row, urow in zip(h, u) if not any(row)]

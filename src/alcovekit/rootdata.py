@@ -393,12 +393,12 @@ class GammaData:
     def split(self) -> bool:
         return self.inertial.is_identity()
 
-    def psi_power(self, k: int) -> WeylElement:
-        k %= self.r
-        w = WeylElement.identity(len(self.psi.cols))
-        for _ in range(k):
-            w = self.psi * w
-        return w
+    def psi_orbit(self, v: Sequence) -> tuple[tuple, ...]:
+        """(psi^j v) for j = 0, ..., r-1, one psi step per slot."""
+        orbit = [tuple(v)]
+        for _ in range(self.r - 1):
+            orbit.append(self.psi.apply(orbit[-1]))
+        return tuple(orbit)
 
 
 def split_gamma(rd: RootDatum, p: int, e: int, r: int | None = None) -> GammaData:

@@ -10,6 +10,7 @@ import pytest
 
 import alcovekit
 from alcovekit import cli, weyl_affine
+from alcovekit.rootdata import WeylElement
 from alcovekit.loop_sim import PrecisionError
 
 
@@ -237,6 +238,9 @@ def test_wrong_length_vector_is_an_error(capsys):
     ["frobinv", "--group", "SL2", "--p", "7", "--e", "24", "--r", "0", "--lam=-3,3"],
     ["generic", "--group", "GL2", "--p", "5", "--e", "4", "--r", "0", "--eta", "0,0", "--d", "1"],
     ["pattern", "--group", "GL2", "--p", "5", "--e", "4", "--r", "0", "--eta", "0,-1/4"],
+    # lambda outside X_*: were answered with "invariant": false
+    ["frobinv", "--group", "SL2", "--p", "7", "--e", "24", "--lam=1,0"],
+    ["frobinv", "--group", "PGL2", "--p", "7", "--e", "24", "--lam=1,0"],
 ])
 def test_bad_p_a_mu_are_errors(capsys, argv):
     code, doc = run_json(capsys, argv)
@@ -308,3 +312,35 @@ def test_closed_stdout_ends_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["generic", "--group", "GL2", "--p", "5", "--e", "4", "--eta", "0,0", "--d", "1"],
+     {"d": "1", "eta": ["0/1", "0/1"], "generic": False}),
+    (["frobinv", "--group", "GL2", "--p", "5", "--e", "4", "--lam=1,0"],
+     {"invariant": True, "lambda": [1, 0],
+      "witness": {"translation": [-1, 0], "weyl": [[1, 0], [0, 1]]}}),
+])
+def test_psi_orbits_take_linear_work_in_r(capsys, monkeypatch, argv, payload):
+    # psi^j was rebuilt from the identity for every slot j: 2 * 10^6 products at r = 2000
+    calls = []
+    mul = WeylElement.__mul__
+
+    def spy(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(WeylElement, "__mul__", spy)
+    for r in ("1", "2000"):
+        calls.clear()
+        code, doc = run_json(capsys, argv + ["--r", r])
+        assert code == 0 and doc["payload"] == payload
+        assert len(calls) <= 2 * 2000
+
+
+def test_parser_is_built_once(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    run_json(capsys, ["hmu", "--group", "GL3", "--mu", "1,0,0"])
+    code, doc = run_json(capsys, ["hmu", "--group", "GL3", "--mu", "1,0,0"])
+    assert code == 0 and doc["payload"] == {"mu": [1, 0, 0], "h_mu": 1}
+    assert cli.build_parser.cache_info().misses == 1

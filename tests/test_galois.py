@@ -148,7 +148,7 @@ def _census_reference(rd, g):
 def _lookup_passes(rd, g, actions, coords):
     """p psi^{-1} lambda mod e lies in the W-orbit of lambda mod e."""
     lam = rd.from_basis_coords(coords)
-    image = rd.basis_coords(g.psi_power(g.r - 1).apply(lam))
+    image = rd.basis_coords(g.psi.inv().apply(lam))
     return _least_image(actions, tuple(g.p * c for c in image), g.e) == coords
 
 
