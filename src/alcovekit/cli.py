@@ -38,6 +38,11 @@ from .rootdata import (
 from .weyl_affine import admissible_set, base_alcove, h_mu, reduced_word
 
 
+# 4096 is the largest power of two at which `straighten --p 7 --window W` runs
+# within the time of `--n 8` (about 1.1 s); --hmu and --f at 4096 take less
+MAX_STRAIGHTEN_SIZE = 4096
+
+
 @dataclass
 class CommandResult:
     status: str  # ok | refused | error
@@ -168,6 +173,10 @@ def _cmd_straighten(args) -> CommandResult:
         raise ValueError(f"the precision window must be at least 1, got {window}")
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
+    if args.hmu < 0:
+        raise ValueError(f"--hmu is the height of mu = (hmu, 0, ...), at least 0, got {args.hmu}")
+    if max(window, args.hmu, args.f) > MAX_STRAIGHTEN_SIZE:
+        raise CapExceeded(f"the window, --hmu and --f are capped at {MAX_STRAIGHTEN_SIZE}")
     ring = Ring(args.p, args.a, 1)
     rng = random.Random(args.seed)
     mu = tuple([args.hmu] + [0] * (args.n - 1))

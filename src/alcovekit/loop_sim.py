@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
+from operator import mul
 import random
 import struct
 from typing import Sequence
@@ -22,6 +23,9 @@ from .rootdata import CapExceeded, RefusedError, check_prime
 # det expands each minor once, in at most n*2^(n-1) series products.  8 is the largest
 # n at which `straighten --p 7 --n n` runs within the old n!-cost time of `--n 6`
 MAX_LOOP_N = 8
+# congruence_compare makes max(n, p^(a-1)) products by v+p.  At 50000 the slowest
+# `compare` within the cap takes about 1 s, as `straighten --n 8` does
+MAX_COMPARE_POWER = 50000
 
 
 class PrecisionError(RuntimeError):
@@ -89,30 +93,44 @@ class TruncSeries:
     def coeff(self, k: int) -> int:
         if self.prec is not None and k >= self.prec:
             raise PrecisionError(f"coefficient at {k} is beyond the window")
-        for kk, v in self.coeffs:
-            if kk == k:
-                return v
-        return 0
+        i = bisect_left(self.coeffs, (k,))
+        return self.coeffs[i][1] if i < len(self.coeffs) and self.coeffs[i][0] == k else 0
 
     def with_prec(self, prec: int | None) -> "TruncSeries":
         cut = len(self.coeffs) if prec is None else bisect_left(self.coeffs, (prec,))
         return TruncSeries(self.ring, self.coeffs[:cut], prec)
 
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
+    def _combine(self, other: "TruncSeries", sign: int) -> "TruncSeries":
+        """self + sign * other, known below the least prec, by one merge of
+        the sorted terms."""
         if self.ring != other.ring:
             raise ValueError("series over different rings")
-        prec = _min_prec(self.prec, other.prec)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs:
-            out[k] = out.get(k, 0) + v
-        return TruncSeries.make(self.ring, out, prec=prec)
+        prec, m = _min_prec(self.prec, other.prec), self.ring.modulus
+        a, b = self.coeffs, other.coeffs
+        if prec is not None:
+            a, b = a[:bisect_left(a, (prec,))], b[:bisect_left(b, (prec,))]
+        out, i = [], 0
+        for k, v in a:
+            while i < len(b) and b[i][0] < k:
+                out.append((b[i][0], sign * b[i][1] % m))
+                i += 1
+            if i < len(b) and b[i][0] == k:
+                v += sign * b[i][1]
+                i += 1
+            if v % m:
+                out.append((k, v % m))
+        out += [(k, sign * v % m) for k, v in b[i:]]
+        return TruncSeries(self.ring, tuple(out), prec)
+
+    def __add__(self, other: "TruncSeries") -> "TruncSeries":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
+        return self._combine(other, -1)
 
     def __neg__(self) -> "TruncSeries":
         m = self.ring.modulus
         return TruncSeries(self.ring, tuple((k, (-v) % m) for k, v in self.coeffs), self.prec)
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        return self + (-other)
 
     def _support_lo(self) -> int | None:
         """Lowest exponent that can carry a nonzero coefficient; None = zero."""
@@ -123,11 +141,7 @@ class TruncSeries:
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         if self.ring != other.ring:
             raise ValueError("series over different rings")
-        prec = _mul_window(self, other)
-        nb = _slot_bytes(min(len(self.coeffs), len(other.coeffs)), self.ring.modulus)
-        pair = (_pack(self, nb, _reach(self, [prec], [other.val()])),
-                _pack(other, nb, _reach(other, [prec], [self.val()])))
-        return _dot(self.ring, [pair], nb, prec)
+        return _sum_of_products(self.ring, ((self, other),))
 
     def is_zero(self) -> bool:
         """Zero on the whole known window."""
@@ -139,65 +153,43 @@ class TruncSeries:
 
     def equals(self, other: "TruncSeries") -> bool:
         """Agreement on the overlap of the two known windows."""
-        prec = _min_prec(self.prec, other.prec)
-        d = dict(self.coeffs)
-        for k, v in other.coeffs:
-            d[k] = d.get(k, 0) - v
-        return all(v % self.ring.modulus == 0 for k, v in d.items()
-                   if prec is None or k < prec)
+        return (self - other).is_zero()
 
     def inverse(self, window: int | None = None) -> "TruncSeries":
         """Invert a series whose lowest unit-coefficient term exists.
 
         Handles the pure pole/unit case and the (v+p)-style case where
         nilpotent coefficients sit below the unit term.  An exact input with
-        an infinite inverse needs an explicit `window`; a finite-precision
+        an infinite inverse needs an explicit `window` and comes back known
+        up to it; a finite-precision
         input propagates its window soundly (prec + 2 val of the inverse).
         The geometric series is summed by doubling, in O(log window) products.
         """
-        p = self.ring.p
-        m = self.ring.modulus
+        p, m = self.ring.p, self.ring.modulus
         unit_terms = [(k, v) for k, v in self.coeffs if v % p != 0]
         if not unit_terms:
             raise ZeroDivisionError("no unit coefficient: series is not invertible")
         kstar, cstar = unit_terms[0]
         cinv = pow(cstar, -1, m)
         # s = c* u^k* (1 + t); t = s * (c*^-1 u^-k*) - 1
-        lead_inv = TruncSeries.make(self.ring, {-kstar: cinv}, prec=None)
-        t = self * lead_inv - TruncSeries.one(self.ring, prec=_shift_prec(self.prec, -kstar))
+        lead_inv = TruncSeries.monomial(self.ring, -kstar, cinv)
+        shifted = None if self.prec is None else self.prec - kstar
+        t = self * lead_inv - TruncSeries.one(self.ring, prec=shifted)
         if t.prec is None and any(k > 0 for k, _ in t.coeffs):
             if window is None:
                 raise PrecisionError("exact series has an infinite inverse; set a window")
-            a = self.ring.a
-            work = window + abs(kstar) + a * (abs(kstar) + abs(self.lo)) + 2
-            t = t.with_prec(work)
-        # 1/(1+t) = (1+x)(1+x^2)(1+x^4)... with x = -t: each step doubles the
-        # number of terms summed, until x vanishes on its window
-        geom = TruncSeries.one(self.ring, prec=t.prec)
-        x = -t
-        doublings = (_window_width(t) + self.ring.a * (abs(t.lo) + 2) + 4).bit_length() + 1
-        for _ in range(doublings):
-            if x.is_zero():
-                break
-            geom = geom + geom * x
-            x = x * x
-            x = x.with_prec(_min_prec(x.prec, t.prec))
+            work = window + abs(kstar) + self.ring.a * (abs(kstar) + abs(self.lo)) + 2
+            # the products of the nilpotent terms of t below 0 cost window that
+            # `work` does not foresee; that cost is bounded by a and val(t), so
+            # widening by the shortfall reaches `window`
+            while (inv := lead_inv * _geometric_sum(t.with_prec(work))).prec < window:
+                work += window - inv.prec
         else:
-            raise PrecisionError("inverse iteration failed to terminate")
-        # the terms left out, x^(2^j) (1 + x + x^2 + ...), vanish below x.prec
-        # lowered by at most a - 1 terms of t below 0, which are nilpotent
-        t_low = t.val()
-        if x.prec is not None and t_low is not None and t_low < 0:
-            geom = geom.with_prec(min(geom.prec, x.prec + (self.ring.a - 1) * t_low))
-        inv = lead_inv * geom
-        low = inv.val()
-        low = low if low is not None else -kstar
+            inv = lead_inv * _geometric_sum(t)
+        low = inv.val() if inv.coeffs else -kstar
         if self.prec is not None:
-            inv = inv.with_prec(min(inv.prec, self.prec + 2 * low)
-                                if inv.prec is not None else self.prec + 2 * low)
-        elif window is not None and (inv.prec is None or inv.prec > window):
-            inv = inv.with_prec(window)
-        return inv
+            return inv.with_prec(_min_prec(inv.prec, self.prec + 2 * low))
+        return inv if window is None else inv.with_prec(_min_prec(inv.prec, window))
 
     def phi(self) -> "TruncSeries":
         """u -> u^p on exponents; coefficients are Frobenius-fixed in Z/p^a."""
@@ -206,16 +198,34 @@ class TruncSeries:
         return TruncSeries(self.ring, tuple((p * k, v) for k, v in self.coeffs), prec)
 
 
+def _geometric_sum(t: TruncSeries) -> TruncSeries:
+    """1/(1+t) = (1+x)(1+x^2)(1+x^4)... with x = -t: each step doubles the
+    number of terms summed, until x vanishes on its window."""
+    geom = TruncSeries.one(t.ring, prec=t.prec)
+    x = -t
+    doublings = (_window_width(t) + t.ring.a * (abs(t.lo) + 2) + 4).bit_length() + 1
+    for _ in range(doublings):
+        if x.is_zero():
+            break
+        geom = geom + geom * x
+        x = x * x
+        x = x.with_prec(_min_prec(x.prec, t.prec))
+    else:
+        raise PrecisionError("inverse iteration failed to terminate")
+    # the terms left out, x^(2^j) (1 + x + x^2 + ...), vanish below x.prec
+    # lowered by at most a - 1 terms of t below 0, which are nilpotent
+    t_low = t.val()
+    if x.prec is not None and t_low is not None and t_low < 0:
+        geom = geom.with_prec(min(geom.prec, x.prec + (t.ring.a - 1) * t_low))
+    return geom
+
+
 def _min_prec(a: int | None, b: int | None) -> int | None:
     if a is None:
         return b
     if b is None:
         return a
     return min(a, b)
-
-
-def _shift_prec(prec: int | None, k: int) -> int | None:
-    return None if prec is None else prec + k
 
 
 def _window_width(s: TruncSeries) -> int:
@@ -320,6 +330,18 @@ def _dot(ring: Ring, pairs, nb: int, prec: int | None) -> TruncSeries:
     return TruncSeries(ring, _unpack(total, nb, base, prec, ring.modulus), prec)
 
 
+def _sum_of_products(ring: Ring, pairs) -> TruncSeries:
+    """The series sum of a * b over the pairs (a, b) of series, in one `_dot`,
+    known below the least prec of the products."""
+    prec, terms = None, 0
+    for a, b in pairs:
+        prec = _min_prec(prec, _mul_window(a, b))
+        terms += min(len(a.coeffs), len(b.coeffs))
+    nb = _slot_bytes(terms, ring.modulus)
+    return _dot(ring, [(_pack(a, nb, _reach(a, [prec], [b.val()])),
+                        _pack(b, nb, _reach(b, [prec], [a.val()]))) for a, b in pairs], nb, prec)
+
+
 @dataclass(frozen=True)
 class LoopElement:
     ring: Ring
@@ -383,13 +405,10 @@ class LoopElement:
         if n == 1:
             return self.rows[rows[0]][cols[0]]
         if (rows, cols) not in memo:
-            acc = None
-            for j, c in enumerate(cols):
-                term = self.rows[rows[0]][c] * self._minor(rows[1:], cols[:j] + cols[j + 1:], memo)
-                if j % 2 == 1:
-                    term = -term
-                acc = term if acc is None else acc + term
-            memo[rows, cols] = acc
+            row, rest = self.rows[rows[0]], rows[1:]
+            memo[rows, cols] = _sum_of_products(self.ring, [
+                (-row[c] if j % 2 else row[c], self._minor(rest, cols[:j] + cols[j + 1:], memo))
+                for j, c in enumerate(cols)])
         return memo[rows, cols]
 
     def det(self) -> TruncSeries:
@@ -417,15 +436,6 @@ class LoopElement:
         return LoopElement(self.ring, tuple(
             tuple(x - y for x, y in zip(r, s)) for r, s in zip(self.rows, other.rows)))
 
-    def sub_identity(self) -> "LoopElement":
-        n = self.n
-        rows = []
-        for i in range(n):
-            row = list(self.rows[i])
-            row[i] = row[i] - TruncSeries.one(self.ring, prec=row[i].prec)
-            rows.append(tuple(row))
-        return LoopElement(self.ring, tuple(rows))
-
     def equals(self, other: "LoopElement") -> bool:
         return all(self.rows[i][j].equals(other.rows[i][j])
                    for i in range(self.n) for j in range(self.n))
@@ -434,11 +444,7 @@ class LoopElement:
         return self.equals(LoopElement.identity(self.ring, self.n))
 
     def min_prec(self) -> int | None:
-        prec = None
-        for row in self.rows:
-            for s in row:
-                prec = _min_prec(prec, s.prec)
-        return prec
+        return reduce(_min_prec, [s.prec for row in self.rows for s in row], None)
 
     def with_prec(self, prec: int | None) -> "LoopElement":
         return LoopElement(self.ring, tuple(
@@ -456,7 +462,7 @@ def phi_c(a: LoopElement, c: LoopElement | None = None,
 
 def identity_depth(a: LoopElement) -> int:
     """Largest certified n with a = 1 mod v^n entrywise (v-units)."""
-    return _zero_depth(a.sub_identity())
+    return _zero_depth(a - LoopElement.identity(a.ring, a.n))
 
 
 def _zero_depth(a: LoopElement) -> int:
@@ -488,7 +494,7 @@ def membership(a: LoopElement, pattern: ValuationPattern) -> tuple[bool, int]:
         for j in range(n):
             s = a.rows[i][j]
             if i == j:
-                v = _vanishing_below(s - TruncSeries.one(a.ring, prec=s.prec))
+                v = _vanishing_below(s - TruncSeries.one(a.ring))
                 lead = s.coeff(0) if (s.prec is None or s.prec > 0) else 0
                 if lead % a.ring.p == 0:
                     ok = False
@@ -505,19 +511,12 @@ def membership(a: LoopElement, pattern: ValuationPattern) -> tuple[bool, int]:
 
 
 def product_of(factors: Sequence[LoopElement]) -> LoopElement:
-    out = factors[0]
-    for f in factors[1:]:
-        out = out * f
-    return out
+    return reduce(mul, factors)
 
 
 def inverse_of(factors: Sequence[LoopElement], window: int | None = None) -> LoopElement:
     """Invert a product through its factors; unit factors invert without erosion."""
-    out = None
-    for f in reversed(factors):
-        fi = f.inverse(window)
-        out = fi if out is None else out * fi
-    return out
+    return reduce(mul, [f.inverse(window) for f in reversed(factors)])
 
 
 def conjugation_depth_bound(x_factors: Sequence[LoopElement], a_elem: LoopElement,
@@ -540,15 +539,12 @@ class StraighteningResult:
 
 def straightening_gap(p: int, a: int, f: int, h_mu: int, d: int | None = None) -> int:
     """The contraction margin; positive means the fixed-point iteration applies."""
-    if d is not None:
-        return (p - 1) * f + d - h_mu - 2 * a + 2
-    return (p - 1) * f - h_mu - 2 * a + 2
+    return (p - 1) * f + (d or 0) - h_mu - 2 * a + 2
 
 
 def straighten_right(x, b: LoopElement, f: int, h_mu: int,
                      c: LoopElement | None = None, d: int | None = None,
                      start: LoopElement | None = None,
-                     max_iter: int | None = None,
                      window: int | None = None) -> StraighteningResult:
     """Solve A^{-1} X phi_c(A) = B X by Banach iteration of Psi_B(A) = X phi_c(A) X^{-1} B^{-1}.
 
@@ -571,8 +567,6 @@ def straighten_right(x, b: LoopElement, f: int, h_mu: int,
         window = b.min_prec()
     if window is None:
         window = 4 * ring.p * ring.e
-    if max_iter is None:
-        max_iter = (window // ring.e) // gap + 4
     # generous internal windows so every iterate stays known down to `window`
     slack = window + ring.e * (abs(h_mu) * x_prod.n + 4 * ring.a + 8)
     binv = b.inverse(slack)
@@ -583,7 +577,7 @@ def straighten_right(x, b: LoopElement, f: int, h_mu: int,
     a_cur = a_cur.with_prec(window)
     trace = []
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range((window // ring.e) // gap + 4):
         # phi spreads the window over p times the exponents; each product
         # that takes it meets a finite-window factor, so only the part below
         # that window is multiplied
@@ -614,27 +608,31 @@ def congruence_compare(n: int, a: int, p: int) -> dict:
     """Verify the v-versus-(v+p) congruence facts by explicit division.
 
     Checks (v+p)^n in v^{n-a+1} R[v], v^n in (v+p)^{n-a+1} R[v], and
-    (v+p)^{p^{a-1}} = v^{p^{a-1}} mod p^a; quotients are returned.
+    (v+p)^{p^{a-1}} = v^{p^{a-1}} mod p^a; quotients are returned.  The
+    three powers come from one loop of max(n, p^{a-1}) products, refused
+    with CapExceeded above MAX_COMPARE_POWER.
     """
     if n < a:
         raise ValueError("first inclusion needs n >= a")
-    m = p**a
     ring = Ring(p, a, 1)
+    if n > MAX_COMPARE_POWER or (t := p**(a - 1)) > MAX_COMPARE_POWER:
+        raise CapExceeded(f"compare makes max(n, p^(a-1)) products of v+p: "
+                          f"the limit is {MAX_COMPARE_POWER}")
+    m, deg_d = ring.modulus, n - a + 1
     vp = TruncSeries.v_plus_p(ring)
-    pow_vp = TruncSeries.one(ring)
-    for _ in range(n):
-        pow_vp = pow_vp * vp
+    power = TruncSeries.one(ring)
+    powers = {}
+    for k in range(1, max(n, t) + 1):
+        power = power * vp
+        if k in (deg_d, n, t):
+            powers[k] = power
     # (v+p)^n / v^{n-a+1}: every coefficient below n-a+1 must vanish mod p^a
-    low_ok = all(k >= n - a + 1 for k, _ in pow_vp.coeffs)
-    quotient1 = {k - (n - a + 1): v for k, v in pow_vp.coeffs if k >= n - a + 1}
+    low_ok = all(k >= deg_d for k, _ in powers[n].coeffs)
+    quotient1 = {k - deg_d: v for k, v in powers[n].coeffs if k >= deg_d}
     # v^n divided by the monic (v+p)^{n-a+1}
-    divisor = TruncSeries.one(ring)
-    for _ in range(n - a + 1):
-        divisor = divisor * vp
     rem = dict([(n, 1)])
     quotient2: dict[int, int] = {}
-    div = dict(divisor.coeffs)
-    deg_d = n - a + 1
+    div = dict(powers[deg_d].coeffs)
     while rem and max(rem) >= deg_d:
         k = max(rem)
         c = rem[k]
@@ -644,11 +642,7 @@ def congruence_compare(n: int, a: int, p: int) -> dict:
         rem = {kk: vv for kk, vv in rem.items() if vv % m}
     division_ok = not rem
     # (v+p)^{p^{a-1}} = v^{p^{a-1}} mod p^a
-    t = p**(a - 1)
-    pow_t = TruncSeries.one(ring)
-    for _ in range(t):
-        pow_t = pow_t * vp
-    binomial_ok = pow_t.equals(TruncSeries.monomial(ring, t))
+    binomial_ok = powers[t].equals(TruncSeries.monomial(ring, t))
     return {
         "first_inclusion": low_ok,
         "first_quotient": quotient1,

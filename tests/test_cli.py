@@ -228,6 +228,9 @@ def test_wrong_length_vector_is_an_error(capsys):
     ["census", "--group", "SL2", "--p", "-7", "--e", "24"],
     ["compare", "--p", "3", "--a", "0", "--n", "2"],         # was a TypeError
     ["compare", "--p", "4", "--a", "2", "--n", "5"],
+    # p^(a-1) = 10^6 and n = 10^6 products of v+p: 11.3 s, and more than 20 s
+    ["compare", "--p", "101", "--a", "4", "--n", "4"],
+    ["compare", "--p", "3", "--a", "2", "--n", "1000000"],
     ["hmu", "--group", "GL3", "--mu", "5"],                  # mu of the wrong length
     # zero denominators were ZeroDivisionError tracebacks
     ["generic", "--group", "GL2", "--p", "5", "--e", "4", "--eta", "0,0", "--d", "1/0"],
@@ -252,6 +255,12 @@ def test_bad_p_a_mu_are_errors(capsys, argv):
     ["straighten", "--p", "7", "--window", "-3"],
     ["straighten", "--p", "7", "--n", "0"],         # was an AttributeError traceback
     ["straighten", "--p", "7", "--n", "9"],         # MAX_LOOP_N + 1
+    # mu = (-5, 0) has height 5, not -5: the gap was computed with the wrong h_mu
+    ["straighten", "--p", "7", "--hmu", "-5"],
+    # each ran for more than 20 s
+    ["straighten", "--p", "7", "--window", "100000"],
+    ["straighten", "--p", "7", "--hmu", "100000", "--f", "100000"],
+    ["straighten", "--p", "7", "--f", "4097"],      # MAX_STRAIGHTEN_SIZE + 1
 ])
 def test_bad_straighten_inputs_are_errors(capsys, argv):
     code, doc = run_json(capsys, argv)
@@ -261,6 +270,12 @@ def test_bad_straighten_inputs_are_errors(capsys, argv):
 
 def test_straighten_at_the_size_cap(capsys):
     code, doc = run_json(capsys, ["straighten", "--p", "7", "--n", "8"])
+    assert code == 0 and doc["status"] == "ok"
+    assert doc["payload"]["residual_is_identity"] is True
+
+
+def test_straighten_at_the_f_cap(capsys):
+    code, doc = run_json(capsys, ["straighten", "--p", "7", "--f", str(cli.MAX_STRAIGHTEN_SIZE)])
     assert code == 0 and doc["status"] == "ok"
     assert doc["payload"]["residual_is_identity"] is True
 

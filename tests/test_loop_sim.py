@@ -3,7 +3,9 @@ import random
 import pytest
 
 from alcovekit.apartment import point_from_type, parahoric_pattern
+from alcovekit import loop_sim
 from alcovekit.loop_sim import (
+    MAX_COMPARE_POWER,
     MAX_LOOP_N,
     LoopElement,
     PrecisionError,
@@ -301,6 +303,28 @@ def test_congruence_compare():
         assert r["first_inclusion"] and r["second_inclusion"] and r["frobenius_congruence"]
 
 
+def test_compare_takes_its_powers_from_one_loop(monkeypatch):
+    calls = []
+    real = TruncSeries.__mul__
+
+    def spy(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(TruncSeries, "__mul__", spy)
+    for n, a, p in ((20, 3, 5), (7, 2, 3), (4, 4, 3)):
+        calls.clear()
+        r = congruence_compare(n, a, p)
+        assert r["first_inclusion"] and r["second_inclusion"] and r["frobenius_congruence"]
+        # max(n, p^(a-1)) products; separate loops made n + (n-a+1) + p^(a-1)
+        assert len(calls) == max(n, p ** (a - 1))
+    calls.clear()
+    for n, a, p in ((MAX_COMPARE_POWER + 1, 2, 3), (4, 4, 101), (10**6, 2, 3)):
+        with pytest.raises(CapExceeded):
+            congruence_compare(n, a, p)
+    assert not calls
+
+
 def test_laurent_inverse_matches_geometric_series():
     for (p, a) in ((3, 2), (5, 3), (7, 1)):
         ring = Ring(p, a, 1)
@@ -415,6 +439,8 @@ def test_series_product_at_the_slot_width_limit():
                 got, want = el * el, _ref_loop_mul(el, el)
                 assert [[_state(s) for s in row] for row in got.rows] == \
                     [[_state(s) for s in row] for row in want.rows], (ring, length, n)
+                # a minor sums its n Laplace terms in one slot as well
+                assert _state(el.det()) == _state(_det_by_minors(el)), (ring, length, n)
 
 
 def test_loop_product_matches_schoolbook():
@@ -438,10 +464,61 @@ def test_loop_product_checks_shapes():
         LoopElement.identity(ring, 2) * LoopElement.identity(Ring(7, 1), 2)
 
 
+# ---------------------------------------------------------------------------
+# Sums and differences merge the sorted terms.  The dict round trip they
+# replaced is the reference: the same (coeffs, prec) on every input.
+
+def _dict_add(s, t):
+    if s.ring != t.ring:
+        raise ValueError("series over different rings")
+    prec = t.prec if s.prec is None else s.prec if t.prec is None else min(s.prec, t.prec)
+    out = dict(s.coeffs)
+    for k, v in t.coeffs:
+        out[k] = out.get(k, 0) + v
+    return TruncSeries.make(s.ring, out, prec=prec)
+
+
+def _dict_sub(s, t):
+    m = t.ring.modulus
+    return _dict_add(s, TruncSeries(t.ring, tuple((k, -v % m) for k, v in t.coeffs), t.prec))
+
+
+def _dict_equals(s, t):
+    prec = t.prec if s.prec is None else s.prec if t.prec is None else min(s.prec, t.prec)
+    d = dict(s.coeffs)
+    for k, v in t.coeffs:
+        d[k] = d.get(k, 0) - v
+    return all(v % s.ring.modulus == 0 for k, v in d.items() if prec is None or k < prec)
+
+
+def test_sum_difference_and_equality_match_the_dict_round_trip():
+    rng = random.Random(1066)
+    seen = set()
+    for ring in KERNEL_RINGS:
+        for ka in SERIES_KINDS:
+            for kb in SERIES_KINDS:
+                for _ in range(4):
+                    a = _random_series(rng, ring, ka)
+                    # b agrees with a on a shorter window, or is a series of its own
+                    b = (a + _random_series(rng, ring, kb)).with_prec(rng.randrange(-6, 20)) \
+                        if rng.randrange(3) == 0 else _random_series(rng, ring, kb)
+                    for x, y in ((a, b), (b, a), (a, a)):
+                        assert _state(x + y) == _state(_dict_add(x, y)), (ring, ka, kb)
+                        assert _state(x - y) == _state(_dict_sub(x, y)), (ring, ka, kb)
+                        assert x.equals(y) == _dict_equals(x, y), (ring, ka, kb)
+                        seen.add(x.equals(y))
+    assert seen == {True, False}
+    # across rings the sum raised, and now so does equality (it compared
+    # the terms modulo the first ring's modulus)
+    a, b = TruncSeries.one(Ring(3, 2)), TruncSeries.one(Ring(3, 1))
+    assert _dict_equals(a, b)
+    for op in (TruncSeries.__add__, TruncSeries.__sub__, TruncSeries.equals):
+        with pytest.raises(ValueError):
+            op(a, b)
+
+
 def _packed_slots(monkeypatch):
     """Record the number of slots of every packed factor."""
-    from alcovekit import loop_sim
-
     seen = []
     real = loop_sim._pack
 
@@ -632,17 +709,20 @@ def test_det_expands_each_minor_once(monkeypatch):
     x = LoopElement(ring, tuple(tuple(random_polynomial(rng, ring, 0, 3) for _ in range(6))
                                 for _ in range(6)))
     assert all(not s.is_zero() for row in x.rows for s in row)
-    calls = []
-    real = TruncSeries.__mul__
+    pairs = []
+    real = loop_sim._dot
 
-    def spy(a, b):
-        calls.append(1)
-        return real(a, b)
+    def spy(ring, packed, nb, prec):
+        packed = list(packed)
+        pairs.append(len(packed))
+        return real(ring, packed, nb, prec)
 
-    monkeypatch.setattr(TruncSeries, "__mul__", spy)
+    monkeypatch.setattr(loop_sim, "_dot", spy)
     x.det()
-    # n 2^(n-1) = 192 at n = 6; expanding every minor anew made 1236 products
-    assert len(calls) <= 6 * 2**5
+    # one packed dot product per minor of size 2 to 6, and at most n 2^(n-1) =
+    # 192 series products in all; expanding every minor anew made 1236
+    assert len(pairs) == 2**6 - 1 - 6
+    assert sum(pairs) <= 6 * 2**5
 
 
 # ---------------------------------------------------------------------------
@@ -805,10 +885,29 @@ def test_inverse_bounds_the_powers_it_leaves_out():
     exact = TruncSeries.make(ring, {-2: 2, -1: 4, 0: 1, 1: 3})
     assert _true_inverse(exact, 1) == {-4: 4, -3: 4, -2: 6, 0: 7}
     assert _inverse_term_by_term(exact, 1).coeff(0) == 3  # claimed known, and wrong
-    assert _state(exact.inverse(1)) == (((-4, 4), (-3, 4), (-2, 6)), -1)
+    # widened by the shortfall, the sum reaches the window asked for (it came
+    # back with prec -1 before)
+    assert _state(exact.inverse(1)) == (((-4, 4), (-3, 4), (-2, 6), (0, 7)), 1)
     windowed = TruncSeries.make(ring, {-2: 4, -1: 6, 0: 1, 1: 5}, prec=8)
     got = _state(windowed.inverse())
     assert got == (((-1, 6),), 0) and _is_sound(windowed, got, random.Random(3))
+
+
+def test_exact_inverse_reaches_its_window():
+    # products of the nilpotent terms below the unit term cost the sum window
+    # that its first working window does not foresee
+    rng = random.Random(1976)
+    checked = nilpotent_below = 0
+    for s, window in _inverse_inputs(rng):
+        if s.prec is not None or window is None:
+            continue
+        got = _inverse_outcome(TruncSeries.inverse, s, window)
+        if isinstance(got, type):
+            continue
+        assert got[1] == window and _is_sound(s, got, rng), (s, window)
+        checked += 1
+        nilpotent_below += not _shares_window_rules(s)
+    assert checked > 200 and nilpotent_below > 50
 
 
 def test_inverse_makes_logarithmically_many_products(monkeypatch):
