@@ -63,15 +63,6 @@ class ApartmentPoint:
         )
 
 
-def point_from_json(rd: RootDatum, gamma: GammaData, text: str) -> ApartmentPoint:
-    data = json.loads(text)
-    etas = tuple(
-        tuple(Fraction(int(s.split("/")[0]), int(s.split("/")[1])) for s in eta)
-        for eta in data["eta"]
-    )
-    return ApartmentPoint(rd, gamma, etas)
-
-
 def point_from_type(
     rd: RootDatum,
     g: GammaData,
@@ -169,14 +160,6 @@ class ValuationPattern:
     def bounds_u(self) -> tuple[tuple[int, ...], ...]:
         """The same bounds as integers in u-units (u^e = v)."""
         return tuple(tuple(int(b * self.e) for b in row) for row in self.lower_bounds)
-
-    def at_level(self, n: int) -> "ValuationPattern":
-        """Pattern of the congruence subgroup at integer depth n above this one."""
-        lb = tuple(
-            tuple(b + n if i != k else Fraction(0) for k, b in enumerate(row))
-            for i, row in enumerate(self.lower_bounds)
-        )
-        return ValuationPattern(self.n, lb, self.torus_level + n, self.e)
 
 
 def parahoric_pattern(x: ApartmentPoint, f, j: int = 0) -> ValuationPattern:

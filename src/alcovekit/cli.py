@@ -2,6 +2,9 @@
 
 Exit codes: 0 ok, 1 refused or failed (also when stdout is closed before
 the output is written), 2 usage error, 3 internal error.
+Every ValueError maps to exit 2, also when its cause is mathematical rather
+than a malformed argument, e.g. a zero denominator in `generic --eta` or
+`--d`, or a lambda outside the cocharacter lattice in `frobinv`.
 `refused` is reserved for unmet mathematically-stated preconditions (e.g. the
 straightening bound), as opposed to internal errors, whose `error` envelope is
 marked `"internal": true`.  The environment variable ALCOVEKIT_PRECISION
@@ -41,6 +44,11 @@ from .weyl_affine import admissible_set, base_alcove, h_mu, reduced_word
 # 4096 is the largest power of two at which `straighten --p 7 --window W` runs
 # within the time of `--n 8` (about 1.1 s); --hmu and --f at 4096 take less
 MAX_STRAIGHTEN_SIZE = 4096
+# --a widens both the coefficients (Z/p^a) and the slack window (4a):
+# `straighten --p 7 --a A --f 400 --window 8` takes 0.6 s at A = 128, 1.5 s at
+# 192, 3.7 s at 256 and 38 s at 512, so 128 is the largest power of two within
+# the time of `--n 8`
+MAX_STRAIGHTEN_A = 128
 
 
 @dataclass
@@ -177,6 +185,8 @@ def _cmd_straighten(args) -> CommandResult:
         raise ValueError(f"--hmu is the height of mu = (hmu, 0, ...), at least 0, got {args.hmu}")
     if max(window, args.hmu, args.f) > MAX_STRAIGHTEN_SIZE:
         raise CapExceeded(f"the window, --hmu and --f are capped at {MAX_STRAIGHTEN_SIZE}")
+    if args.a > MAX_STRAIGHTEN_A:
+        raise CapExceeded(f"--a is capped at {MAX_STRAIGHTEN_A}")
     ring = Ring(args.p, args.a, 1)
     rng = random.Random(args.seed)
     mu = tuple([args.hmu] + [0] * (args.n - 1))

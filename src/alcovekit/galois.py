@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .apartment import ApartmentPoint, frobenius, point_from_type
@@ -130,15 +131,18 @@ def check_cocycle_relations(t: GaloisType) -> dict[str, bool]:
         rhs = [(p * x) % e for x in vals.tau_gamma_exps[j]]
         if conj != rhs:
             braid = False
-    powers = _perm_powers(g.psi.perm(), r)
-    wrap = True
-    for j in range(r):
-        acc = MonomialMatrix.identity(vals.tau_sigma[0].n, vals.tau_sigma[0].mod)
-        # tau(sigma^r)_j = prod_{i=0}^{r-1} (^{sigma^i} tau(sigma))_j
-        for i in range(r):
-            acc = acc * vals.tau_sigma[(j - i) % r].conjugate_by_permutation(powers[i])
-        if not acc.is_identity():
-            wrap = False
+    # tau(sigma^r)_j = P_j = prod_{i=0}^{r-1} psi^i(tau(sigma)_{j-i}): P_0 as
+    # that product, then P_{j+1} = tau(sigma)_{j+1} psi(P_j) tau(sigma)_{j+1}^{-1},
+    # which is the product again because psi^r = 1
+    psi = g.psi.perm()
+    powers = _perm_powers(psi, r)
+    acc = MonomialMatrix.identity(vals.tau_sigma[0].n, vals.tau_sigma[0].mod)
+    for i in range(r):
+        acc = acc * vals.tau_sigma[-i % r].conjugate_by_permutation(powers[i])
+    wrap = acc.is_identity()
+    for t_sigma in vals.tau_sigma[1:]:
+        acc = t_sigma * acc.conjugate_by_permutation(psi) * t_sigma.inv()
+        wrap = wrap and acc.is_identity()
     return {"gamma_order": gamma_order, "sigma_braid": braid, "sigma_wrap": wrap}
 
 
@@ -192,14 +196,15 @@ def census(rd: RootDatum, g: GammaData, cap: int = 10**6) -> CensusResult:
     is the least element of its W-orbit, hence a new class; its |W| images
     are marked, so classes come out sorted and each is found once.
 
-    Frobenius invariance is decided in two steps.  If lambda is invariant,
-    the witness w(p psi^{-1} lambda) - lambda lies in e X_*, so p psi^{-1}
-    lambda mod e is in lambda's W-orbit: a lookup in the images just marked.
-    Classes failing it are not invariant and get (False, None).  The lookup
-    is necessary, not sufficient: frobenius_invariant also needs the
-    difference to be integral in ambient coordinates, which for PGL_n means
-    e Q^vee, not e X_*.  So the exact scan decides, and supplies the witness,
-    for every class that passes.
+    Frobenius invariance is decided in integers, with the verdict and the
+    witness of frobenius_invariant.  Write c for lambda's basis coordinates,
+    A_w for w in the basis and F = p psi^{-1}.  If lambda is invariant, F c
+    mod e lies in the W-orbit of c: classes failing this lookup in the images
+    just marked get (False, None).  The scan then takes w in weyl_group order
+    and needs two congruences: num = c - A_w F c = 0 mod e, and, with
+    d = num // e, sum_i d_i scaled_i = 0 mod den, i.e. the difference is
+    integral in ambient coordinates (e Q^vee for PGL_n, not e X_*).  The first
+    such w is the witness, with that ambient vector over den.
     """
     if not g.split():
         raise RefusedError("census requires a split inertial action")
@@ -212,34 +217,43 @@ def census(rd: RootDatum, g: GammaData, cap: int = 10**6) -> CensusResult:
 
     def index(rows, coords) -> int:
         """Base-e number of rows @ coords mod e."""
-        return sum(sum(a * c for a, c in zip(row, coords)) % e * pl
-                   for row, pl in zip(rows, place))
+        i = 0
+        for row in rows:
+            i = i * e + sum(map(mul, row, coords)) % e
+        return i
 
-    actions = [_action_in_basis(rd, w) for w in weyl_group(rd)]
-    frob = [[g.p * a for a in row]
-            for row in _action_in_basis(rd, g.psi.inv())]
-    # representatives as Fraction(integer, den) over the integer-scaled basis
+    weyl = weyl_group(rd)
+    actions = [_action_in_basis(rd, w) for w in weyl]
+    frob = [[g.p * a for a in row] for row in _action_in_basis(rd, g.psi.inv())]
+    # ambient coordinates of the integer-scaled basis scaled_i = den * b_i, so
+    # representatives are Fraction(integer, den)
     den = lcm(*(c.denominator for b in rd.cochar_basis for c in b))
-    scaled = [[int(c * den) for c in b] for b in rd.cochar_basis]
+    columns = list(zip(*([int(c * den) for c in b] for b in rd.cochar_basis)))
+
+    def witness(coords):
+        image = [sum(map(mul, row, coords)) for row in frob]
+        for w, rows in zip(weyl, actions):
+            num = [c - sum(map(mul, row, image)) for c, row in zip(coords, rows)]
+            if any(x % e for x in num):
+                continue
+            ambient = [sum(x // e * s for x, s in zip(num, col)) for col in columns]
+            if not any(a % den for a in ambient):
+                return w, tuple(a // den for a in ambient)
+        return None
+
     marked = bytearray(e**rank)
     classes = []
-    inv_count = 0
     i = marked.find(0)
     while i >= 0:
         coords = tuple(i // pl % e for pl in place)
         orbit = {index(rows, coords) for rows in actions}
         for j in orbit:
             marked[j] = 1
-        lam = tuple(Fraction(sum(c * b[k] for c, b in zip(coords, scaled)), den)
-                    for k in range(rd.dim))
-        if index(frob, coords) in orbit:
-            flag, witness = frobenius_invariant(GaloisType.from_lambda(rd, g, lam))
-        else:
-            flag, witness = False, None
-        inv_count += flag
-        classes.append(CensusClass(lam, coords, flag, witness))
+        lam = tuple(Fraction(sum(map(mul, coords, col)), den) for col in columns)
+        wit = witness(coords) if index(frob, coords) in orbit else None
+        classes.append(CensusClass(lam, coords, wit is not None, wit))
         i = marked.find(0, i + 1)
-    return CensusResult(len(classes), inv_count, tuple(classes))
+    return CensusResult(len(classes), sum(c.invariant for c in classes), tuple(classes))
 
 
 @dataclass(frozen=True)

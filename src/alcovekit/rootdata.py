@@ -160,10 +160,6 @@ class RootDatum:
     def pairing(self, root: Sequence, v: Sequence) -> Fraction:
         return sum(Fraction(a) * Fraction(b) for a, b in zip(root, v))
 
-    @property
-    def simple_roots(self) -> tuple[Vec, ...]:
-        return tuple(self.roots[i] for i in self.simple_indices)
-
     def positive_roots(self) -> tuple[Vec, ...]:
         # positive = expressible with nonnegative simple-root coefficients;
         # for the block GL-coordinates this is just e_i - e_j with i < j.
@@ -190,14 +186,6 @@ class RootDatum:
             raise ValueError(f"{v} is not in the cocharacter lattice of {self.label}")
         return tuple(coeffs)
 
-    def from_basis_coords(self, coords: Sequence[int]) -> tuple[Fraction, ...]:
-        n = self.dim
-        out = [Fraction(0)] * n
-        for c, b in zip(coords, self.cochar_basis):
-            for i in range(n):
-                out[i] += c * b[i]
-        return tuple(out)
-
     def in_cochar_lattice(self, v: Sequence) -> bool:
         return in_lattice(self.cochar_basis, v)
 
@@ -212,13 +200,6 @@ class RootDatum:
             "simple_indices": list(self.simple_indices),
             "block_sizes": list(self.block_sizes),
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "RootDatum":
-        rd = build_root_datum(data["label"])
-        if rd.to_json() != data:
-            raise ValueError("serialized datum does not match its label")
-        return rd
 
 
 _LABEL_RE = re.compile(r"^(GL|SL|PGL)(\d+)$")

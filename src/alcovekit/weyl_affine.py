@@ -159,14 +159,6 @@ def reduced_word(
     return word, z
 
 
-def recompose(rd: RootDatum, word: Sequence[int], omega: AffineWeylElement,
-              base: BaseAlcove) -> AffineWeylElement:
-    out = omega
-    for i in reversed(word):
-        out = base.simple_affine_reflections[i - 1] * out
-    return out
-
-
 def _subword_closure(b: AffineWeylElement, base: BaseAlcove) -> frozenset:
     word, om = reduced_word(b, base)
     seen: set = set()

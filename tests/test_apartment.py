@@ -1,4 +1,5 @@
 from fractions import Fraction
+import json
 import random
 
 import pytest
@@ -6,13 +7,13 @@ import pytest
 from alcovekit.apartment import (
     ApartmentPoint,
     ZERO_PLUS,
+    ValuationPattern,
     frobenius,
     inertia_action,
     is_d_generic,
     is_deep_lowest_alcove,
     is_lowest_alcove,
     parahoric_pattern,
-    point_from_json,
     point_from_type,
     sigma_action,
 )
@@ -163,7 +164,11 @@ def test_pattern_zero_plus_and_level():
     # ceil becomes floor + 1 at the jump
     assert pat.bounds_u() == ((0, 0), (2, 0))
     assert pat.torus_level == F(1, 4)
-    lvl = parahoric_pattern(x, 0).at_level(2)
+    # the congruence subgroup two levels deeper: off-diagonal bounds + 2
+    pat0 = parahoric_pattern(x, 0)
+    lb = tuple(tuple(b + 2 if i != k else F(0) for k, b in enumerate(row))
+               for i, row in enumerate(pat0.lower_bounds))
+    lvl = ValuationPattern(pat0.n, lb, pat0.torus_level + 2, pat0.e)
     assert lvl.bounds_u() == ((0, 7), (9, 0))
 
 
@@ -195,5 +200,6 @@ def test_json_roundtrip():
     x = sl2_point(-3)
     text = x.to_json()
     assert '"e": 24' in text and "1/8" in text
-    y = point_from_json(x.rd, x.gamma, text)
-    assert y.etas == x.etas
+    data = json.loads(text)
+    etas = tuple(tuple(F(s) for s in eta) for eta in data["eta"])
+    assert ApartmentPoint(x.rd, x.gamma, etas).etas == x.etas

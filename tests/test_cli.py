@@ -261,6 +261,9 @@ def test_bad_p_a_mu_are_errors(capsys, argv):
     ["straighten", "--p", "7", "--window", "100000"],
     ["straighten", "--p", "7", "--hmu", "100000", "--f", "100000"],
     ["straighten", "--p", "7", "--f", "4097"],      # MAX_STRAIGHTEN_SIZE + 1
+    # ran for more than 25 s
+    ["straighten", "--p", "7", "--a", "1000", "--f", "400", "--window", "8"],
+    ["straighten", "--p", "7", "--a", "129", "--f", "400"],  # MAX_STRAIGHTEN_A + 1
 ])
 def test_bad_straighten_inputs_are_errors(capsys, argv):
     code, doc = run_json(capsys, argv)
@@ -276,6 +279,13 @@ def test_straighten_at_the_size_cap(capsys):
 
 def test_straighten_at_the_f_cap(capsys):
     code, doc = run_json(capsys, ["straighten", "--p", "7", "--f", str(cli.MAX_STRAIGHTEN_SIZE)])
+    assert code == 0 and doc["status"] == "ok"
+    assert doc["payload"]["residual_is_identity"] is True
+
+
+def test_straighten_at_the_a_cap(capsys):
+    argv = ["straighten", "--p", "7", "--a", str(cli.MAX_STRAIGHTEN_A), "--f", "400"]
+    code, doc = run_json(capsys, argv)
     assert code == 0 and doc["status"] == "ok"
     assert doc["payload"]["residual_is_identity"] is True
 

@@ -131,6 +131,12 @@ def _basis_actions(rd):
     return [[rd.basis_coords(w.apply(b)) for b in rd.cochar_basis] for w in weyl_group(rd)]
 
 
+def _from_basis_coords(rd, coords):
+    """The ambient vector sum_i coords[i] b_i over the stored basis, in Fractions."""
+    return tuple(sum((c * b[k] for c, b in zip(coords, rd.cochar_basis)), Fraction(0))
+                 for k in range(rd.dim))
+
+
 def _census_reference(rd, g):
     """census as first written: the least W-image of every point of
     (Z/e)^rank, then the exact Frobenius scan on every class."""
@@ -139,7 +145,7 @@ def _census_reference(rd, g):
             for coords in itertools.product(range(g.e), repeat=rd.rank)}
     out = []
     for coords in sorted(reps):
-        lam = rd.from_basis_coords(coords)
+        lam = _from_basis_coords(rd, coords)
         flag, witness = frobenius_invariant(GaloisType.from_lambda(rd, g, lam))
         out.append((coords, lam, flag, witness))
     return out
@@ -147,7 +153,7 @@ def _census_reference(rd, g):
 
 def _lookup_passes(rd, g, actions, coords):
     """p psi^{-1} lambda mod e lies in the W-orbit of lambda mod e."""
-    lam = rd.from_basis_coords(coords)
+    lam = _from_basis_coords(rd, coords)
     image = rd.basis_coords(g.psi.inv().apply(lam))
     return _least_image(actions, tuple(g.p * c for c in image), g.e) == coords
 
@@ -159,6 +165,8 @@ CENSUS_CASES = [
     ("GL3", 5, 8), ("GL3", 3, 13), ("PGL3", 7, 12), ("PGL3", 5, 8),
     ("SL4", 5, 8), ("SL4", 3, 8), ("PGL4", 5, 8), ("PGL4", 3, 8),
     ("GL2xGL1", 5, 8), ("GL2xGL1", 7, 6), ("PGL2xSL2", 5, 8), ("PGL2xSL2", 7, 12),
+    # p = 1 mod e: every class passes the orbit lookup, so the scan decides all
+    ("GL3", 13, 12), ("PGL3", 13, 12), ("GL2xGL1", 13, 12), ("PGL2", 13, 12),
 ]
 
 
@@ -184,6 +192,27 @@ def _check_census_against_reference(rd, g):
 def test_census_matches_the_reference_class_by_class(label, p, e):
     rd = build_root_datum(label)
     _check_census_against_reference(rd, split_gamma(rd, p, e))
+
+
+def test_census_decides_without_the_general_scan(monkeypatch):
+    # census works in basis coordinates: no GaloisType, Fraction scan or
+    # lattice solve per class
+    import alcovekit.galois as galois
+    from alcovekit.rootdata import RootDatum
+
+    cases = [(build_root_datum(label), p, e)
+             for label, p, e in (("PGL3", 13, 12), ("GL3", 7, 12), ("PGL2xSL2", 5, 8))]
+    refs = [_census_reference(rd, split_gamma(rd, p, e)) for rd, p, e in cases]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("census called the general Frobenius scan")
+
+    monkeypatch.setattr(galois, "frobenius_invariant", boom)
+    monkeypatch.setattr(GaloisType, "from_lambda", boom)
+    monkeypatch.setattr(RootDatum, "in_cochar_lattice", boom)
+    for (rd, p, e), ref in zip(cases, refs):
+        res = census(rd, split_gamma(rd, p, e))
+        assert [(c.coords, c.lam, c.invariant, c.witness) for c in res.classes] == ref
 
 
 @pytest.mark.parametrize("rd, g", list(_twisted_gammas()))
@@ -400,6 +429,69 @@ def test_cocycle_relations_on_census():
         for cls in census(rd, g).classes:
             t = GaloisType.from_lambda(rd, g, cls.lam)
             assert all(check_cocycle_relations(t).values())
+
+
+def _psi_powers(g):
+    powers = [tuple(range(len(g.psi.cols)))]
+    for _ in range(g.r - 1):
+        powers.append(tuple(g.psi.perm()[i] for i in powers[-1]))
+    return powers
+
+
+def _sigma_wrap_per_slot(g, tau_sigma):
+    """sigma_wrap as first written: the product of r factors for every slot."""
+    powers = _psi_powers(g)
+    for j in range(g.r):
+        acc = MonomialMatrix.identity(tau_sigma[0].n, tau_sigma[0].mod)
+        for i in range(g.r):
+            acc = acc * tau_sigma[(j - i) % g.r].conjugate_by_permutation(powers[i])
+        if not acc.is_identity():
+            return False
+    return True
+
+
+def test_sigma_wrap_by_the_slot_recurrence_matches_the_per_slot_products(monkeypatch):
+    import alcovekit.galois as galois
+
+    rng = random.Random(11)
+    cases = [
+        ("GL2", GammaData(p=5, e=4, r=1, psi=ident(2), inertial=ident(2))),
+        ("GL2", GammaData(p=5, e=8, r=2, psi=WeylElement(((0, 1), (1, 0))),
+                          inertial=ident(2))),
+        ("GL3", GammaData(p=5, e=8, r=6,
+                          psi=WeylElement(((0, 0, 1), (1, 0, 0), (0, 1, 0))),
+                          inertial=ident(3))),
+        ("GL4", GammaData(p=3, e=8, r=8,
+                          psi=WeylElement(((0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0),
+                                           (0, 0, 1, 0))),
+                          inertial=ident(4))),
+    ]
+    seen = set()
+    for label, g in cases:
+        rd = build_root_datum(label)
+        t = GaloisType.from_lambda(rd, g, (0,) * rd.dim)
+        vals = cocycle_values(t)
+        n, mod = rd.dim, g.q - 1
+        for trial in range(30):
+            tau = []
+            for _ in range(g.r):
+                cols = list(range(n))
+                rng.shuffle(cols)
+                exps = [rng.randrange(mod) if rng.random() < 0.5 else 0 for _ in range(n)]
+                tau.append(MonomialMatrix(n, mod, tuple(cols), tuple(exps), (0,) * n))
+            if trial % 2:
+                # choose tau_0 so that the slot-0 product is the identity
+                rest = MonomialMatrix.identity(n, mod)
+                powers = _psi_powers(g)
+                for i in range(1, g.r):
+                    rest = rest * tau[-i % g.r].conjugate_by_permutation(powers[i])
+                tau[0] = rest.inv()
+            want = _sigma_wrap_per_slot(g, tau)
+            seen.add(want)
+            monkeypatch.setattr(galois, "cocycle_values", lambda _, tau=tau: CocycleValues(
+                vals.tau_gamma_exps, tuple(tau)))
+            assert check_cocycle_relations(t)["sigma_wrap"] == want
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("bad", [24, -1, Fraction(1, 2)])
