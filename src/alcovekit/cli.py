@@ -7,8 +7,7 @@ than a malformed argument, e.g. a zero denominator in `generic --eta` or
 `--d`, or a lambda outside the cocharacter lattice in `frobinv`.
 `refused` is reserved for unmet mathematically-stated preconditions (e.g. the
 straightening bound), as opposed to internal errors, whose `error` envelope is
-marked `"internal": true`.  The environment variable ALCOVEKIT_PRECISION
-overrides the simulator window.
+marked `"internal": true`.
 """
 from __future__ import annotations
 
@@ -171,12 +170,7 @@ def _cmd_pattern(args) -> CommandResult:
 
 
 def _cmd_straighten(args) -> CommandResult:
-    window = args.window
-    env = os.environ.get("ALCOVEKIT_PRECISION")
-    if env:
-        window = int(env)
-    if window is None:
-        window = 4 * args.p
+    window = 4 * args.p if args.window is None else args.window
     if window < 1:
         raise ValueError(f"the precision window must be at least 1, got {window}")
     if args.n < 1:

@@ -537,71 +537,76 @@ class StraighteningResult:
     trace: tuple[int, ...]  # depth of successive updates
 
 
-def straightening_gap(p: int, a: int, f: int, h_mu: int, d: int | None = None) -> int:
+def straightening_gap(p: int, a: int, f: int, h_mu: int) -> int:
     """The contraction margin; positive means the fixed-point iteration applies."""
-    return (p - 1) * f + (d or 0) - h_mu - 2 * a + 2
+    return (p - 1) * f - h_mu - 2 * a + 2
+
+
+def _is_integral_unit(a: LoopElement) -> bool:
+    """a is in GL_n(R[[u]]): no term below u^0, and det(a) is a unit mod (p, u)."""
+    return (all(s.lo == 0 for row in a.rows for s in row)
+            and a.with_prec(1).det().coeff(0) % a.ring.p != 0)
 
 
 def straighten_right(x, b: LoopElement, f: int, h_mu: int,
-                     c: LoopElement | None = None, d: int | None = None,
                      start: LoopElement | None = None,
                      window: int | None = None) -> StraighteningResult:
-    """Solve A^{-1} X phi_c(A) = B X by Banach iteration of Psi_B(A) = X phi_c(A) X^{-1} B^{-1}.
+    """Solve A^{-1} X phi(A) = B X by Banach iteration of Psi_B(A) = X phi(A) X^{-1} B^{-1}.
 
     `x` may be a LoopElement or a sequence of factors (U, t^nu, V); passing
     the factors keeps the inverse free of precision erosion.  Refuses when
-    the contraction bound (p-1)f - h_mu - 2a + 2 (generic variant: + d) is
-    not positive.
+    the contraction bound (p-1)f - h_mu - 2a + 2 is not positive.  Raises
+    ValueError for a `start` known to less than `window`, and for a window
+    the iterates cannot keep: X phi(A) X^{-1} B^{-1} is known to p * window
+    plus the least exponents of X and X^{-1} B^{-1}.
+
+    The answer satisfies A = Psi_B(A) below the window, and the residual
+    A^{-1} X phi(A) (B X)^{-1} is A^{-1} Psi_B(A), so `residual_is_one`
+    holds when A is an integral unit.
     """
     x_factors = [x] if isinstance(x, LoopElement) else list(x)
     x_prod = product_of(x_factors)
     ring = x_prod.ring
-    gap = straightening_gap(ring.p, ring.a, f, h_mu, d)
+    gap = straightening_gap(ring.p, ring.a, f, h_mu)
     if gap <= 0:
         raise RefusedError(
-            f"straightening bound violated: (p-1)f{'+d' if d is not None else ''}"
-            f" - h_mu - 2a + 2 = {gap} <= 0")
+            f"straightening bound violated: (p-1)f - h_mu - 2a + 2 = {gap} <= 0")
     if window is None:
         window = x_prod.min_prec()
     if window is None:
         window = b.min_prec()
     if window is None:
         window = 4 * ring.p * ring.e
+    if start is not None and _min_prec(start.min_prec(), window) < window:
+        raise ValueError(f"the start is known to u^{start.min_prec()}, short of window {window}")
     # generous internal windows so every iterate stays known down to `window`
     slack = window + ring.e * (abs(h_mu) * x_prod.n + 4 * ring.a + 8)
-    binv = b.inverse(slack)
-    xinv = inverse_of(x_factors, slack)
-    xb = xinv * binv
-    cinv = c.inverse(slack) if c is not None else None
+    xb = inverse_of(x_factors, slack) * b.inverse(slack)
+    low = sum(min(_vanishing_below(s) for row in el.rows for s in row) for el in (xb, x_prod))
+    if ring.p * window + low < window:
+        raise ValueError(f"the iterates are known to u^(p*window{low:+d}) only, short of the "
+                         f"window {window}: the least window that works is {-(low // (ring.p - 1))}")
     a_cur = start if start is not None else LoopElement.identity(ring, x_prod.n)
     a_cur = a_cur.with_prec(window)
     trace = []
-    iterations = 0
     for _ in range((window // ring.e) // gap + 4):
         # phi spreads the window over p times the exponents; each product
         # that takes it meets a finite-window factor, so only the part below
         # that window is multiplied
-        fa = a_cur.phi()
-        if c is not None:
-            fa = c * (fa * cinv)
-        a_next = (x_prod * (fa * xb)).with_prec(window)
-        iterations += 1
-        got = a_next.min_prec()
-        if got is not None and got < window:
+        a_next = (x_prod * (a_cur.phi() * xb)).with_prec(window)
+        if a_next.min_prec() < window:
             raise PrecisionError("window slack exhausted during iteration")
         # depth of the update a_cur^{-1} a_next: a_cur is an integral unit, so
         # a_cur^{-1} a_next - 1 = a_cur^{-1} (a_next - a_cur) has the valuation
         # of a_next - a_cur
         trace.append(_zero_depth(a_next - a_cur))
         if a_next.equals(a_cur):
-            a_cur = a_next
             break
         a_cur = a_next
     else:
         raise PrecisionError("straightening did not converge within the window")
-    # residual of the defining relation: A^{-1} X phi_c(A) (B X)^{-1}
-    residual = a_cur.inverse(slack) * x_prod * phi_c(a_cur, c, slack) * xinv * binv
-    return StraighteningResult(a_cur, iterations, residual.is_identity(), tuple(trace))
+    # both are known to the window, so a_cur is a_next: Psi_B(A) = A there
+    return StraighteningResult(a_cur, len(trace), _is_integral_unit(a_cur), tuple(trace))
 
 
 def congruence_compare(n: int, a: int, p: int) -> dict:
@@ -715,7 +720,7 @@ def random_positive_unit(rng: random.Random, ring: Ring, n: int, deg: int) -> Lo
             row = [random_polynomial(rng, ring, 0, deg) for _ in range(n)]
             rows.append(tuple(row))
         cand = LoopElement(ring, tuple(rows))
-        if cand.det().coeff(0) % ring.p != 0:
+        if _is_integral_unit(cand):
             return cand
 
 

@@ -128,13 +128,6 @@ def test_straighten_refused(capsys):
     assert code == 1 and doc["status"] == "refused"
 
 
-def test_precision_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("ALCOVEKIT_PRECISION", "21")
-    code, doc = run_json(capsys, [
-        "straighten", "--p", "7", "--a", "1", "--f", "1", "--hmu", "1", "--seed", "5"])
-    assert code == 0 and doc["payload"]["window"] == 21
-
-
 def test_figure(tmp_path, capsys):
     out = tmp_path / "fig.svg"
     code, doc = run_json(capsys, [
@@ -264,11 +257,28 @@ def test_bad_p_a_mu_are_errors(capsys, argv):
     # ran for more than 25 s
     ["straighten", "--p", "7", "--a", "1000", "--f", "400", "--window", "8"],
     ["straighten", "--p", "7", "--a", "129", "--f", "400"],  # MAX_STRAIGHTEN_A + 1
+    # p * window plus the poles of X^-1 B^-1 fell short of the window: each
+    # ended in the internal "window slack exhausted" (exit 3)
+    ["straighten", "--p", "7", "--hmu", "200", "--f", "40"],
+    ["straighten", "--p", "7", "--a", "64", "--f", "400", "--window", "8"],
+    ["straighten", "--p", "7", "--hmu", "4096", "--f", "700"],
 ])
 def test_bad_straighten_inputs_are_errors(capsys, argv):
     code, doc = run_json(capsys, argv)
     assert code == 2 and doc["schema"] == 1 and doc["status"] == "error"
     assert "internal" not in doc["payload"]
+
+
+def test_straighten_runs_at_the_window_it_names(capsys):
+    argv = ["straighten", "--p", "7", "--hmu", "200", "--f", "40"]
+    _, doc = run_json(capsys, argv)
+    least = int(re.search(r"the least window that works is (\d+)", doc["payload"]["error"])[1])
+    assert least == 33
+    code, doc = run_json(capsys, argv + ["--window", str(least)])
+    assert code == 0 and doc["status"] == "ok"
+    assert doc["payload"]["residual_is_identity"] is True
+    code, doc = run_json(capsys, argv + ["--window", str(least - 1)])
+    assert code == 2 and doc["status"] == "error"
 
 
 def test_straighten_at_the_size_cap(capsys):
@@ -288,12 +298,6 @@ def test_straighten_at_the_a_cap(capsys):
     code, doc = run_json(capsys, argv)
     assert code == 0 and doc["status"] == "ok"
     assert doc["payload"]["residual_is_identity"] is True
-
-
-def test_zero_precision_env_is_an_error(capsys, monkeypatch):
-    monkeypatch.setenv("ALCOVEKIT_PRECISION", "0")
-    code, doc = run_json(capsys, ["straighten", "--p", "7"])
-    assert code == 2 and doc["status"] == "error"
 
 
 @pytest.mark.parametrize("exc", [

@@ -617,6 +617,86 @@ def test_update_depths_match_the_inverse_based_trace():
         assert res.a_elem.equals(a_ref)
 
 
+# ---------------------------------------------------------------------------
+# straighten_right certifies its answer from the last iterate.  The residual
+# A^{-1} X phi(A) X^{-1} B^{-1}, with A^{-1} a windowed inverse, is the reference.
+
+def _residual_by_inverse(xf, b, h_mu, a, window):
+    x = product_of(xf)
+    ring = x.ring
+    slack = window + ring.e * (abs(h_mu) * x.n + 4 * ring.a + 8)
+    return a.inverse(slack) * x * a.phi() * inverse_of(xf, slack) * b.inverse(slack)
+
+
+def _straightening_input(p, a, n, h_mu, f, use_v_plus_p, window, seed):
+    ring = Ring(p, a, 1)
+    rng = random.Random(seed)
+    xf = random_bounded_x(rng, ring, n, (h_mu,) + (0,) * (n - 1), 4,
+                          use_v_plus_p=use_v_plus_p, window=window + 20)
+    b = random_depth_element(rng, ring, n, f, f + 4)
+    start = random_depth_element(rng, ring, n, f, f + 3).with_prec(window)
+    return xf, b, start
+
+
+# (p, a, n, h_mu, f): each with a positive contraction gap
+CERTIFICATE_GRID = ((3, 1, 1, 1, 1), (7, 1, 2, 1, 1), (5, 2, 2, 1, 1), (7, 2, 3, 2, 1),
+                    (3, 2, 3, 1, 2), (5, 1, 4, 1, 1), (3, 1, 4, 1, 1))
+
+
+def test_certificate_matches_the_residual_by_inverse():
+    for k, (p, a, n, h_mu, f) in enumerate(CERTIFICATE_GRID):
+        for use_v_plus_p in (False, True):
+            for window in (3, 2 * p):
+                xf, b, start = _straightening_input(p, a, n, h_mu, f, use_v_plus_p, window, k)
+                for st in (None, start):
+                    res = straighten_right(xf, b, f, h_mu, start=st, window=window)
+                    residual = _residual_by_inverse(xf, b, h_mu, res.a_elem, window)
+                    assert res.residual_is_one == residual.is_identity()
+                    # the residual never knew more than the window the certificate covers
+                    assert residual.min_prec() <= window
+
+
+def test_a_perturbed_answer_fails_both_checks():
+    p, a, n, h_mu, f, window = 7, 1, 2, 1, 1, 14
+    for use_v_plus_p in (False, True):
+        xf, b, _ = _straightening_input(p, a, n, h_mu, f, use_v_plus_p, window, 3)
+        ring = xf[0].ring
+        ans = straighten_right(xf, b, f, h_mu, window=window).a_elem
+        # the residual may know less than the window: change the last
+        # coefficient it knows
+        top = _residual_by_inverse(xf, b, h_mu, ans, window).min_prec() - 1
+        rows = [list(row) for row in ans.rows]
+        rows[0][1] = rows[0][1] + TruncSeries.monomial(ring, top, 1, prec=window)
+        bad = LoopElement(ring, tuple(tuple(row) for row in rows))
+        assert loop_sim._is_integral_unit(bad)
+        assert not _residual_by_inverse(xf, b, h_mu, bad, window).is_identity()
+        slack = window + h_mu * n + 4 * a + 8
+        y = product_of(xf) * (bad.phi() * (inverse_of(xf, slack) * b.inverse(slack)))
+        assert not y.with_prec(window).equals(bad)
+
+
+def test_integral_unit_check():
+    ring = Ring(5, 2)
+    one, zero = TruncSeries.one(ring), TruncSeries.zero(ring)
+    v, p = TruncSeries.monomial(ring, 1), TruncSeries.make(ring, {0: 5})
+    assert loop_sim._is_integral_unit(LoopElement(ring, ((one, v), (zero, one))))
+    assert loop_sim._is_integral_unit(loop_sim.random_positive_unit(random.Random(2), ring, 3, 4))
+    # a v^-1 term, with determinant 1
+    assert not loop_sim._is_integral_unit(
+        LoopElement(ring, ((one, TruncSeries.monomial(ring, -1)), (zero, one))))
+    # determinant p + v: its constant term is 0 mod p
+    assert not loop_sim._is_integral_unit(LoopElement(ring, ((one, zero), (zero, p + v))))
+    assert not loop_sim._is_integral_unit(LoopElement(ring, ((one, one), (one, one + v))))
+
+
+def test_a_start_short_of_the_window_is_refused():
+    xf, b, start = _straightening_input(7, 1, 2, 1, 1, True, 14, 4)
+    with pytest.raises(ValueError):
+        straighten_right(xf, b, 1, 1, start=start.with_prec(13), window=14)
+    exact = random_depth_element(random.Random(4), xf[0].ring, 2, 1, 4)
+    assert straighten_right(xf, b, 1, 1, start=exact, window=14).residual_is_one
+
+
 def test_determinant_size_is_capped():
     ring = Ring(5, 1)
     big = LoopElement.identity(ring, MAX_LOOP_N + 1)
