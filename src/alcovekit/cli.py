@@ -35,6 +35,7 @@ from .rootdata import (
     RefusedError,
     UnsupportedLabel,
     build_root_datum,
+    check_prime,
     split_gamma,
 )
 from .weyl_affine import admissible_set, base_alcove, h_mu, reduced_word
@@ -48,6 +49,15 @@ MAX_STRAIGHTEN_SIZE = 4096
 # 192, 3.7 s at 256 and 38 s at 512, so 128 is the largest power of two within
 # the time of `--n 8`
 MAX_STRAIGHTEN_A = 128
+# a genericity figure draws depth + 1 shaded triangles per alcove:
+# `figure --kind genericity --p 100003` takes 0.9 s at --depth 8192, 1.7 s at 16384
+MAX_FIGURE_DEPTH = 8192
+# an sl2 figure classifies e/2 + 1 types, each with r = ord_e(p) slots, so its
+# time grows with (e + 1) * r, and per unit is largest at r = 1:
+# `figure --kind sl2 --p 98299 --e 16383` (r = 1) takes 0.8-0.9 s, `--p 65537
+# --e 32768` (r = 1) 1.3-1.6 s and `--p 7 --e 1024` (r = 128) 1.2 s, so 16384
+# is the largest power of two within the time of `straighten --n 8`
+MAX_SL2_SIZE = 16384
 
 
 @dataclass
@@ -221,14 +231,29 @@ _FIGURE_KINDS = {"sl2": "rank1_line", "genericity": "rank2_A2", "admissible": "a
 
 def _cmd_figure(args) -> CommandResult:
     kind = _FIGURE_KINDS.get(args.kind, args.kind)
-    spec = figures.FigureSpec(
-        kind=kind, p=args.p, e=args.e,
-        shading_depth=args.depth if args.depth is not None else args.p // 3,
-        mu=_parse_ints(args.mu),
-    )
+    depth = args.depth if args.depth is not None else args.p // 3
+    if kind == "rank2_A2":
+        check_prime(args.p)
+        # past p/3 the "depth-generic" triangle has flipped through the barycenter
+        if not 0 <= 3 * depth <= args.p:
+            raise ValueError(f"--depth must lie in [0, p/3], got {depth} for p={args.p}")
+        if depth > MAX_FIGURE_DEPTH:
+            raise CapExceeded(f"--depth is capped at {MAX_FIGURE_DEPTH}")
+    if kind == "rank1_line":
+        # finding ord_e(p) takes up to e steps, so e alone is checked first
+        size = args.e + 1
+        if size <= MAX_SL2_SIZE:
+            size *= split_gamma(build_root_datum("SL2"), args.p, args.e).r
+        if size > MAX_SL2_SIZE:
+            raise CapExceeded(f"sl2 figures are capped at (e + 1) * ord_e(p) <= {MAX_SL2_SIZE}")
+    spec = figures.FigureSpec(kind=kind, p=args.p, e=args.e, shading_depth=depth,
+                              mu=_parse_ints(args.mu))
     svg = figures.render(spec)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
     return CommandResult("ok", {"kind": kind, "out": args.out, "bytes": len(svg)})
 
 

@@ -8,6 +8,14 @@ Three kinds are supported:
 
 Output is plain SVG text, byte-identical across runs for identical specs.
 All layout constants live in LAYOUT below for visual diffability.
+
+A2 geometry runs on integers.  The base triangle's vertices are lattice
+points and affine Weyl elements map lattice points to lattice points, so every
+alcove vertex is an int tuple, acted on and projected once.  The k-th shaded
+triangle has vertices (p q + k (s - 3 q)) / p, s the vertex sum, so each of its
+plane coordinates is one int/int true division; Python rounds that correctly,
+as float() rounds the exact rational, so the bytes equal those of exact
+rational arithmetic.
 """
 from __future__ import annotations
 
@@ -117,13 +125,13 @@ def _render_rank1(spec: FigureSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _a2_xy(eta: Sequence[Fraction]) -> tuple[float, float]:
-    """Plane coordinates of a reduced-apartment point for a GL3 block.
+def _a2_xy(eta: Sequence, den: int = 1) -> tuple[float, float]:
+    """Plane coordinates of the reduced-apartment point eta / den for a GL3 block.
 
     o maps to the origin, o-(1,0,0) to (-1,-sqrt3), o-(1,1,0) to (1,-sqrt3).
     """
-    x = float(eta[0] - 2 * eta[1] + eta[2])
-    y = LAYOUT["sqrt3"] * float(eta[0] - eta[2])
+    x = float((eta[0] - 2 * eta[1] + eta[2]) / den)
+    y = LAYOUT["sqrt3"] * float((eta[0] - eta[2]) / den)
     return x, y
 
 
@@ -132,40 +140,34 @@ def _to_screen(x: float, y: float, width: float, height: float,
     return width / 2 + scale * x, height / 2 - scale * y
 
 
-_BASE_TRIANGLE = ((Fraction(0), Fraction(0), Fraction(0)),
-                  (Fraction(-1), Fraction(0), Fraction(0)),
-                  (Fraction(-1), Fraction(-1), Fraction(0)))
+_BASE_TRIANGLE = ((0, 0, 0), (-1, 0, 0), (-1, -1, 0))
 
 
-def _reduced_center(pts) -> tuple[Fraction, ...]:
-    """Barycenter projected to the reduced apartment (center direction removed)."""
-    s = [sum(q[i] for q in pts) for i in range(3)]
-    m = sum(s) / 3 if isinstance(sum(s), Fraction) else Fraction(sum(s), 3)
-    return tuple(Fraction(c) - m for c in s)
+def _reduced_center(pts) -> tuple[int, ...]:
+    """3 * barycenter with the center direction removed: 3 s - sum(s), s the vertex sum."""
+    s = [sum(c) for c in zip(*pts)]
+    t = sum(s)
+    return tuple(3 * c - t for c in s)
 
 
 def _alcove_patches(gallery_bound: int, bx_max: float, by_max: float):
-    """Alcove vertex triples within a window around o, deterministically sorted."""
+    """(vertices, projected vertices) of the alcoves in a window around o, sorted."""
     rd = build_root_datum("GL3")
     alc = base_alcove(rd)
     out = []
     for z in elements_of_length_at_most(rd, gallery_bound, alc):
         pts = tuple(z.act(v) for v in _BASE_TRIANGLE)
-        bx = sum(_a2_xy(q)[0] for q in pts) / 3
-        by = sum(_a2_xy(q)[1] for q in pts) / 3
-        if abs(bx) <= bx_max and abs(by) <= by_max:
-            out.append((z, pts))
-    out.sort(key=lambda zp: tuple(sorted(str(c) for q in zp[1] for c in q)))
+        xy = [_a2_xy(q) for q in pts]
+        if (abs(sum(x for x, _ in xy) / 3) <= bx_max
+                and abs(sum(y for _, y in xy) / 3) <= by_max):
+            out.append((pts, xy))
+    out.sort(key=lambda patch: tuple(sorted(str(c) for q in patch[0] for c in q)))
     return out
 
 
 def _canvas(patches, scale: float, margin: float):
-    xs, ys = [], []
-    for _, pts in patches:
-        for q in pts:
-            x, y = _a2_xy(q)
-            xs.append(x)
-            ys.append(y)
+    xs = [x for _, xy in patches for x, _ in xy]
+    ys = [y for _, xy in patches for _, y in xy]
     half_w = max(abs(min(xs)), abs(max(xs)))
     half_h = max(abs(min(ys)), abs(max(ys)))
     return 2 * half_w * scale + 2 * margin, 2 * half_h * scale + 2 * margin
@@ -180,18 +182,15 @@ def _render_genericity(spec: FigureSpec) -> str:
     width, height = _canvas(patches, S, M)
     scale = S
     lines = _svg_header(width, height)
-    for _, pts in patches:
-        # nested genericity shading: layer k covers the k-generic sub-triangle
-        bary = [sum(q[i] for q in pts) / 3 for i in range(3)]
+    for pts, xy in patches:
+        # nested genericity shading: layer k covers the k-generic sub-triangle,
+        # whose vertices q + (k/p)(s - 3q) are (p q + k (s - 3q)) / p
+        s = [sum(c) for c in zip(*pts)]
         for k in range(0, spec.shading_depth + 1):
-            frac = Fraction(k, p)
-            inner = []
-            for q in pts:
-                inner.append(tuple(
-                    q[i] + (bary[i] - q[i]) * 3 * frac for i in range(3)))
             path = []
-            for q in inner:
-                xx, yy = _to_screen(*_a2_xy(q), width, height, scale)
+            for q in pts:
+                inner = [p * c + k * (t - 3 * c) for c, t in zip(q, s)]
+                xx, yy = _to_screen(*_a2_xy(inner, p), width, height, scale)
                 path.append(f"{_fmt(xx)},{_fmt(yy)}")
             lines.append(
                 f'<polygon points="{" ".join(path)}" fill="{LAYOUT["shade_fill"]}" '
@@ -199,7 +198,7 @@ def _render_genericity(spec: FigureSpec) -> str:
             )
         # subdivision grid
         n = spec.subdivisions
-        corners = [_to_screen(*_a2_xy(q), width, height, scale) for q in pts]
+        corners = [_to_screen(x, y, width, height, scale) for x, y in xy]
         for i in range(3):
             a, b, c = corners[i], corners[(i + 1) % 3], corners[(i + 2) % 3]
             for t in range(1, n):
@@ -231,47 +230,37 @@ def _render_genericity(spec: FigureSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-# the three wall segments of the base alcove, as vertex pairs (see the walls
-# fixed by each simple affine reflection)
-_WALL_VERTICES = {
-    1: ((Fraction(0), Fraction(0), Fraction(0)), (Fraction(-1), Fraction(-1), Fraction(0))),
-    2: ((Fraction(0), Fraction(0), Fraction(0)), (Fraction(-1), Fraction(0), Fraction(0))),
-    3: ((Fraction(-1), Fraction(0), Fraction(0)), (Fraction(-1), Fraction(-1), Fraction(0))),
-}
+# the three wall segments of the base alcove, as edges of _BASE_TRIANGLE (see
+# the walls fixed by each simple affine reflection)
+_WALL_VERTICES = {1: (0, 2), 2: (0, 1), 3: (1, 2)}
 
 
 def _render_admissible(spec: FigureSpec) -> str:
     S = LAYOUT["scale"] * 0.4
     M = LAYOUT["margin"]
     rd = build_root_datum("GL3")
-    alc = base_alcove(rd)
-    adm = admissible_set(rd, spec.mu, alc)
+    adm = admissible_set(rd, spec.mu, base_alcove(rd))
     # an element is drawn as its alcove in the reduced apartment; match by
     # center-normalized barycenter
-    adm_centers = set()
-    for z in adm:
-        pts = [z.act(v) for v in _BASE_TRIANGLE]
-        adm_centers.add(_reduced_center(pts))
+    adm_centers = {_reduced_center([z.act(v) for v in _BASE_TRIANGLE]) for z in adm}
     elems = _alcove_patches(8, 3.2, 2.9)
     width, height = _canvas(elems, S, M)
     scale = S
     lines = _svg_header(width, height)
     shaded = 0
     edges: dict[tuple, str] = {}
-    for z, pts in elems:
-        corners = [_to_screen(*_a2_xy(q), width, height, scale) for q in pts]
+    for pts, xy in elems:
+        corners = [(_fmt(xx), _fmt(yy)) for xx, yy in
+                   (_to_screen(x, y, width, height, scale) for x, y in xy)]
         if _reduced_center(pts) in adm_centers:
             shaded += 1
-            path = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in corners)
+            path = " ".join(f"{x},{y}" for x, y in corners)
             lines.append(
                 f'<polygon points="{path}" fill="{LAYOUT["adm_fill"]}" '
                 f'fill-opacity="{LAYOUT["adm_opacity"]}" stroke="none"/>'
             )
-        for i in (1, 2, 3):
-            va, vb = _WALL_VERTICES[i]
-            pa = _to_screen(*_a2_xy(z.act(va)), width, height, scale)
-            pb = _to_screen(*_a2_xy(z.act(vb)), width, height, scale)
-            key = tuple(sorted([(_fmt(pa[0]), _fmt(pa[1])), (_fmt(pb[0]), _fmt(pb[1]))]))
+        for i, (a, b) in _WALL_VERTICES.items():
+            key = tuple(sorted([corners[a], corners[b]]))
             edges.setdefault(key, LAYOUT["wall_colors"][i])
     for key in sorted(edges):
         (x1, y1), (x2, y2) = key
@@ -279,10 +268,7 @@ def _render_admissible(spec: FigureSpec) -> str:
             f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
             f'stroke="{edges[key]}" stroke-width="1.8"/>'
         )
-    labels = [((Fraction(0), Fraction(0), Fraction(0)), "o"),
-              ((Fraction(-1), Fraction(0), Fraction(0)), "o-(1,0,0)"),
-              ((Fraction(-1), Fraction(-1), Fraction(0)), "o-(1,1,0)")]
-    for eta, label in labels:
+    for eta, label in zip(_BASE_TRIANGLE, ("o", "o-(1,0,0)", "o-(1,1,0)")):
         xx, yy = _to_screen(*_a2_xy(eta), width, height, scale)
         lines.append(f'<circle cx="{_fmt(xx)}" cy="{_fmt(yy)}" r="3.0000" fill="#000000"/>')
         lines.append(

@@ -136,6 +136,51 @@ def test_figure(tmp_path, capsys):
     assert out.read_text().startswith("<?xml")
 
 
+@pytest.mark.parametrize("out", ["missing/fig.svg", "."])
+def test_figure_unwritable_out_is_an_error(tmp_path, capsys, out):
+    # a missing directory escaped as a FileNotFoundError traceback
+    code, doc = run_json(capsys, [
+        "figure", "--kind", "sl2", "--out", str(tmp_path / out)])
+    assert code == 2 and doc["status"] == "error"
+    assert doc["payload"]["error"].startswith("cannot write --out")
+
+
+@pytest.mark.parametrize("argv", [
+    # each was accepted silently
+    ["--kind", "genericity", "--p", "4"],
+    ["--kind", "genericity", "--p", "7", "--depth", "-1"],
+    ["--kind", "genericity", "--p", "7", "--depth", "3"],      # 3 * depth > p
+    # default depth 33334: 24.7 s
+    ["--kind", "genericity", "--p", "100003"],
+    ["--kind", "genericity", "--p", "100003", "--depth", "8193"],  # MAX_FIGURE_DEPTH + 1
+    # (e + 1) * ord_e(p) = 8193 * 1024: 52 s
+    ["--kind", "sl2", "--p", "7", "--e", "8192"],
+    ["--kind", "sl2", "--p", "65537", "--e", "16384"],      # r = 1, MAX_SL2_SIZE + 1
+    ["--kind", "sl2", "--p", "7", "--e", str(10**15)],       # refused before ord_e(p)
+    ["--kind", "sl2", "--p", "7", "--e", "0"],
+])
+def test_bad_figure_inputs_are_errors(tmp_path, capsys, argv):
+    out = tmp_path / "fig.svg"
+    code, doc = run_json(capsys, ["figure", *argv, "--out", str(out)])
+    assert code == 2 and doc["schema"] == 1 and doc["status"] == "error"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "genericity", "--p", "3", "--depth", "1"],      # 3 * depth = p
+    ["--kind", "genericity", "--p", "2"],
+    ["--kind", "genericity", "--p", "13"],                     # default depth p // 3
+    ["--kind", "genericity", "--p", "100003", "--depth", str(cli.MAX_FIGURE_DEPTH)],
+    # (e + 1) * ord_e(p) = 16384 * 1
+    ["--kind", "sl2", "--p", "98299", "--e", "16383"],
+])
+def test_figure_at_the_caps(tmp_path, capsys, argv):
+    out = tmp_path / "fig.svg"
+    code, doc = run_json(capsys, ["figure", *argv, "--out", str(out)])
+    assert code == 0 and doc["status"] == "ok"
+    assert out.read_text().endswith("</svg>\n")
+
+
 def test_readme_cli_examples(tmp_path, capsys):
     # every line of the README's CLI block, with the counts its comments state
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -211,3 +212,50 @@ def test_bruhat_needs_no_separate_omega_check(rd, base):
     for z in poset:
         assert not bruhat_leq(z, z * om, base)
         assert not bruhat_leq(z * om, z, base)
+
+
+def _permissible(mu):
+    """Perm(mu) for GL_n as (translation, cols) pairs, decided vertex by vertex.
+
+    x = v^nu w acts by x(y)_i = y[cols[i]] - nu_i.  x is mu-permissible when
+    a - x(a) lies in Conv(W mu) for every vertex a = -(e_1 + ... + e_k) of the
+    base alcove (Kottwitz-Rapoport); a = o forces nu into Conv(W mu), so nu
+    ranges over [min mu, max mu]^n.  Conv(S_n mu) membership is majorization.
+    """
+    n = len(mu)
+    top = sorted(mu, reverse=True)
+
+    def in_hull(d):
+        d = sorted(d, reverse=True)
+        return sum(d) == sum(mu) and all(sum(d[:i]) <= sum(top[:i]) for i in range(1, n))
+
+    vertices = [tuple(-1 if i < k else 0 for i in range(n)) for k in range(n)]
+    out = set()
+    for cols in itertools.permutations(range(n)):
+        for nu in itertools.product(range(min(mu), max(mu) + 1), repeat=n):
+            if all(in_hull([a[i] - a[c] + nu[i] for i, c in enumerate(cols)])
+                   for a in vertices):
+                out.add((nu, cols))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_admissible_equals_permissible_for_minuscule_mu(n):
+    # Adm(mu) = Perm(mu) for minuscule mu of GL_n (Kottwitz-Rapoport,
+    # Haines-Ngo): an independent check of the Bruhat closure
+    rd = build_root_datum(f"GL{n}")
+    base = base_alcove(rd)
+    sizes = {}
+    for k in range(n + 1):
+        for shift in (0, -1):
+            mu = tuple((1 if i < k else 0) + shift for i in range(n))
+            adm = admissible_set(rd, mu, base)
+            assert all(z.finite.signs == (1,) * n for z in adm)
+            got = {(z.translation, z.finite.cols) for z in adm}
+            assert len(got) == len(adm)
+            assert got == _permissible(mu), mu
+            sizes[k] = len(adm)
+    assert sizes[0] == sizes[n] == 1
+    assert sizes[1] == sizes[n - 1] == 2 ** n - 1
+    if n >= 4:
+        assert sizes[2] == {4: 33, 5: 131}[n]
