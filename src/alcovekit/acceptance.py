@@ -45,12 +45,11 @@ from .rootdata import (
     tate_h0,
 )
 from .weyl_affine import (
+    admissible_set,
     base_alcove,
     bruhat_leq,
     elements_of_length_at_most,
     h_mu,
-    length,
-    reduced_word,
     translation_element,
 )
 
@@ -98,16 +97,11 @@ def _c2_pi1_facts() -> CriterionResult:
 
 
 def _c3_admissible() -> CriterionResult:
-    from .weyl_affine import admissible_set
-
     rd = build_root_datum("GL3")
     base = base_alcove(rd)
     adm = admissible_set(rd, (1, 0, 0), base)
     ok = len(adm) == 7
-    words = {}
-    for z in adm:
-        w, om = reduced_word(z, base)
-        words[z.key()] = (tuple(w), om)
+    words = {z.key(): (tuple(w), om) for z, w, om in adm}
     v = translation_element(rd, (1, 0, 0))
     ok = ok and words[v.key()][0] == (3, 2)
     v = translation_element(rd, (0, 0, 1))
@@ -115,7 +109,7 @@ def _c3_admissible() -> CriterionResult:
     v = translation_element(rd, (0, 1, 0))
     ok = ok and words[v.key()][0] == (1, 3)
     # the seven elements: three translations, three single reflections, omega
-    lengths = sorted(length(z, base) for z in adm)
+    lengths = sorted(len(w) for _, w, _ in adm)
     ok = ok and lengths == [0, 1, 1, 1, 2, 2, 2]
     # downward closure reproduces the figure shading
     svg = figures.render(figures.FigureSpec(kind="admissible_A2", mu=(1, 0, 0)))

@@ -38,7 +38,7 @@ from .rootdata import (
     check_prime,
     split_gamma,
 )
-from .weyl_affine import admissible_set, base_alcove, h_mu, reduced_word
+from .weyl_affine import admissible_set, base_alcove, h_mu
 
 
 # 4096 is the largest power of two at which `straighten --p 7 --window W` runs
@@ -148,8 +148,7 @@ def _cmd_adm(args) -> CommandResult:
     mu = _parse_ints(args.mu)
     adm = admissible_set(rd, mu, base)
     items = []
-    for z in adm:
-        word, om = reduced_word(z, base)
+    for z, word, om in adm:
         items.append({
             "translation": list(z.translation),
             "finite": list(z.finite.perm()),

@@ -242,7 +242,7 @@ def _render_admissible(spec: FigureSpec) -> str:
     adm = admissible_set(rd, spec.mu, base_alcove(rd))
     # an element is drawn as its alcove in the reduced apartment; match by
     # center-normalized barycenter
-    adm_centers = {_reduced_center([z.act(v) for v in _BASE_TRIANGLE]) for z in adm}
+    adm_centers = {_reduced_center([z.act(v) for v in _BASE_TRIANGLE]) for z, _, _ in adm}
     elems = _alcove_patches(8, 3.2, 2.9)
     width, height = _canvas(elems, S, M)
     scale = S

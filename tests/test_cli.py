@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -39,14 +40,58 @@ def test_adm_takes_each_reduced_word_once(capsys, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(weyl_affine, "reduced_word", spy)
-    monkeypatch.setattr(cli, "reduced_word", spy)
-    monkeypatch.setattr(weyl_affine, "_closures", weyl_affine._ClosureCache())
+    monkeypatch.setattr(weyl_affine, "_closures", {})
     code, doc = run_json(capsys, ["adm", "--group", "GL4", "--mu", "1,1,0,0"])
     assert code == 0 and doc["payload"]["size"] == 33
     assert all(e["length"] == len(e["word"]) for e in doc["payload"]["elements"])
     # 1 for the base alcove, 6 for the distinct translations v^{w mu}, then
-    # 33 sort keys in admissible_set and 33 words in the CLI (97 before)
-    assert len(calls) == 73
+    # 33 sort keys in admissible_set, whose words the CLI prints
+    assert len(calls) == 40
+
+
+# SHA-256 of `adm --emit json`, recorded with the 2^l subword enumeration:
+# the benchmark's grid, larger sets, SL/PGL, a torus, a product with GL1 and a
+# mu outside the cocharacter lattice
+ADM_DIGESTS = [
+    ("GL3", "1,0,0", 0, "c67c1386bc957e9ac6361fd382385a1f1e944717fb6c8b5d08a8949670d6af7f"),
+    ("GL3", "1,1,0", 0, "5b107e641b72597d74e27a8ca250a0742bab42b7d8177a6365271edfc39b160b"),
+    ("GL3", "2,1,0", 0, "acfbf4b2d80fdd952b492ae9e578503ffc54e209c2af37d98734011767a4fbcc"),
+    ("GL3", "2,0,0", 0, "1c37de81a5a197cf3404cf1e777177f6f26aaa84a5ceb10d77071569dd350c6d"),
+    ("GL3", "1,0,-1", 0, "ad4dc579e69c597c0d0732ee6a53f51d9715c9bb3e34a74ba42cde2acd173e24"),
+    ("GL4", "1,0,0,0", 0, "86c4dceda4d21c5090905ccd334250f439277522a408b8cdd88e63585e4a0f1f"),
+    ("GL4", "1,1,0,0", 0, "768d7b2cc55b9645833382c28527d7704933571c1fdfe84a0785579320f8bf0b"),
+    ("GL3xGL3", "1,0,0,1,0,0", 0, "83b0b5cbed84bf3c9217e842d1e85f141eac781f9716a98a06eabec179f5eb84"),
+    ("GL2xGL2", "1,0,1,0", 0, "e7b5a2e6ee47f1b86b0cf187eb83b6a2b9d3fb8c6c22483069bd002440ad040a"),
+    ("GL2", "1,0", 0, "3a1cea97b35513c87e4ef88b48d565b6104f2e12bc37fea91d55cd6b352be0d7"),
+    ("GL2", "2,0", 0, "a414914e4c4b3189d4acc4531952725a502f31b34646bf19ac47591051c929fc"),
+    ("GL2", "3,0", 0, "3f4108d91ba9032c657ff0b7f7d2e3a3668784936fedaef0d2128406fc069078"),
+    ("GL2", "2,1", 0, "f7b8339fc768adc5667a87cbc8cc2d8e8693c280c143876d9889c7d4e4dc1111"),
+    ("GL4", "3,1,0,0", 0, "13566210354e215e9757af9466a0c11fa51802411d50cb80847a2a36cd1cf92a"),
+    ("GL6", "1,1,1,0,0,0", 0, "b17a8de0f0d1549a76c1b8f557517b6063bed018dc87f4fc5035907c420612cb"),
+    ("GL3", "4,0,0", 0, "128adb5bcfc247d4f0e50b2f5a5af6ea59711341efcb65e5adc457569b67836a"),
+    ("SL3", "1,0,-1", 0, "ad4dc579e69c597c0d0732ee6a53f51d9715c9bb3e34a74ba42cde2acd173e24"),
+    ("PGL3", "1,0,-1", 0, "ad4dc579e69c597c0d0732ee6a53f51d9715c9bb3e34a74ba42cde2acd173e24"),
+    ("GL1", "2", 0, "ae786e108981769ee1a68b52005920404e3bf8b813fee97124ec8d19433414d5"),
+    ("GL2xGL1", "1,0,2", 0, "52141b70ca5420e3c224656f7b9412cdae498d6da96a867278604f3075c845ae"),
+    ("SL3", "1,0,0", 2, "c360b673952b4c8504c760f984d37617f8e8d7ba4bfc7c961726a704e6e1f9fa"),
+]
+
+
+@pytest.mark.parametrize("group, mu, code, digest", ADM_DIGESTS)
+def test_adm_json_digest(capsys, group, mu, code, digest):
+    assert cli.main(["--emit", "json", "adm", "--group", group, "--mu", mu]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_adm_cap_on_length_times_elements(capsys):
+    # 13 * 959 = 12467 elements-by-length fit under MAX_BRUHAT_WORK; 2^13
+    # subwords for each of 24 translations took 13.5 s before the interval walk
+    code, doc = run_json(capsys, ["adm", "--group", "GL4", "--mu", "4,2,1,0"])
+    assert code == 0 and doc["payload"]["size"] == 959
+    # one walk reaches 32 * 888: refused inside it, before the sort
+    code, doc = run_json(capsys, ["adm", "--group", "GL3", "--mu", "16,2,0"])
+    assert code == 2 and doc["status"] == "error"
+    assert "capped" in doc["payload"]["error"]
 
 
 @pytest.mark.parametrize("group, mu, ok", [

@@ -62,6 +62,10 @@ DIGESTS = [
        marks=(((Fraction(1, 4), Fraction(1, 9), Fraction(0)), "x"),
               ((Fraction(-1, 3), Fraction(-2, 3), Fraction(0)), "y"))),
      "1252de8f6c3fb666c5a123cc00344cb125b584efe62a6328ce20b503f6db9c37"),
+    # recorded with the 2^l subword enumeration; Adm((8, 0, 0))
+    # covers the same drawn alcoves as Adm((4, 2, 0))
+    (F(kind="admissible_A2", mu=(8, 0, 0)),
+     "f1e14b1060812b55241796ab2d921997049f65cad3790a4bcf5fc67d7d0b2468"),
 ]
 
 

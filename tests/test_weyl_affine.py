@@ -3,9 +3,11 @@ import random
 
 import pytest
 
-from alcovekit.rootdata import build_root_datum, weyl_group
+from alcovekit import weyl_affine
+from alcovekit.rootdata import CapExceeded, build_root_datum, weyl_group
 from alcovekit.weyl_affine import (
-    _closures,
+    AffineWeylElement,
+    _interval,
     admissible_set,
     affine_identity,
     base_alcove,
@@ -108,7 +110,10 @@ def test_admissible_gl3():
         translation_element(GL3, (0, 0, 1)).key(),
         (s1 * t).key(), (s2 * t).key(), (s3 * t).key(), t.key(),
     }
-    assert {z.key() for z in adm} == expected
+    assert {z.key() for z, _, _ in adm} == expected
+    for z, word, om in adm:
+        w, o = reduced_word(z, BASE3)
+        assert word == w and om.key() == o.key()
 
 
 def test_admissible_gl2_and_trivial():
@@ -120,15 +125,15 @@ def test_admissible_gl2_and_trivial():
         translation_element(GL2, (0, 1)).key(),
         t2.key(),
     }
-    assert {z.key() for z in adm} == expected
+    assert {z.key() for z, _, _ in adm} == expected
     # t~ = v^(1,0) s_(12)
     assert t2.translation == (1, 0) and not t2.finite.is_identity()
     adm0 = admissible_set(GL3, (0, 0, 0), BASE3)
-    assert len(adm0) == 1 and adm0[0].key() == affine_identity(GL3).key()
+    assert len(adm0) == 1 and adm0[0][0].key() == affine_identity(GL3).key()
 
 
 def test_admissible_downward_closed():
-    adm = admissible_set(GL3, (1, 0, 0), BASE3)
+    adm = [z for z, _, _ in admissible_set(GL3, (1, 0, 0), BASE3)]
     keys = {z.key() for z in adm}
     # closure is a fixed point: everything below an element is in the set
     for z in adm:
@@ -197,7 +202,7 @@ def test_integer_length_matches_the_fraction_count(label):
 def _bruhat_leq_with_omega_check(a, b, base):
     _, oma = reduced_word(a, base)
     _, omb = reduced_word(b, base)
-    return oma.key() == omb.key() and a.key() in _closures.get(b, base)
+    return oma.key() == omb.key() and a.key() in _interval(b, base)
 
 
 @pytest.mark.parametrize("rd, base", [(GL2, BASE2), (GL3, BASE3)])
@@ -249,7 +254,7 @@ def test_admissible_equals_permissible_for_minuscule_mu(n):
     for k in range(n + 1):
         for shift in (0, -1):
             mu = tuple((1 if i < k else 0) + shift for i in range(n))
-            adm = admissible_set(rd, mu, base)
+            adm = [z for z, _, _ in admissible_set(rd, mu, base)]
             assert all(z.finite.signs == (1,) * n for z in adm)
             got = {(z.translation, z.finite.cols) for z in adm}
             assert len(got) == len(adm)
@@ -259,3 +264,76 @@ def test_admissible_equals_permissible_for_minuscule_mu(n):
     assert sizes[1] == sizes[n - 1] == 2 ** n - 1
     if n >= 4:
         assert sizes[2] == {4: 33, 5: 131}[n]
+
+
+def _subword_products(b, base):
+    """Reference: the keys of all 2^l subword products of b's reduced word."""
+    word, om = reduced_word(b, base)
+    out = set()
+    for mask in range(1 << len(word)):
+        z = om
+        for k in reversed(range(len(word))):
+            if mask >> k & 1:
+                z = base.simple_affine_reflections[word[k] - 1] * z
+        out.add(z.key())
+    return out
+
+
+@pytest.mark.parametrize("label, bound", [
+    ("GL2", 5), ("GL3", 5), ("GL4", 4), ("GL2xGL2", 4)])
+def test_interval_walk_matches_the_subword_enumeration(label, bound):
+    rd = build_root_datum(label)
+    base = base_alcove(rd)
+    om = base.omega_generators[0]
+    poset = elements_of_length_at_most(rd, bound, base)
+    for b in poset + [z * om for z in poset]:
+        interval = _interval(b, base)
+        assert set(interval) == _subword_products(b, base), b
+        assert all(z.key() == k for k, z in interval.items())
+
+
+def test_interval_walk_makes_at_most_l_products_per_element(monkeypatch):
+    # the 2^l subword loop made 16 * 2^15 = 524288 products here
+    calls = []
+    real = AffineWeylElement.__mul__
+
+    def spy(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(weyl_affine, "_closures", {})
+    b = translation_element(GL3, (8, 0, 0))
+    monkeypatch.setattr(AffineWeylElement, "__mul__", spy)
+    interval = _interval(b, BASE3)
+    monkeypatch.undo()
+    ell = length(b, BASE3)
+    assert ell == 16 and len(interval) == 200
+    assert len(calls) <= ell * len(interval)
+
+
+def test_work_cap_is_on_length_times_elements(monkeypatch):
+    # GL3 (1, 0, 0): each of the three intervals has 4 elements, Adm has 7,
+    # and every translation has length 2
+    monkeypatch.setattr(weyl_affine, "_closures", {})
+    monkeypatch.setattr(weyl_affine, "MAX_BRUHAT_WORK", 2 * 7)
+    assert len(admissible_set(GL3, (1, 0, 0), BASE3)) == 7
+    monkeypatch.setattr(weyl_affine, "MAX_BRUHAT_WORK", 2 * 7 - 1)
+    with pytest.raises(CapExceeded):
+        admissible_set(GL3, (1, 0, 0), BASE3)
+    monkeypatch.setattr(weyl_affine, "_closures", {})
+    monkeypatch.setattr(weyl_affine, "MAX_BRUHAT_WORK", 2 * 4)
+    assert bruhat_leq(BASE3.omega_generators[0], translation_element(GL3, (1, 0, 0)), BASE3)
+    monkeypatch.setattr(weyl_affine, "_closures", {})
+    monkeypatch.setattr(weyl_affine, "MAX_BRUHAT_WORK", 2 * 4 - 1)
+    with pytest.raises(CapExceeded):
+        bruhat_leq(affine_identity(GL3), translation_element(GL3, (1, 0, 0)), BASE3)
+
+
+def test_bruhat_leq_refuses_a_long_upper_element():
+    # length 40: the subword property alone means 2^40 subwords
+    b = translation_element(GL3, (10, 0, -10))
+    assert length(b, BASE3) == 40
+    with pytest.raises(CapExceeded):
+        bruhat_leq(affine_identity(GL3), b, BASE3)
+    with pytest.raises(CapExceeded):
+        bruhat_leq(affine_identity(GL2), translation_element(GL2, (10**6, 0)), BASE2)
