@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .rootdata import CapExceeded, RootDatum, WeylElement, weyl_group
+from .rootdata import CapExceeded, RootDatum, WeylElement
 
 RatVec = tuple[Fraction, ...]
 # (L, Y, walls): L the common denominator of the base alcove's interior,
@@ -209,6 +209,19 @@ def bruhat_leq(a: AffineWeylElement, b: AffineWeylElement,
     return a.key() in _interval(b, base)
 
 
+def _orbit(rd: RootDatum, mu: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The orbit W mu, by a walk over the simple reflections: |W mu| steps, not |W|."""
+    gens = [rd.reflection(i) for i in rd.simple_indices]
+    orbit, seen = [mu], {mu}
+    for nu in orbit:  # the list grows while it is walked
+        for s in gens:
+            x = s.apply(nu)
+            if x not in seen:
+                seen.add(x)
+                orbit.append(x)
+    return orbit
+
+
 def admissible_set(
     rd: RootDatum, mu: Sequence[int], base: BaseAlcove | None = None,
 ) -> list[tuple[AffineWeylElement, list[int], AffineWeylElement]]:
@@ -225,7 +238,7 @@ def admissible_set(
         base = base_alcove(rd)
     ell = length(translation_element(rd, mu), base)
     found: dict = {}
-    for nu in dict.fromkeys(w.apply(mu) for w in weyl_group(rd)):
+    for nu in _orbit(rd, tuple(mu)):
         found.update(_interval(translation_element(rd, nu), base))
         _check_work(ell, len(found))
     out = [(z, *reduced_word(z, base)) for z in found.values()]

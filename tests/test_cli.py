@@ -1,16 +1,18 @@
 import hashlib
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import alcovekit
-from alcovekit import cli, weyl_affine
+from alcovekit import cli, rootdata, weyl_affine
 from alcovekit.rootdata import WeylElement
 from alcovekit.loop_sim import PrecisionError
 
@@ -463,3 +465,147 @@ def test_parser_is_built_once(capsys):
     code, doc = run_json(capsys, ["hmu", "--group", "GL3", "--mu", "1,0,0"])
     assert code == 0 and doc["payload"] == {"mu": [1, 0, 0], "h_mu": 1}
     assert cli.build_parser.cache_info().misses == 1
+
+
+# SHA-256 of CLI output recorded with json.dumps(indent=2, sort_keys=True) as
+# the writer: census on the benchmark's grid and three larger groups, one
+# input of every other data subcommand, an error and a refused envelope, and
+# the text form of census, hmu and verify
+CLI_DIGESTS = [
+    ("json", "census --group GL3 --p 7 --e 24", 0,
+     "1bf9d624236f2c0df5b929bfa7750aebac9bc5000771bf94ef2c8e1bd7785a26"),
+    ("json", "census --group GL3 --p 3 --e 13", 0,
+     "8784d47ca9cce2034e2a70de99175b7545c264f2a3ff6055a7f04b6893295bed"),
+    ("json", "census --group GL3 --p 5 --e 8", 0,
+     "a52066960bd39133f52a667d3bdb2b5aa18c2439338ff3d6129b7a896b9a111b"),
+    ("json", "census --group SL3 --p 7 --e 24", 0,
+     "bd439159c2c72f9cb3481f038bfdef7273fa4ab781f2da2590db072ae827232f"),
+    ("json", "census --group SL3 --p 3 --e 13", 0,
+     "d217e929db260c884649e1b4f61cd5b4eacaf2146c2f6b78be5fb18a77e39bac"),
+    ("json", "census --group SL3 --p 5 --e 8", 0,
+     "e1b2a1dedf1302fb31df21b924ca1c8adff39e32d1973686044ea12a90111b79"),
+    ("json", "census --group PGL3 --p 7 --e 24", 0,
+     "8addae8ed3a3296e26bdd991d9d9581a75e9dc714648323bf69fc68d40e6c6e6"),
+    ("json", "census --group PGL3 --p 3 --e 13", 0,
+     "c919118479305c5bf3e52835c85013c4e5474ce2f979b59d573be394c9d416b4"),
+    ("json", "census --group PGL3 --p 5 --e 8", 0,
+     "e917e72ea763a6fb9d101d45ff798c609964ca47d0c7514cf52fcad1628e275e"),
+    ("json", "census --group GL2 --p 7 --e 24", 0,
+     "307d4208fb304adfd5ff859336a5f2d434da89d328eae3b522c71c5f586502a2"),
+    ("json", "census --group GL2 --p 5 --e 8", 0,
+     "e4fd9c0f8a7e4de60b9e1de3700426b35ec0f4bc57e4c8cd0b20d7bc674de005"),
+    ("json", "census --group GL2 --p 3 --e 13", 0,
+     "e92fa8a45b2817e47e64ca6f19bf137a4815be6230544d5ab0ab41e69cf0879c"),
+    ("json", "census --group GL2 --p 5 --e 24", 0,
+     "04e39cce5f0f3e9cb47fff69af732d9ec0ca361571cf2444b865fcd510423b7b"),
+    ("json", "census --group SL2 --p 7 --e 24", 0,
+     "c2095139ef86a9d79091cfe8dfd3fe41bb1bac6790cae807c75dc1f2eeae81b6"),
+    ("json", "census --group SL2 --p 5 --e 8", 0,
+     "cfdf0d618ea60f8aa5899f89e73cd50739584267c2130636b66bb613abf73a02"),
+    ("json", "census --group SL2 --p 13 --e 84", 0,
+     "02d864c63511c2111df8c4bb179af03d19d308662dd9c35cb2e0266d84b3a95c"),
+    ("json", "census --group PGL2 --p 7 --e 24", 0,
+     "c73c0c3ee64ad3bbf5b34770ee2ec02abc171fa0292a6c63367b0dd4cc80cf9b"),
+    ("json", "census --group PGL2 --p 5 --e 8", 0,
+     "6eb0243a927d349a792ed6eb7f9fad0d57ef2af563e081c6d786b582407128ac"),
+    ("json", "census --group SL4 --p 7 --e 24", 0,
+     "1bb73ec456ddd2b4eb008e572f3d5b5f53ede3fb3334747f9a9ad17d3b7a9b10"),
+    ("json", "census --group PGL4 --p 7 --e 24", 0,
+     "171b86e247306e702e1776e84dbe886ce9c0b05c0cefaa6aa7f22a18e6ff3b7f"),
+    ("json", "census --group GL2xGL1 --p 5 --e 8", 0,
+     "50324b7b23daab3dcb31490ace52b358966284d3110f9a1dd32e4b32f60de0d4"),
+    ("json", "frobinv --group SL2 --p 7 --e 24 --lam=-3,3", 0,
+     "d8214c77b6a6f6bc08c2012fb776f7c49b07d86c779bb8bcb6a5a420d5bec8cd"),
+    ("json", "generic --group SL2 --p 7 --e 24 --eta 1/8,-1/8 --d 1", 0,
+     "5261db85a096006b9a7fd40eceec5cb897ae64527f0a62296f2d954ab454b6b8"),
+    ("json", "pattern --group GL2 --p 5 --e 4 --eta 0,-1/4 --f 0", 0,
+     "4daf4ca2e6f2a8c88d4a10b617270a8591076a072c1fe8e1ca2dd91736f30492"),
+    ("json", "hmu --group GL3xGL3 --mu 1,0,0,1,0,0", 0,
+     "76bb78f77f59590fd1772641ef78b71d255db5853af7a94216786463abb5c8a5"),
+    ("json", "straighten --p 7 --a 1 --f 1 --hmu 1 --seed 5 --window 28", 0,
+     "0a6b311c11c68d454ec732ab79e274993723432b73994e6c1e468b0fe36bbded"),
+    ("json", "compare --p 3 --a 2 --n 7", 0,
+     "d2abe2eaa8783c84fdbefd0f8aacbc770140038774f330a3e6c47e8cc736e7d7"),
+    ("json", "adm --group GL4 --mu 2,1,0,0", 0,
+     "cfbedff1383a34ae112bd49af84b7d4716a23c73c719bf8b74ca49330637501b"),
+    ("json", "adm --group E8 --mu 1,0", 2,
+     "3603b96622f5884d1f1b51df2f6bdf7220220422a0acc217c9007370595884ca"),
+    ("json", "straighten --p 3 --a 2 --f 1 --hmu 1 --seed 1", 1,
+     "d3a5e5d0d00de0a6e2b9d83b9a6bae65ab4372a883311f7f765cf0b3c979c64a"),
+    ("text", "census --group SL2 --p 7 --e 24", 0,
+     "e7a27de88f8e50e56bc77fd046ced75445b764c58c719b363329495aab6ca01e"),
+    ("text", "hmu --group GL3 --mu 1,0,0", 0,
+     "8808b47cbe27fc8998616ac9a6cdaf16048a7c3ac99a318685e404629878c068"),
+    ("text", "verify", 0,
+     "6b5a3bd19ee9d2e76143b5371ea61e9f4d451cd13b92d66d2be8630837554511"),
+]
+
+
+@pytest.mark.parametrize("emit, argv, code, digest", CLI_DIGESTS,
+                         ids=[f"{row[0]}-{row[1]}" for row in CLI_DIGESTS])
+def test_cli_output_digest(capsys, emit, argv, code, digest):
+    assert cli.main(shlex.split(argv) + ["--emit", emit]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+class _Tag(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+# leaves the writer must encode as the json module does: booleans next to the
+# ints they equal, huge ints, floats with NaN and the infinities, strings that
+# need escapes, subclasses of str and int, and empty containers of each kind
+_LEAVES = [
+    True, False, 1, 0, -1, None, 2**64 + 1, -(10**30), 0.1, -0.0, 1e300, float("nan"),
+    float("inf"), float("-inf"), "", "plain", 'say "hi"', "back\\slash", "two\nlines",
+    "\t\r\b\f", "\x00\x1f\x7f", "caf\u00e9", "\u03bb \u2208 X_*", "\U0001f600", "\u2028",
+    _Tag("tag"), _Count(7), {}, [], (), {"e": {}}, [[], ()],
+]
+# digit keys sort as strings ("10" before "2"), as compare and straighten emit them
+_KEYS = ["10", "2", "1", "0", "-1", "a", "B", "", "schema", 'q"uote', "caf\u00e9", "\n"]
+
+
+def _random_document(rng, depth=0):
+    kind = rng.randrange(3 if depth < 4 else 1)
+    if kind == 0:
+        return rng.choice(_LEAVES)
+    items = [_random_document(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == 1:
+        return items if rng.random() < 0.7 else tuple(items)
+    return dict(zip(rng.sample(_KEYS, len(items)), items))
+
+
+def test_writer_matches_the_json_module():
+    rng = random.Random(20261019)
+    docs = [_random_document(rng) for _ in range(400)]
+    docs += [_LEAVES, {k: v for k, v in zip(_KEYS, _LEAVES)},
+             {10: "int", 2: "keys"}, {None: 0}, {True: 1}, {1.5: [True, 1, False, 0]}]
+    for doc in docs:
+        assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_writer_takes_unknown_leaves_as_the_json_module_does():
+    doc = {"lam": [Fraction(-3, 4), 1], "z": {"w": complex(1, 2)}}
+    assert cli._dumps(doc, default=str) == json.dumps(doc, indent=2, sort_keys=True,
+                                                        default=str)
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        cli._dumps(doc)
+    with pytest.raises(TypeError):
+        cli._dumps({(1, 2): 0})
+
+
+def test_adm_walks_the_orbit_not_the_weyl_group(capsys, monkeypatch):
+    # the 9! elements of W were built to find the 9 translations v^{w mu}
+    def boom(*args, **kwargs):
+        raise AssertionError("weyl_group called")
+
+    monkeypatch.setattr(rootdata, "weyl_group", boom)
+    monkeypatch.setattr(weyl_affine, "weyl_group", boom, raising=False)
+    code, doc = run_json(capsys, ["adm", "--group", "GL9", "--mu", "1,0,0,0,0,0,0,0,0"])
+    assert code == 0 and doc["payload"]["size"] == 2**9 - 1
