@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import random
 import sys
@@ -73,21 +72,12 @@ def _frac_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _float_str(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
+_quote = json.encoder.encode_basestring_ascii
 
 # the json module's leaf encoders, by exact type
 _LEAVES = {
-    str: json.encoder.encode_basestring_ascii,
+    str: _quote,
     int: int.__repr__,
-    float: _float_str,
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
 }
@@ -99,7 +89,8 @@ def _dumps(obj, default=None, newline: str = "\n") -> str:
     The json module falls back to its pure-Python encoder whenever `indent`
     is set; joining each container's parts, with the json module's own leaf
     encoders, writes the same bytes in about 0.6 of its time.  `newline` is
-    the line break and indentation of obj's own closing bracket.
+    the line break and indentation of obj's own closing bracket.  Payloads
+    hold only str keys and no floats, so either raises TypeError here.
     """
     leaf = _LEAVES.get(type(obj))
     if leaf is not None:
@@ -108,8 +99,8 @@ def _dumps(obj, default=None, newline: str = "\n") -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        parts = [_key(k) + ": " + (leaf(v) if (leaf := _LEAVES.get(type(v)))
-                                   else _dumps(v, default, inner))
+        parts = [_quote(k) + ": " + (leaf(v) if (leaf := _LEAVES.get(type(v)))
+                                     else _dumps(v, default, inner))
                  for k, v in sorted(obj.items())]
         return "{" + inner + ("," + inner).join(parts) + newline + "}"
     if isinstance(obj, (list, tuple)):
@@ -118,21 +109,12 @@ def _dumps(obj, default=None, newline: str = "\n") -> str:
         parts = [leaf(v) if (leaf := _LEAVES.get(type(v))) else _dumps(v, default, inner)
                  for v in obj]
         return "[" + inner + ("," + inner).join(parts) + newline + "]"
-    for kind in (str, int, float):  # subclasses, as the json module takes them
+    for kind in (str, int):  # subclasses, as the json module takes them
         if isinstance(obj, kind):
             return _LEAVES[kind](obj)
     if default is None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     return _dumps(default(obj), default, newline)
-
-
-def _key(k) -> str:
-    """A dict key as the json module writes it: non-str keys by their JSON text."""
-    if not isinstance(k, str):
-        if not (k is None or isinstance(k, (int, float))):
-            raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-        k = _dumps(k)
-    return _LEAVES[str](k)
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:

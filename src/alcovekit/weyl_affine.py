@@ -209,8 +209,12 @@ def bruhat_leq(a: AffineWeylElement, b: AffineWeylElement,
     return a.key() in _interval(b, base)
 
 
-def _orbit(rd: RootDatum, mu: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The orbit W mu, by a walk over the simple reflections: |W mu| steps, not |W|."""
+def _orbit(rd: RootDatum, mu: tuple[int, ...], ell: int) -> list[tuple[int, ...]]:
+    """The orbit W mu, by a walk over the simple reflections: |W mu| steps, not |W|.
+
+    Every v^{w mu} lies in Adm(mu) and has length ell, so the walk stops with
+    CapExceeded as soon as ell * |orbit| alone passes MAX_BRUHAT_WORK.
+    """
     gens = [rd.reflection(i) for i in rd.simple_indices]
     orbit, seen = [mu], {mu}
     for nu in orbit:  # the list grows while it is walked
@@ -219,6 +223,7 @@ def _orbit(rd: RootDatum, mu: tuple[int, ...]) -> list[tuple[int, ...]]:
             if x not in seen:
                 seen.add(x)
                 orbit.append(x)
+                _check_work(ell, len(orbit))
     return orbit
 
 
@@ -238,7 +243,7 @@ def admissible_set(
         base = base_alcove(rd)
     ell = length(translation_element(rd, mu), base)
     found: dict = {}
-    for nu in _orbit(rd, tuple(mu)):
+    for nu in _orbit(rd, tuple(mu), ell):
         found.update(_interval(translation_element(rd, nu), base))
         _check_work(ell, len(found))
     out = [(z, *reduced_word(z, base)) for z in found.values()]
