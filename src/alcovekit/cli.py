@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import random
 import sys
@@ -70,6 +71,12 @@ class CommandResult:
 def _frac_str(x) -> str:
     """An int or Fraction as "numerator/denominator"."""
     return f"{x.numerator}/{x.denominator}"
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """n / d, with d > 0, in lowest terms as "numerator/denominator"."""
+    g = math.gcd(n, d)
+    return f"{n // g}/{d // g}"
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -152,7 +159,7 @@ def _cmd_census(args) -> CommandResult:
     for c in res.classes:
         entry = {
             "class": list(c.coords),
-            "representative": [_frac_str(x) for x in c.lam],
+            "representative": [_ratio_str(n, c.den) for n in c.num],
             "invariant": c.invariant,
         }
         if c.witness is not None:

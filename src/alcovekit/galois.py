@@ -173,10 +173,16 @@ def frobenius_invariant(t: GaloisType):
 
 @dataclass(frozen=True)
 class CensusClass:
-    lam: tuple[int, ...]          # ambient representative
+    num: tuple[int, ...]          # ambient representative times den
+    den: int
     coords: tuple[int, ...]       # canonical basis coordinates mod e
     invariant: bool
     witness: tuple[WeylElement, tuple[int, ...]] | None
+
+    @property
+    def lam(self) -> tuple[Fraction, ...]:
+        """The ambient representative num / den."""
+        return tuple(Fraction(n, self.den) for n in self.num)
 
 
 @dataclass(frozen=True)
@@ -233,7 +239,7 @@ def census(rd: RootDatum, g: GammaData, cap: int = 10**6) -> CensusResult:
                    for rows in actions]
     frob = [[g.p * a for a in row] for row in _action_in_basis(rd, g.psi.inv())]
     # ambient coordinates of the integer-scaled basis scaled_i = den * b_i, so
-    # representatives are Fraction(integer, den)
+    # representatives are integer numerators over den
     den = lcm(*(c.denominator for b in rd.cochar_basis for c in b))
     columns = list(zip(*([int(c * den) for c in b] for b in rd.cochar_basis)))
 
@@ -262,9 +268,9 @@ def census(rd: RootDatum, g: GammaData, cap: int = 10**6) -> CensusResult:
             orbit.add(j)
         for j in orbit:
             marked[j] = 1
-        lam = tuple(Fraction(sum(map(mul, coords, col)), den) for col in columns)
+        num = tuple(sum(map(mul, coords, col)) for col in columns)
         wit = witness(coords) if index(frob, coords) in orbit else None
-        classes.append(CensusClass(lam, coords, wit is not None, wit))
+        classes.append(CensusClass(num, den, coords, wit is not None, wit))
         i = marked.find(0, i + 1)
     return CensusResult(len(classes), sum(c.invariant for c in classes), tuple(classes))
 

@@ -9,8 +9,10 @@ the simple affine reflections s~_1, ..., s~_n of each GL_n block.
 Lengths are computed geometrically: l(w) is the number of affine root
 hyperplanes <a, y> = k separating the base alcove from its image, counted in
 integers by the Iwahori-Matsumoto formula from walls precomputed once per
-base alcove.  Reduced words come from a greedy gallery walk, and Bruhat
-intervals (so Bruhat order and Adm) from the subword property, letter by letter.
+base alcove.  Reduced words come from a greedy gallery walk, one least-index
+descent per step.  Bruhat intervals (so Bruhat order and Adm) are lower sets
+closed under the reflections in the hyperplanes that separate an element's
+alcove from the base alcove, one product per separating hyperplane.
 """
 from __future__ import annotations
 
@@ -133,6 +135,16 @@ def length(w: AffineWeylElement, base: BaseAlcove | None = None) -> int:
                for i, j, floor0 in walls)
 
 
+def _descent(z: AffineWeylElement, lz: int,
+             base: BaseAlcove) -> tuple[int, AffineWeylElement]:
+    """The least index i (1-based) with l(s~_i z) < l(z) = lz > 0, and s~_i z."""
+    for i, s in enumerate(base.simple_affine_reflections, 1):
+        cand = s * z
+        if length(cand, base) < lz:
+            return i, cand
+    raise AssertionError("positive length but no descent; broken alcove data")
+
+
 def reduced_word(
     w: AffineWeylElement, base: BaseAlcove | None = None
 ) -> tuple[list[int], AffineWeylElement]:
@@ -147,22 +159,18 @@ def reduced_word(
     z = w
     lz = length(z, base)
     while lz > 0:
-        for i, s in enumerate(base.simple_affine_reflections):
-            cand = s * z
-            lc = length(cand, base)
-            if lc < lz:
-                word.append(i + 1)
-                z, lz = cand, lc
-                break
-        else:
-            raise AssertionError("positive length but no descent; broken alcove data")
+        i, z = _descent(z, lz, base)
+        word.append(i)
+        lz -= 1  # l(s z) = l(z) +- 1
     return word, z
 
 
-# l * (elements found), l = length(b), bounds the walk's products and the sort's
-# descent steps; elements alone do not (GL2 (511, 0): 1,023 elements, 8.5 s).
-# On a 2-vCPU VM, Adm of GL4 (4,2,1,0) (13 * 959) takes 0.6 s and of GL7
-# (1,1,0^5) (10 * 1,611) 1.07 s, near `straighten --n 8`: 16384 admits both
+# l * (elements found), l the length of the upper elements, bounds the products
+# of _lower_closure, one per hyperplane separating each element's alcove from the
+# base alcove; elements alone do not (GL2 (511, 0): 1,023 elements, 2.2 s in
+# process).  On a 2-vCPU VM, Adm of GL4 (4,2,1,0) (13 * 959) takes 0.10-0.12 s
+# in process and 0.31-0.34 s as an `adm` run, and of GL7 (1,1,0^5) (10 * 1,611)
+# 0.15-0.20 s and 0.46-0.50 s: 16384 admits both
 MAX_BRUHAT_WORK = 16384
 
 # (b.key(), base.interior) -> the interval below b, as {key: element}
@@ -174,26 +182,53 @@ def _check_work(ell: int, size: int) -> None:
         raise CapExceeded(f"Bruhat intervals are capped at length * elements <= {MAX_BRUHAT_WORK}")
 
 
-def _interval(b: AffineWeylElement, base: BaseAlcove) -> dict:
-    """The Bruhat interval below b as {key: element}; CapExceeded past MAX_BRUHAT_WORK.
+def _lower_closure(tops: Sequence[AffineWeylElement], base: BaseAlcove,
+                   ell: int) -> dict:
+    """The union of the Bruhat intervals below tops, as {key: element}.
 
-    Its elements are the subword products of a reduced word s_1 ... s_l * omega
-    of b, grown from the right: S_0 = {omega}, S_j = S_{j-1} u s_{l+1-j} S_{j-1},
-    deduplicated, in sum_j |S_{j-1}| <= l * |S_l| products, not l * 2^(l-1).
+    The Bruhat order is generated by reflections (Bjorner-Brenti, Combinatorics
+    of Coxeter Groups, 2.1): r z < z for the reflection r in a hyperplane
+    <e_i - e_j, y> = k that separates the base alcove from z(base), and every
+    element below z is reached by a chain of such steps.  Each element z is
+    taken once and multiplied by the reflections in its l(z) separating
+    hyperplanes, counted as in length: at most ell * |found| products for tops
+    of length <= ell.  CapExceeded once that passes MAX_BRUHAT_WORK, checked as
+    the set grows.
     """
+    rd = base.rd
+    denom, y, walls = base.walls
+    found = {z.key(): z for z in tops}
+    _check_work(ell, len(found))
+    # the reflection in <a, y> = k is y -> s_a(y) + k a, i.e. v^{-k a} s_a; the
+    # walls follow rd.positive_roots()
+    finite = [rd.reflection(rd.roots.index(a)) for a in rd.positive_roots()]
+    refl: dict[tuple[int, int], AffineWeylElement] = {}  # (wall, k) -> reflection
+    todo = list(found.values())
+    while todo:
+        z = todo.pop()
+        wy = z.finite.apply(y)
+        nu = z.translation
+        for m, (i, j, floor0) in enumerate(walls):
+            f1 = (wy[i] - wy[j]) // denom - nu[i] + nu[j]
+            for k in range(min(f1, floor0) + 1, max(f1, floor0) + 1):
+                r = refl.get((m, k))
+                if r is None:
+                    t = [0] * rd.dim
+                    t[i], t[j] = -k, k
+                    r = refl[m, k] = AffineWeylElement(rd, tuple(t), finite[m])
+                x = r * z
+                if x.key() not in found:
+                    found[x.key()] = x
+                    todo.append(x)
+                    _check_work(ell, len(found))
+    return found
+
+
+def _interval(b: AffineWeylElement, base: BaseAlcove) -> dict:
+    """The Bruhat interval below b as {key: element}: _lower_closure of b, cached."""
     k = (b.key(), base.interior)
     if k not in _closures:
-        ell = length(b, base)
-        _check_work(ell, 1)
-        word, om = reduced_word(b, base)
-        found = {om.key(): om}
-        for i in reversed(word):
-            s = base.simple_affine_reflections[i - 1]
-            for z in list(found.values()):
-                x = s * z
-                found.setdefault(x.key(), x)
-            _check_work(ell, len(found))
-        _closures[k] = found
+        _closures[k] = _lower_closure([b], base, length(b, base))
     return _closures[k]
 
 
@@ -201,8 +236,9 @@ def bruhat_leq(a: AffineWeylElement, b: AffineWeylElement,
                base: BaseAlcove | None = None) -> bool:
     """a <= b by membership in the interval below b (CapExceeded past MAX_BRUHAT_WORK).
 
-    Every element of the interval is a subword product times b's Omega part, so
-    it lies in b's Omega-coset: membership alone decides incomparability too.
+    The interval is the closure of b under length-lowering affine reflections,
+    which lie in the affine Weyl group, so every element of it lies in b's
+    Omega-coset: membership alone decides incomparability too.
     """
     if base is None:
         base = base_alcove(a.rd)
@@ -232,8 +268,11 @@ def admissible_set(
 ) -> list[tuple[AffineWeylElement, list[int], AffineWeylElement]]:
     """Adm(mu): the union of the Bruhat intervals below v^{w mu}, w in W.
 
-    (element, reduced word, Omega part) triples by (length, reduced word);
-    CapExceeded once an interval or the union passes MAX_BRUHAT_WORK.
+    One _lower_closure from all the v^{w mu} at once.  (element, reduced word,
+    Omega part) triples by (length, reduced word): in order of length, each
+    element's word is its first descent i, as in reduced_word, followed by the
+    word already found for s~_i z, so it equals reduced_word(z).  CapExceeded
+    once length * |Adm(mu)| passes MAX_BRUHAT_WORK, checked as the set grows.
     """
     if len(mu) != rd.dim:
         raise ValueError(f"mu has {len(mu)} entries, the group needs {rd.dim}")
@@ -242,11 +281,21 @@ def admissible_set(
     if base is None:
         base = base_alcove(rd)
     ell = length(translation_element(rd, mu), base)
-    found: dict = {}
-    for nu in _orbit(rd, tuple(mu), ell):
-        found.update(_interval(translation_element(rd, nu), base))
-        _check_work(ell, len(found))
-    out = [(z, *reduced_word(z, base)) for z in found.values()]
+    tops = [translation_element(rd, nu) for nu in _orbit(rd, tuple(mu), ell)]
+    found = _lower_closure(tops, base, ell)
+    # word(z) = (i,) + word(s~_i z) for z's first descent i, in order of length
+    words: dict = {}
+    out = []
+    for lz, z in sorted(((length(z, base), z) for z in found.values()),
+                        key=lambda t: t[0]):
+        if lz == 0:
+            word, om = (), z
+        else:
+            i, below = _descent(z, lz, base)
+            word, om = words[below.key()]
+            word = (i,) + word
+        words[z.key()] = word, om
+        out.append((z, list(word), om))
     out.sort(key=lambda t: (len(t[1]), t[1], t[0].key()))
     return out
 

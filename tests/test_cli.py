@@ -35,21 +35,32 @@ def test_adm(capsys):
 
 
 def test_adm_takes_each_reduced_word_once(capsys, monkeypatch):
-    calls = []
-    real = weyl_affine.reduced_word
+    words, descents = [], []
+    real_word, real_descent = weyl_affine.reduced_word, weyl_affine._descent
 
-    def spy(*args):
-        calls.append(args[0])
-        return real(*args)
+    def word_spy(*args):
+        words.append(args[0].key())
+        return real_word(*args)
 
-    monkeypatch.setattr(weyl_affine, "reduced_word", spy)
+    def descent_spy(z, lz, base):
+        descents.append(z.key())
+        return real_descent(z, lz, base)
+
+    monkeypatch.setattr(weyl_affine, "reduced_word", word_spy)
+    monkeypatch.setattr(weyl_affine, "_descent", descent_spy)
     monkeypatch.setattr(weyl_affine, "_closures", {})
     code, doc = run_json(capsys, ["adm", "--group", "GL4", "--mu", "1,1,0,0"])
+    elements = doc["payload"]["elements"]
     assert code == 0 and doc["payload"]["size"] == 33
-    assert all(e["length"] == len(e["word"]) for e in doc["payload"]["elements"])
-    # 1 for the base alcove, 6 for the distinct translations v^{w mu}, then
-    # 33 sort keys in admissible_set, whose words the CLI prints
-    assert len(calls) == 40
+    assert all(e["length"] == len(e["word"]) for e in elements)
+    # reduced_word runs only for the base alcove's Omega generator v^(1,0,0,0),
+    # whose walk descends 3 times; then each of the 32 elements of Adm with
+    # positive length finds its first descent once, and its word is memoized
+    assert words == [((1, 0, 0, 0), WeylElement.identity(4))]
+    assert len(descents) == 3 + 32
+    positive = sorted((tuple(e["translation"]), tuple(e["finite"]))
+                      for e in elements if e["length"] > 0)
+    assert sorted((t, w.perm()) for t, w in descents[3:]) == positive
 
 
 # SHA-256 of `adm --emit json`, recorded with the 2^l subword enumeration:

@@ -266,6 +266,21 @@ def test_admissible_equals_permissible_for_minuscule_mu(n):
         assert sizes[2] == {4: 33, 5: 131}[n]
 
 
+@pytest.mark.parametrize("mu", [
+    (2, 0), (3, 0), (5, 0),
+    (2, 0, 0), (2, 1, 0), (3, 0, 0), (3, 1, 0), (3, 2, 0), (4, 0, 0), (4, 2, 0),
+    (2, 1, 1, 0), (2, 2, 0, 0), (2, 0, 0, 0), (3, 1, 0, 0), (2, 1, 0, 0), (3, 0, 0, 0),
+    (2, 1, 0, 0, 0)])
+def test_admissible_equals_permissible_for_non_minuscule_mu(mu):
+    # checked here for each mu, not assumed: the vertexwise Perm(mu) needs no
+    # Bruhat code, so it is an independent oracle for the reflection closure
+    rd = build_root_datum(f"GL{len(mu)}")
+    adm = [z for z, _, _ in admissible_set(rd, mu, base_alcove(rd))]
+    got = {(z.translation, z.finite.cols) for z in adm}
+    assert len(got) == len(adm)
+    assert got == _permissible(mu), mu
+
+
 def _subword_products(b, base):
     """Reference: the keys of all 2^l subword products of b's reduced word."""
     word, om = reduced_word(b, base)
@@ -337,3 +352,21 @@ def test_bruhat_leq_refuses_a_long_upper_element():
         bruhat_leq(affine_identity(GL3), b, BASE3)
     with pytest.raises(CapExceeded):
         bruhat_leq(affine_identity(GL2), translation_element(GL2, (10**6, 0)), BASE2)
+
+
+@pytest.mark.parametrize("label, mu", [
+    ("GL2xGL2", (1, 0, 1, 0)), ("GL3xGL3", (1, 0, 0, 1, 0, 0)),
+    ("SL3", (1, 0, -1)), ("SL3", (2, -1, -1)), ("PGL3", (1, 0, -1)), ("PGL3", (1, 1, -2))])
+def test_admissible_set_is_the_union_of_the_subword_intervals(label, mu):
+    # one closure from all the tops v^{w mu} at once, against each top's 2^l
+    # subword products; the memoized words are the greedy reduced words
+    rd = build_root_datum(label)
+    base = base_alcove(rd)
+    union = set()
+    for w in weyl_group(rd):
+        union |= _subword_products(translation_element(rd, w.apply(mu)), base)
+    adm = admissible_set(rd, mu, base)
+    assert len(adm) == len(union) and {z.key() for z, _, _ in adm} == union
+    for z, word, om in adm:
+        w, o = reduced_word(z, base)
+        assert word == w and om.key() == o.key()
