@@ -53,11 +53,11 @@ MAX_STRAIGHTEN_A = 128
 # a genericity figure draws depth + 1 shaded triangles per alcove:
 # `figure --kind genericity --p 100003` takes 0.9 s at --depth 8192, 1.7 s at 16384
 MAX_FIGURE_DEPTH = 8192
-# an sl2 figure classifies e/2 + 1 types, each with r = ord_e(p) slots, so its
-# time grows with (e + 1) * r, and per unit is largest at r = 1:
-# `figure --kind sl2 --p 98299 --e 16383` (r = 1) takes 0.8-0.9 s, `--p 65537
-# --e 32768` (r = 1) 1.3-1.6 s and `--p 7 --e 1024` (r = 128) 1.2 s, so 16384
-# is the largest power of two within the time of `straighten --n 8`
+# the cap on (e + 1) * r, r = ord_e(p), was sized when each of the e/2 + 1
+# nodes of an sl2 figure built a type over r slots; one integer scan a node
+# no longer depends on r.  On a 2-core VM, `figure --kind sl2 --p 98299
+# --e 16383` (r = 1) takes 0.33 s as a CLI run, and in process `--p 65537
+# --e 32768` (r = 1) renders in 0.15-0.17 s and `--p 7 --e 1024` (r = 128) in 5 ms
 MAX_SL2_SIZE = 16384
 
 
@@ -175,10 +175,7 @@ def _cmd_frobinv(args) -> CommandResult:
     rd = build_root_datum(args.group)
     g = split_gamma(rd, args.p, args.e, r=args.r)
     lam = _parse_ints(args.lam)
-    t = GaloisType.from_lambda(rd, g, lam)
-    if not rd.in_cochar_lattice(lam):
-        raise ValueError(f"lambda={lam} is not in the cocharacter lattice of {rd.label}")
-    flag, witness = frobenius_invariant(t)
+    flag, witness = frobenius_invariant(GaloisType.from_lambda(rd, g, lam))
     payload = {"lambda": list(lam), "invariant": flag}
     if witness is not None:
         payload["witness"] = _witness_json(witness)

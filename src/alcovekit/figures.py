@@ -24,8 +24,8 @@ from fractions import Fraction
 import math
 from typing import Sequence
 
-from .galois import GaloisType, frobenius_invariant
-from .rootdata import build_root_datum, split_gamma
+from .galois import _frobenius_witness
+from .rootdata import build_root_datum, split_gamma, weyl_group
 from .weyl_affine import admissible_set, base_alcove, elements_of_length_at_most
 
 LAYOUT = {
@@ -67,20 +67,21 @@ def _fmt(x: float) -> str:
 def sl2_node_colors(p: int, e: int) -> list[tuple[int, str]]:
     """Color of the u-vertex at parameter n/e for n = 0..e.
 
-    White: not in the orbit of o (odd n).  Green: the classified type is
-    Frobenius invariant.  Red: classified but not invariant.
+    White: not in the orbit of o (odd n).  Green: the classified type,
+    lambda = (-n/2, n/2), is Frobenius invariant.  Red: classified but not
+    invariant.
     """
     rd = build_root_datum("SL2")
     g = split_gamma(rd, p, e)
+    weyl = weyl_group(rd)
     out = []
     for n in range(e + 1):
         if n % 2 == 1:
             out.append((n, LAYOUT["node_white"]))
-            continue
-        lam = (-(n // 2), n // 2)
-        t = GaloisType.from_lambda(rd, g, lam)
-        flag, _ = frobenius_invariant(t)
-        out.append((n, LAYOUT["node_green"] if flag else LAYOUT["node_red"]))
+        elif _frobenius_witness(g, weyl, (-(n // 2), n // 2), 1) is None:
+            out.append((n, LAYOUT["node_red"]))
+        else:
+            out.append((n, LAYOUT["node_green"]))
     return out
 
 

@@ -146,29 +146,45 @@ def check_cocycle_relations(t: GaloisType) -> dict[str, bool]:
     return {"gamma_order": gamma_order, "sigma_braid": braid, "sigma_wrap": wrap}
 
 
-def frobenius_invariant(t: GaloisType):
-    """Decide c . phi(x) = x for a Gamma-fixed rational c, with witness.
+def _frobenius_witness(g: GammaData, weyl: Sequence[WeylElement],
+                       num: Sequence[int], den: int):
+    """The first w in `weyl` with lambda - w(p psi^{-1} lambda) in e X_*, and m.
 
-    Returns (flag, witness) where witness = (w_star, m): the slot-0 condition
-    w_star(p psi^{-1}(eta)) - m = eta with m in the v-translation lattice.
-    Ramified inertial actions are refused: there is no finite orbit test
-    for them here.
+    lambda = num / den in ambient coordinates, and m is that difference over e.
+    Every group that build_root_datum builds is GL_n, SL_n, PGL_n or a product
+    of these, and there a vector in the span of X_* that is integral lies in
+    X_* (in Q^vee for PGL_n).  So the test is one congruence: every coordinate
+    of num - w(p psi^{-1} num) is 0 mod e den.  Returns (w, m), or None.
+    """
+    image = [g.p * c for c in g.psi.inv().apply(num)]
+    mod = g.e * den
+    for w in weyl:
+        diff = [a - b for a, b in zip(num, w.apply(image))]
+        if not any(d % mod for d in diff):
+            return w, tuple(d // mod for d in diff)
+    return None
+
+
+def frobenius_invariant(t: GaloisType):
+    """Decide c . phi(x) = x for a Gamma-fixed type, with witness.
+
+    Returns (flag, witness) where witness = (w_star, m): with x's slot-0
+    coordinate eta = -lambda / e, lambda = w_0^{-1}(lambda_0), the condition
+    w_star(p psi^{-1}(eta)) - m = eta with m in X_*, decided by
+    _frobenius_witness.  A lambda outside X_* is a ValueError.  Ramified
+    inertial actions are refused: there is no finite orbit test for them here.
     """
     g = t.gamma
     if not g.split():
         raise RefusedError("ramified inertial action: no finite decision procedure")
-    x = t.point()
-    if not x.is_gamma_fixed():
+    if not t.point().is_gamma_fixed():
         raise ValueError("type's point must be Gamma-fixed")
-    eta = x.eta(0)
-    p = g.p
-    shifted = tuple(p * c for c in g.psi.inv().apply(eta))
-    for w in weyl_group(t.rd):
-        cand = w.apply(shifted)
-        diff = tuple(a - b for a, b in zip(cand, eta))
-        if all(d.denominator == 1 for d in diff) and t.rd.in_cochar_lattice(diff):
-            return True, (w, tuple(int(d) for d in diff))
-    return False, None
+    lam = t.ws[0].inv().apply(t.lams[0])
+    if not t.rd.in_cochar_lattice(lam):
+        raise ValueError(f"lambda={lam} is not in the cocharacter lattice of {t.rd.label}")
+    den = lcm(*(c.denominator for c in lam))
+    wit = _frobenius_witness(g, weyl_group(t.rd), [int(c * den) for c in lam], den)
+    return wit is not None, wit
 
 
 @dataclass(frozen=True)
@@ -205,15 +221,11 @@ def census(rd: RootDatum, g: GammaData, cap: int = 10**6) -> CensusResult:
     for GL3, 14 of 72 for SL4): each distinct row is reduced mod e once per
     class, and each image's base-e number is a Horner sum over those values.
 
-    Frobenius invariance is decided in integers, with the verdict and the
-    witness of frobenius_invariant.  Write c for lambda's basis coordinates,
-    A_w for w in the basis and F = p psi^{-1}.  If lambda is invariant, F c
-    mod e lies in the W-orbit of c: classes failing this lookup in the images
-    just marked get (False, None).  The scan then takes w in weyl_group order
-    and needs two congruences: num = c - A_w F c = 0 mod e, and, with
-    d = num // e, sum_i d_i scaled_i = 0 mod den, i.e. the difference is
-    integral in ambient coordinates (e Q^vee for PGL_n, not e X_*).  The first
-    such w is the witness, with that ambient vector over den.
+    Frobenius invariance is decided with frobenius_invariant's verdict and
+    witness.  Write c for lambda's basis coordinates and F = p psi^{-1}.  If
+    lambda is invariant, F c mod e lies in the W-orbit of c: classes failing
+    this lookup in the images just marked get (False, None).  The rest take
+    the first w with num - w(F num) = 0 mod e den (_frobenius_witness).
     """
     if not g.split():
         raise RefusedError("census requires a split inertial action")
@@ -243,17 +255,6 @@ def census(rd: RootDatum, g: GammaData, cap: int = 10**6) -> CensusResult:
     den = lcm(*(c.denominator for b in rd.cochar_basis for c in b))
     columns = list(zip(*([int(c * den) for c in b] for b in rd.cochar_basis)))
 
-    def witness(coords):
-        image = [sum(map(mul, row, coords)) for row in frob]
-        for w, rows in zip(weyl, actions):
-            num = [c - sum(map(mul, row, image)) for c, row in zip(coords, rows)]
-            if any(x % e for x in num):
-                continue
-            ambient = [sum(x // e * s for x, s in zip(num, col)) for col in columns]
-            if not any(a % den for a in ambient):
-                return w, tuple(a // den for a in ambient)
-        return None
-
     marked = bytearray(e**rank)
     classes = []
     i = marked.find(0)
@@ -269,7 +270,9 @@ def census(rd: RootDatum, g: GammaData, cap: int = 10**6) -> CensusResult:
         for j in orbit:
             marked[j] = 1
         num = tuple(sum(map(mul, coords, col)) for col in columns)
-        wit = witness(coords) if index(frob, coords) in orbit else None
+        wit = None
+        if index(frob, coords) in orbit:
+            wit = _frobenius_witness(g, weyl, num, den)
         classes.append(CensusClass(num, den, coords, wit is not None, wit))
         i = marked.find(0, i + 1)
     return CensusResult(len(classes), sum(c.invariant for c in classes), tuple(classes))
@@ -324,64 +327,6 @@ def strictify(b: Sequence[MonomialMatrix], p: int) -> CoboundaryChain:
             if lhs != rhs:
                 raise AssertionError("finite-field check of the chain failed")
     return CoboundaryChain(s, slots, tuple(c), bext)
-
-
-def twist_by_chain(
-    tau_sigma: Sequence[MonomialMatrix],
-    tau_gamma_global: Sequence[Sequence[int]],
-    chain: CoboundaryChain,
-    psi_perm: Sequence[int] | None = None,
-) -> tuple[tuple[MonomialMatrix, ...], tuple[tuple[int, ...], ...]]:
-    """tau'(theta) = c tau(theta) (^theta c)^{-1} over the extended slots.
-
-    tau_gamma_global[j] are global diagonal exponents.  Constants only.
-    Returns (tau'(sigma) slots, tau'(gamma) slots).
-    """
-    slots = chain.slots
-    r = len(tau_sigma)
-    c = chain.c
-    out_sigma = []
-    out_gamma = []
-    for j in range(slots):
-        prev = c[(j - 1) % slots]
-        if psi_perm is not None:
-            prev = prev.conjugate_by_permutation(psi_perm)
-        out_sigma.append(c[j] * tau_sigma[j % r] * prev.inv())
-        # conjugating a diagonal: entry i moves to row cols[i]
-        d = list(tau_gamma_global[j % r])
-        m = c[j]
-        conj = [0] * m.n
-        for i in range(m.n):
-            conj[i] = d[m.cols[i]] % m.mod
-        out_gamma.append(tuple(conj))
-    return tuple(out_sigma), tuple(out_gamma)
-
-
-def is_strictly_invariant(
-    tau_sigma: Sequence[MonomialMatrix], tau_gamma_global: Sequence[Sequence[int]]
-) -> bool:
-    """phi tau = tau for constant slot families: slot shift leaves them fixed."""
-    slots = len(tau_sigma)
-    for j in range(slots):
-        if tau_sigma[j].entries() != tau_sigma[(j - 1) % slots].entries():
-            return False
-        if tuple(tau_gamma_global[j]) != tuple(tau_gamma_global[(j - 1) % slots]):
-            return False
-    return True
-
-
-def linearize_sigma(tau_sigma: MonomialMatrix, b: MonomialMatrix,
-                    psi_perm: Sequence[int] | None = None) -> MonomialMatrix:
-    """Value-level inertial-type transform tau'(sigma) = tau(sigma) psi(b)^{-1}.
-
-    This is the slotwise linearization that turns a Frobenius-invariant Galois
-    type (with coboundary b) into an inertial-type cocycle value; no groupoid
-    bookkeeping is kept.
-    """
-    m = b
-    if psi_perm is not None:
-        m = m.conjugate_by_permutation(psi_perm)
-    return tau_sigma * m.inv()
 
 
 def shapiro(g: GammaData, f_values: Sequence[MonomialMatrix]) -> tuple[MonomialMatrix, ...]:

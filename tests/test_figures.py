@@ -5,9 +5,8 @@ import re
 
 import pytest
 
-from alcovekit import figures
-from alcovekit.galois import GaloisType, frobenius_invariant
-from alcovekit.rootdata import build_root_datum, split_gamma
+from alcovekit import figures, galois
+from alcovekit.galois import GaloisType
 
 SPECS = {
     "sl2_alcove_p7_e24.svg": figures.FigureSpec(kind="rank1_line", p=7, e=24),
@@ -87,16 +86,27 @@ def test_sl2_color_counts():
 
 
 def test_sl2_colors_match_predicates():
-    rd = build_root_datum("SL2")
-    g = split_gamma(rd, 7, 24)
-    for n, color in figures.sl2_node_colors(7, 24):
-        # orbit predicate: e (x - o) in the cocharacter lattice iff n is even
-        in_orbit = n % 2 == 0
-        assert (color == figures.LAYOUT["node_white"]) == (not in_orbit)
-        if in_orbit:
-            t = GaloisType.from_lambda(rd, g, (-(n // 2), n // 2))
-            flag, _ = frobenius_invariant(t)
-            assert (color == figures.LAYOUT["node_green"]) == flag
+    # r = ord_e(p) is 2, 2, 2, 4 and 2
+    for p, e in ((7, 24), (5, 8), (7, 48), (3, 80), (13, 84)):
+        for n, color in figures.sl2_node_colors(p, e):
+            # orbit predicate: e (x - o) in the cocharacter lattice iff n is even
+            in_orbit = n % 2 == 0
+            assert (color == figures.LAYOUT["node_white"]) == (not in_orbit)
+            if in_orbit:
+                # the rank-one rule of test_frobenius_invariant_congruences
+                k = n // 2
+                flag = (p - 1) * k % e == 0 or (p + 1) * k % e == 0
+                assert (color == figures.LAYOUT["node_green"]) == flag
+
+
+def test_sl2_colors_build_no_galois_type(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("sl2_node_colors went through a GaloisType")
+
+    monkeypatch.setattr(GaloisType, "from_lambda", boom)
+    monkeypatch.setattr(galois, "frobenius_invariant", boom)
+    colors = [c for _, c in figures.sl2_node_colors(7, 24)]
+    assert colors.count(figures.LAYOUT["node_green"]) == 7
 
 
 def test_genericity_structure():

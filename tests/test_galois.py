@@ -12,11 +12,9 @@ from alcovekit.galois import (
     check_cocycle_relations,
     cocycle_values,
     frobenius_invariant,
-    is_strictly_invariant,
     shapiro,
     shapiro_inverse,
     strictify,
-    twist_by_chain,
     type_from_s_mu,
 )
 from alcovekit.monomial import MonomialMatrix
@@ -47,6 +45,20 @@ def test_cocycle_values_sl2():
     vals0 = cocycle_values(t0)
     assert vals0.tau_gamma_exps == ((0, 0), (0, 0))
     assert all(m.is_identity() for m in vals0.tau_sigma)
+
+
+def _rational_frobenius_invariant(t):
+    """frobenius_invariant as first written: the Fraction scan over W, with
+    a lattice solve for every integral difference."""
+    x = t.point()
+    eta = x.eta(0)
+    g = t.gamma
+    shifted = tuple(g.p * c for c in g.psi.inv().apply(eta))
+    for w in weyl_group(t.rd):
+        diff = tuple(a - b for a, b in zip(w.apply(shifted), eta))
+        if all(d.denominator == 1 for d in diff) and t.rd.in_cochar_lattice(diff):
+            return True, (w, tuple(int(d) for d in diff))
+    return False, None
 
 
 def test_frobenius_invariant_sl2():
@@ -146,7 +158,7 @@ def _census_reference(rd, g):
     out = []
     for coords in sorted(reps):
         lam = _from_basis_coords(rd, coords)
-        flag, witness = frobenius_invariant(GaloisType.from_lambda(rd, g, lam))
+        flag, witness = _rational_frobenius_invariant(GaloisType.from_lambda(rd, g, lam))
         out.append((coords, lam, flag, witness))
     return out
 
@@ -221,6 +233,66 @@ def test_census_with_a_twisted_frobenius_matches_the_reference(rd, g):
     assert 0 < res.invariant_count < res.total
 
 
+def _invariance_cases():
+    for label, p, e in CENSUS_CASES:
+        rd = build_root_datum(label)
+        yield pytest.param(rd, split_gamma(rd, p, e), id=f"{label}-{p}-{e}")
+    for rd, g in _twisted_gammas():
+        yield pytest.param(rd, g, id=f"{rd.label}-{g.p}-{g.e}-twisted")
+
+
+@pytest.mark.parametrize("rd, g", list(_invariance_cases()))
+def test_frobenius_invariant_matches_the_rational_scan(rd, g):
+    # seeded lattice vectors (Fractions for PGL), then census representatives
+    rng = random.Random(f"{rd.label}-{g.p}-{g.e}-{g.r}")
+    lams = [_from_basis_coords(rd, tuple(rng.randrange(-2 * g.e, 2 * g.e)
+                                         for _ in range(rd.rank)))
+            for _ in range(25)]
+    lams += [cls.lam for cls in census(rd, g).classes[:25]]
+    seen = set()
+    for lam in lams:
+        t = GaloisType.from_lambda(rd, g, lam)
+        want = _rational_frobenius_invariant(t)
+        assert frobenius_invariant(t) == want
+        seen.add(want[0])
+    if rd.rank:
+        assert seen == {True, False} or g.p % g.e == 1
+
+
+@pytest.mark.parametrize("p, mu", [(19, (16, 11, 7, 4, 2, 1)), (7, (4, 3, 2, 1, 0, 0))])
+def test_frobenius_invariant_matches_the_rational_scan_with_a_weyl_part(p, mu):
+    # a type_from_s_mu type (at p = 19, that of the Weil-restriction
+    # criterion) has w_0 != 1; then the same w_0 over lambda moved by e X_*,
+    # or over random lambda
+    rd, g, _ = _gl3x2(p)
+    t = type_from_s_mu(rd, _WEIL_S, mu, g).t
+    w = t.ws[0]
+    assert not w.is_identity()
+    lam = w.inv().apply(t.lams[0])
+    rng = random.Random(p)
+    types = [t]
+    for k in range(20):
+        if k % 2:
+            lam2 = tuple(c + g.e * rng.randrange(-3, 4) for c in lam)
+        else:
+            lam2 = tuple(rng.randrange(-3 * g.e, 3 * g.e) for _ in lam)
+        lams, ws = [w.apply(lam2)], [w]
+        for _ in range(g.r - 1):
+            lams.append(g.psi.apply(lams[-1]))
+            ws.append(g.psi * ws[-1] * g.psi.inv())
+        types.append(GaloisType(rd, g, tuple(lams), tuple(ws)))
+    verdicts = [_rational_frobenius_invariant(t2) for t2 in types]
+    assert [frobenius_invariant(t2) for t2 in types] == verdicts
+    assert verdicts[0][0] and {flag for flag, _ in verdicts} == {True, False}
+
+
+def test_frobenius_invariant_refuses_lambda_outside_the_lattice():
+    t = GaloisType.from_lambda(SL2, G24, (1, 0))
+    with pytest.raises(ValueError,
+                       match=r"^lambda=\(1, 0\) is not in the cocharacter lattice of SL2$"):
+        frobenius_invariant(t)
+
+
 @pytest.mark.parametrize("label, p, e, misses", [
     ("PGL2", 7, 24, 3), ("PGL3", 7, 12, 8), ("PGL4", 5, 8, 10), ("PGL2xSL2", 5, 8, 3),
 ])
@@ -246,7 +318,7 @@ def test_invariance_constant_on_classes():
             w = rng.choice(W)
             m = rng.randrange(-2, 3)
             lam2 = tuple(c + 24 * m * b for c, b in zip(w.apply(cls.lam), (1, -1)))
-            flag, _ = frobenius_invariant(GaloisType.from_lambda(SL2, G24, lam2))
+            flag, _ = _rational_frobenius_invariant(GaloisType.from_lambda(SL2, G24, lam2))
             assert flag == cls.invariant
 
 
@@ -284,6 +356,32 @@ def test_strictify_identity_and_order3():
     assert (p12.inv() * last).is_identity()
 
 
+def _twist_by_chain(tau_sigma, tau_gamma_global, chain):
+    """tau'(theta) = c tau(theta) (^theta c)^{-1} over the extended slots.
+
+    tau_gamma_global[j] are global diagonal exponents; constants only.
+    Returns (tau'(sigma) slots, tau'(gamma) slots).
+    """
+    r = len(tau_sigma)
+    c = chain.c
+    out_sigma = []
+    out_gamma = []
+    for j in range(chain.slots):
+        out_sigma.append(c[j] * tau_sigma[j % r] * c[(j - 1) % chain.slots].inv())
+        # conjugating a diagonal: entry i moves to row cols[i]
+        d = tau_gamma_global[j % r]
+        out_gamma.append(tuple(d[c[j].cols[i]] % c[j].mod for i in range(c[j].n)))
+    return tuple(out_sigma), tuple(out_gamma)
+
+
+def _is_strictly_invariant(tau_sigma, tau_gamma_global):
+    """phi tau = tau for constant slot families: slot shift leaves them fixed."""
+    slots = len(tau_sigma)
+    return all(tau_sigma[j].entries() == tau_sigma[j - 1].entries()
+               and tuple(tau_gamma_global[j]) == tuple(tau_gamma_global[j - 1])
+               for j in range(slots))
+
+
 def test_strictified_cocycle_is_strict():
     # the worked SL2 flow: after degree-2 extension the twisted cocycle is
     # strictly Frobenius invariant on both generators
@@ -298,9 +396,9 @@ def test_strictified_cocycle_is_strict():
     for j in range(4):
         t = (unit * pow(7, (4 - j) % 4, 24)) % mod
         tau_gamma.append(((-3 * t) % mod, (3 * t) % mod))
-    assert not is_strictly_invariant(tau_sigma, tau_gamma)
-    new_sigma, new_gamma = twist_by_chain(tau_sigma, tau_gamma, chain)
-    assert is_strictly_invariant(new_sigma, new_gamma)
+    assert not _is_strictly_invariant(tau_sigma, tau_gamma)
+    new_sigma, new_gamma = _twist_by_chain(tau_sigma, tau_gamma, chain)
+    assert _is_strictly_invariant(new_sigma, new_gamma)
 
 
 def _strictify_fields(monkeypatch, b, p):
@@ -377,6 +475,13 @@ def _gl3x2(p):
     return rd, g, psi
 
 
+# s of the Weil-restriction criterion: a 3-cycle on the first block, a
+# transposition on the second
+_WEIL_S = WeylElement((
+    (0, 0, 1, 0, 0, 0), (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0),
+    (0, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 1)))
+
+
 def test_type_from_s_mu_trivial_s():
     # s = 1, mu = 0: lambda_j = (1 + p + ... + p^{r-1}) eta, w_j = 1
     rd = build_root_datum("GL2xGL2")
@@ -400,10 +505,7 @@ def test_type_from_s_mu_range_check():
 
 def test_type_from_s_mu_weil_restriction():
     rd, g, _ = _gl3x2(19)
-    s = WeylElement((
-        (0, 0, 1, 0, 0, 0), (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0),
-        (0, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 1)))
-    tc = type_from_s_mu(rd, s, (16, 11, 7, 4, 2, 1), g)
+    tc = type_from_s_mu(rd, _WEIL_S, (16, 11, 7, 4, 2, 1), g)
     # first rows of the digit table (coefficients of 1, p, p^2, p^3)
     assert tc.lam_digits[0][0] == (18, 3, 7, 1)
     assert tc.lam_digits[0][3] == (6, 12, 6, 12)
@@ -514,20 +616,6 @@ def test_cocycle_values_refuse_a_fractional_lambda():
     t = GaloisType.from_lambda(rd, g, (Fraction(1, 2), Fraction(-1, 2)))
     with pytest.raises(ValueError, match="not integral"):
         cocycle_values(t)
-
-
-def test_linearize_sigma():
-    from alcovekit.galois import linearize_sigma
-
-    mod = 48
-    tau = MonomialMatrix.from_signed_matrix(((0, 1), (1, 0)), mod)
-    b = MonomialMatrix.from_signed_matrix(((0, 1), (-1, 0)), mod)
-    out = linearize_sigma(tau, b)
-    assert (out * b).entries() == tau.entries()
-    # with a factor permutation twist
-    out2 = linearize_sigma(tau, b, psi_perm=[1, 0])
-    twisted = b.conjugate_by_permutation([1, 0])
-    assert (out2 * twisted).entries() == tau.entries()
 
 
 def test_signed_psi_is_refused_as_a_permutation():
