@@ -173,13 +173,20 @@ def frobenius_invariant(t: GaloisType):
     w_star(p psi^{-1}(eta)) - m = eta with m in X_*, decided by
     _frobenius_witness.  A lambda outside X_* is a ValueError.  Ramified
     inertial actions are refused: there is no finite orbit test for them here.
+
+    Gamma-fixedness is decided on the integer vectors v_j = w_j^{-1}(lambda_j):
+    the point's slots are eta_j = -v_j / e, and scaling by -1/e is injective
+    and commutes with psi.  The inertial action of a split Gamma is trivial,
+    so the point is Gamma-fixed exactly when psi(v_{j-1}) = v_j for every j.
     """
     g = t.gamma
     if not g.split():
         raise RefusedError("ramified inertial action: no finite decision procedure")
-    if not t.point().is_gamma_fixed():
+    inv = {w: w.inv() for w in set(t.ws)}
+    vs = [inv[w].apply(lam) for lam, w in zip(t.lams, t.ws)]
+    if any(g.psi.apply(vs[j - 1]) != vs[j] for j in range(g.r)):
         raise ValueError("type's point must be Gamma-fixed")
-    lam = t.ws[0].inv().apply(t.lams[0])
+    lam = vs[0]
     if not t.rd.in_cochar_lattice(lam):
         raise ValueError(f"lambda={lam} is not in the cocharacter lattice of {t.rd.label}")
     den = lcm(*(c.denominator for c in lam))

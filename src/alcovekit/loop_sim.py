@@ -156,23 +156,44 @@ class TruncSeries:
         return (self - other).is_zero()
 
     def inverse(self, window: int | None = None) -> "TruncSeries":
-        """Invert a series whose lowest unit-coefficient term exists.
+        """Invert a series whose lowest unit-coefficient term c* u^k* exists.
 
-        Handles the pure pole/unit case and the (v+p)-style case where
-        nilpotent coefficients sit below the unit term.  An exact input with
-        an infinite inverse needs an explicit `window` and comes back known
-        up to it; a finite-precision
-        input propagates its window soundly (prec + 2 val of the inverse).
-        The geometric series is summed by doubling, in O(log window) products.
+        Write s = c* u^k* (1 + t).  An exact input with an infinite inverse
+        needs an explicit `window` and comes back known up to it; a
+        finite-precision input propagates its window soundly (prec + 2 val of
+        the inverse).  Two cases:
+
+        - the unit term is the lowest term, so t has no term below u^1: 1/(1+t)
+          is lifted by Newton's iteration on dense residue lists, doubling the
+          number of known terms with two packed products a step, to t's prec
+          (window + k* for an exact input);
+        - nilpotent terms sit below the unit term, as in (v+p)^-1: the
+          geometric series in -t is summed by doubling (`_geometric_sum`),
+          in O(log window) products.
         """
         p, m = self.ring.p, self.ring.modulus
-        unit_terms = [(k, v) for k, v in self.coeffs if v % p != 0]
-        if not unit_terms:
+        unit = next(((k, v) for k, v in self.coeffs if v % p), None)
+        if unit is None:
             raise ZeroDivisionError("no unit coefficient: series is not invertible")
-        kstar, cstar = unit_terms[0]
+        kstar, cstar = unit
         cinv = pow(cstar, -1, m)
-        # s = c* u^k* (1 + t); t = s * (c*^-1 u^-k*) - 1
         lead_inv = TruncSeries.monomial(self.ring, -kstar, cinv)
+        if self.coeffs[0][0] == kstar:
+            if self.prec is not None:
+                target = self.prec - kstar
+            elif len(self.coeffs) == 1:
+                return lead_inv if window is None else lead_inv.with_prec(window)
+            elif window is None:
+                raise PrecisionError("exact series has an infinite inverse; set a window")
+            else:
+                target = window + kstar
+            # s u^-k* on its first `target` terms
+            g = [0] * max(target, 0)
+            for k, v in self.coeffs[:bisect_left(self.coeffs, (target + kstar,))]:
+                g[k - kstar] = v
+            return TruncSeries(self.ring, tuple([
+                (j - kstar, c) for j, c in enumerate(_newton_inverse(g, m)) if c]), target - kstar)
+        # t = s * (c*^-1 u^-k*) - 1
         shifted = None if self.prec is None else self.prec - kstar
         t = self * lead_inv - TruncSeries.one(self.ring, prec=shifted)
         if t.prec is None and any(k > 0 for k, _ in t.coeffs):
@@ -198,9 +219,42 @@ class TruncSeries:
         return TruncSeries(self.ring, tuple((p * k, v) for k, v in self.coeffs), prec)
 
 
+def _newton_inverse(g: list[int], m: int) -> list[int]:
+    """The first len(g) coefficients of 1/g mod m, for a unit g[0].
+
+    Newton's step y <- y + y (1 - g y) takes y from q known terms to
+    q2 = min(2q, len(g)): g y = 1 below u^q, so its terms q..q2-1 give the
+    correction r, and y r below u^(q2-q) gives the new terms.  Each is one
+    Kronecker product whose slots sum at most q < len(g) products; g and y
+    stay packed, so a step packs and unpacks only the q2 - q new terms twice.
+    """
+    target = len(g)
+    if target < 2:
+        return [pow(c, -1, m) for c in g]
+    nb = _slot_bytes(1 << ((target - 1).bit_length() - 1), m)  # the last step's q
+    width = 8 * nb
+    packed_g = _pack(g, nb)
+    y = [pow(g[0], -1, m)]
+    packed_y, q = y[0], 1
+    while q < target:
+        q2 = min(2 * q, target)
+        gy = (packed_g & ((1 << width * q2) - 1)) * packed_y
+        r = _pack([-c % m for c in _unpack(gy, nb, q, q2)], nb)
+        new = [c % m for c in _unpack((packed_y & ((1 << width * (q2 - q)) - 1)) * r,
+                                      nb, 0, q2 - q)]
+        new += [0] * (q2 - q - len(new))
+        packed_y |= _pack(new, nb) << width * q
+        y += new
+        q = q2
+    return y
+
+
 def _geometric_sum(t: TruncSeries) -> TruncSeries:
     """1/(1+t) = (1+x)(1+x^2)(1+x^4)... with x = -t: each step doubles the
-    number of terms summed, until x vanishes on its window."""
+    number of terms summed, until x vanishes on its window.
+
+    Serves only the series with nilpotent terms below their unit term, where
+    t has terms below u^1; a unit lowest term goes to `_newton_inverse`."""
     geom = TruncSeries.one(t.ring, prec=t.prec)
     x = -t
     doublings = (_window_width(t) + t.ring.a * (abs(t.lo) + 2) + 4).bit_length() + 1
@@ -280,7 +334,17 @@ def _reach(s: TruncSeries, precs, partner_vals) -> int | None:
     return stop
 
 
-def _pack(s: TruncSeries, nb: int, stop: int | None) -> tuple[int, int] | None:
+def _pack(slots: Sequence[int], nb: int) -> int:
+    """The integer with the residues `slots` in nb-byte slots, slot 0 lowest."""
+    code = _WORD_CODES.get(nb)
+    if code is None:
+        raw = b"".join(v.to_bytes(nb, "little") for v in slots)
+    else:
+        raw = struct.pack(f"<{len(slots)}{code}", *slots)
+    return int.from_bytes(raw, "little")
+
+
+def _pack_series(s: TruncSeries, nb: int, stop: int | None) -> tuple[int, int] | None:
     """(lowest exponent k0, packed coefficients) of the terms of s below
     `stop`; None when there are none.  Packing costs the exponent span, so
     the cut keeps a wide series (phi spreads exponents by p) as cheap as the
@@ -292,27 +356,19 @@ def _pack(s: TruncSeries, nb: int, stop: int | None) -> tuple[int, int] | None:
     slots = [0] * (cs[-1][0] - base + 1)
     for k, v in cs:
         slots[k - base] = v
-    code = _WORD_CODES.get(nb)
-    if code is None:
-        raw = b"".join(v.to_bytes(nb, "little") for v in slots)
-    else:
-        raw = struct.pack(f"<{len(slots)}{code}", *slots)
-    return base, int.from_bytes(raw, "little")
+    return base, _pack(slots, nb)
 
 
-def _unpack(x: int, nb: int, base: int, stop: int | None,
-            m: int) -> tuple[tuple[int, int], ...]:
-    """Sorted nonzero (exponent, value mod m) of x's slots, slot 0 at `base`,
-    for the exponents below `stop`."""
+def _unpack(x: int, nb: int, start: int, stop: int | None) -> Sequence[int]:
+    """The values of x's slots start..stop-1, not reduced mod m; stop None
+    means through x's highest nonzero slot, and no slot past that one is
+    returned."""
     raw = x.to_bytes(-(-x.bit_length() // (8 * nb)) * nb, "little")
-    if stop is not None:
-        raw = raw[:max(0, stop - base) * nb]
+    raw = raw[start * nb:None if stop is None else stop * nb]
     code = _WORD_CODES.get(nb)
     if code is None:
-        slots = [int.from_bytes(raw[i:i + nb], "little") for i in range(0, len(raw), nb)]
-    else:
-        slots = struct.unpack(f"<{len(raw) // nb}{code}", raw)
-    return tuple([(base + t, r) for t, s in enumerate(slots) if (r := s % m)])
+        return [int.from_bytes(raw[i:i + nb], "little") for i in range(0, len(raw), nb)]
+    return struct.unpack(f"<{len(raw) // nb}{code}", raw)
 
 
 def _dot(ring: Ring, pairs, nb: int, prec: int | None) -> TruncSeries:
@@ -325,9 +381,11 @@ def _dot(ring: Ring, pairs, nb: int, prec: int | None) -> TruncSeries:
     if not parts:
         return TruncSeries(ring, (), prec)
     base = min([k for k, _ in parts])
-    width = 8 * nb
+    width, m = 8 * nb, ring.modulus
     total = sum([x << (width * (k - base)) for k, x in parts])
-    return TruncSeries(ring, _unpack(total, nb, base, prec, ring.modulus), prec)
+    slots = _unpack(total, nb, 0, None if prec is None else max(0, prec - base))
+    return TruncSeries(ring, tuple([(base + t, r) for t, c in enumerate(slots) if (r := c % m)]),
+                       prec)
 
 
 def _sum_of_products(ring: Ring, pairs) -> TruncSeries:
@@ -338,8 +396,9 @@ def _sum_of_products(ring: Ring, pairs) -> TruncSeries:
         prec = _min_prec(prec, _mul_window(a, b))
         terms += min(len(a.coeffs), len(b.coeffs))
     nb = _slot_bytes(terms, ring.modulus)
-    return _dot(ring, [(_pack(a, nb, _reach(a, [prec], [b.val()])),
-                        _pack(b, nb, _reach(b, [prec], [a.val()]))) for a, b in pairs], nb, prec)
+    return _dot(ring, [(_pack_series(a, nb, _reach(a, [prec], [b.val()])),
+                        _pack_series(b, nb, _reach(b, [prec], [a.val()])))
+                       for a, b in pairs], nb, prec)
 
 
 @dataclass(frozen=True)
@@ -389,10 +448,10 @@ class LoopElement:
         # other those of column j
         prec_cols = list(zip(*precs))
         a_cols = list(zip(*self.rows))
-        pa = [[_pack(s, nb, _reach(s, precs[i], [t.val() for t in other.rows[k]]))
+        pa = [[_pack_series(s, nb, _reach(s, precs[i], [t.val() for t in other.rows[k]]))
                for k, s in enumerate(row)] for i, row in enumerate(self.rows)]
         pb_cols = list(zip(*(
-            [_pack(s, nb, _reach(s, prec_cols[j], [t.val() for t in a_cols[k]]))
+            [_pack_series(s, nb, _reach(s, prec_cols[j], [t.val() for t in a_cols[k]]))
              for j, s in enumerate(row)] for k, row in enumerate(other.rows))))
         return LoopElement(ring, tuple(
             tuple(_dot(ring, zip(pa[i], pb_cols[j]), nb, precs[i][j]) for j in range(n))
@@ -655,40 +714,6 @@ def congruence_compare(n: int, a: int, p: int) -> dict:
         "second_quotient": quotient2,
         "frobenius_congruence": binomial_ok,
     }
-
-
-def search_contraction_failure(p: int, a: int, f: int, h_mu: int,
-                               trials: int = 20, seed: int = 0,
-                               window: int | None = None) -> dict:
-    """Look for a non-contracting instance when the straightening bound fails.
-
-    Whether the bound is sharp in this sense is open; this only reports what
-    the search saw, it asserts nothing.
-    """
-    gap = straightening_gap(p, a, f, h_mu)
-    ring = Ring(p, a, 1)
-    rng = random.Random(seed)
-    if window is None:
-        window = 4 * p
-    found = 0
-    tried = 0
-    for trial in range(trials):
-        mu = (h_mu, 0)
-        xf = random_bounded_x(rng, ring, 2, mu, 3, use_v_plus_p=bool(trial % 2),
-                              window=window + 20)
-        x = product_of(xf)
-        xinv = inverse_of(xf, window + 20)
-        a1 = random_depth_element(rng, ring, 2, f, f + 3).with_prec(window)
-        diff = random_depth_element(rng, ring, 2, f, f + 3)
-        a2 = (a1 * diff).with_prec(window)
-        d0 = identity_depth(a1.inverse(window + 20) * a2)
-        p1 = (x * a1.phi() * xinv).with_prec(window)
-        p2 = (x * a2.phi() * xinv).with_prec(window)
-        d1 = identity_depth(p1.inverse(window + 20) * p2)
-        tried += 1
-        if d1 < min(d0 + 1, window):
-            found += 1
-    return {"gap": gap, "trials": tried, "non_contracting": found}
 
 
 def random_polynomial(rng: random.Random, ring: Ring, lo: int, deg: int) -> TruncSeries:

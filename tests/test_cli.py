@@ -536,6 +536,13 @@ CLI_DIGESTS = [
      "76bb78f77f59590fd1772641ef78b71d255db5853af7a94216786463abb5c8a5"),
     ("json", "straighten --p 7 --a 1 --f 1 --hmu 1 --seed 5 --window 28", 0,
      "0a6b311c11c68d454ec732ab79e274993723432b73994e6c1e468b0fe36bbded"),
+    # wide windows: every unit inverse lifts its terms by Newton's iteration
+    ("json", "straighten --p 7 --n 3 --seed 1 --window 1024", 0,
+     "a2a1c7257e7531c0fd042d6bc6fc921039649e3e18e07ab6302e461300af4220"),
+    ("json", "straighten --p 5 --a 3 --f 2 --n 2 --seed 2 --window 2048", 0,
+     "097417c8c0045936f66409a976af87ce6e30ef77653b4c1aa6a6df756cc10b63"),
+    ("json", "straighten --p 11 --a 2 --f 1 --hmu 1 --n 3 --seed 7 --window 512", 0,
+     "b613f0c9ac0c9c44af86cb75cbcc27e9b48ed24267cc452c4e20df9144989237"),
     ("json", "compare --p 3 --a 2 --n 7", 0,
      "d2abe2eaa8783c84fdbefd0f8aacbc770140038774f330a3e6c47e8cc736e7d7"),
     ("json", "adm --group GL4 --mu 2,1,0,0", 0,

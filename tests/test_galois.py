@@ -286,6 +286,24 @@ def test_frobenius_invariant_matches_the_rational_scan_with_a_weyl_part(p, mu):
     assert verdicts[0][0] and {flag for flag, _ in verdicts} == {True, False}
 
 
+def test_gamma_fixedness_at_large_r_matches_the_point_check():
+    # Gamma-fixedness is decided on the integer vectors w_j^{-1}(lambda_j);
+    # the point-based check builds all r Fraction slots of the point
+    gl2 = build_root_datum("GL2")
+    swap = WeylElement(((0, 1), (1, 0)))
+    for psi in (ident(2), swap):
+        g = GammaData(p=5, e=4, r=20000, psi=psi, inertial=ident(2))
+        fixed = GaloisType.from_lambda(gl2, g, (1, 0))
+        moved = GaloisType(gl2, g, fixed.lams[:-1] + ((2, -1),), fixed.ws)
+        rewound = GaloisType(gl2, g, fixed.lams, fixed.ws[:-1] + (swap,))
+        verdicts = [t.point().is_gamma_fixed() for t in (fixed, moved, rewound)]
+        assert verdicts == [True, False, False]
+        assert frobenius_invariant(fixed) == _rational_frobenius_invariant(fixed)
+        for t in (moved, rewound):
+            with pytest.raises(ValueError, match="^type's point must be Gamma-fixed$"):
+                frobenius_invariant(t)
+
+
 def test_frobenius_invariant_refuses_lambda_outside_the_lattice():
     t = GaloisType.from_lambda(SL2, G24, (1, 0))
     with pytest.raises(ValueError,

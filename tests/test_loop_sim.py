@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from alcovekit.loop_sim import (
     random_depth_element,
     random_polynomial,
     straighten_right,
+    straightening_gap,
 )
 from alcovekit.rootdata import (
     CapExceeded,
@@ -337,14 +339,43 @@ def test_laurent_inverse_matches_geometric_series():
         assert dict(inv.coeffs) == expect
 
 
-def test_contraction_failure_search_reports():
-    from alcovekit.loop_sim import search_contraction_failure
+def _search_contraction_failure(p, a, f, h_mu, trials, seed):
+    """Look for a non-contracting instance when the straightening bound fails.
 
+    Whether the bound is sharp in this sense is open; this only reports what
+    the search saw, it asserts nothing.
+    """
+    gap = straightening_gap(p, a, f, h_mu)
+    ring = Ring(p, a, 1)
+    rng = random.Random(seed)
+    window = 4 * p
+    found = 0
+    tried = 0
+    for trial in range(trials):
+        mu = (h_mu, 0)
+        xf = random_bounded_x(rng, ring, 2, mu, 3, use_v_plus_p=bool(trial % 2),
+                              window=window + 20)
+        x = product_of(xf)
+        xinv = inverse_of(xf, window + 20)
+        a1 = random_depth_element(rng, ring, 2, f, f + 3).with_prec(window)
+        diff = random_depth_element(rng, ring, 2, f, f + 3)
+        a2 = (a1 * diff).with_prec(window)
+        d0 = identity_depth(a1.inverse(window + 20) * a2)
+        p1 = (x * a1.phi() * xinv).with_prec(window)
+        p2 = (x * a2.phi() * xinv).with_prec(window)
+        d1 = identity_depth(p1.inverse(window + 20) * p2)
+        tried += 1
+        if d1 < min(d0 + 1, window):
+            found += 1
+    return {"gap": gap, "trials": tried, "non_contracting": found}
+
+
+def test_contraction_failure_search_reports():
     # bound satisfied: the search must come back empty
-    rep = search_contraction_failure(7, 1, 1, 1, trials=5, seed=3)
+    rep = _search_contraction_failure(7, 1, 1, 1, trials=5, seed=3)
     assert rep["gap"] > 0 and rep["non_contracting"] == 0
     # bound violated: only a report, no assertion either way
-    rep = search_contraction_failure(3, 2, 1, 1, trials=5, seed=3)
+    rep = _search_contraction_failure(3, 2, 1, 1, trials=5, seed=3)
     assert rep["gap"] <= 0 and rep["trials"] == 5
 
 
@@ -522,11 +553,9 @@ def _packed_slots(monkeypatch):
     seen = []
     real = loop_sim._pack
 
-    def spy(s, nb, stop):
-        out = real(s, nb, stop)
-        if out is not None:
-            seen.append(-(-out[1].bit_length() // (8 * nb)))
-        return out
+    def spy(slots, nb):
+        seen.append(len(slots))
+        return real(slots, nb)
 
     monkeypatch.setattr(loop_sim, "_pack", spy)
     return seen
@@ -806,9 +835,10 @@ def test_det_expands_each_minor_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The inverse sums its geometric series by doubling.  The term-by-term loop it
-# replaced is the reference where the two sums share their window rules, and
-# the true inverse, summed without windows, is the reference everywhere.
+# The inverse lifts a unit lowest term by Newton's iteration and sums the
+# geometric series by doubling where nilpotent terms sit below the unit term.
+# The term-by-term loop is the reference where it shares their window rules,
+# and the true inverse, summed without windows, is the reference everywhere.
 
 def _inverse_term_by_term(s, window=None):
     """The geometric series summed one power at a time, on the same rules."""
@@ -893,7 +923,8 @@ def _inverse_outcome(f, s, window):
 
 def _inverse_inputs(rng):
     """(series, window) pairs: the kernel kinds, exact series with a window,
-    (v+p)^k, windowed units and units with nilpotent terms below them."""
+    (v+p)^k, windowed units, units with nilpotent terms below them, and unit
+    lowest terms off u^0 and at wide windows."""
     for ring in KERNEL_RINGS + (Ring(2, 6), Ring(3, 4), Ring(5, 2, 3)):
         m, p = ring.modulus, ring.p
         for kind in SERIES_KINDS:
@@ -919,6 +950,25 @@ def _inverse_inputs(rng):
             coeffs[0] = rng.randrange(1, p) + p * rng.randrange(m)
             yield (TruncSeries.make(ring, coeffs, prec=rng.choice((None, rng.randrange(1, 20)))),
                    rng.randrange(1, 40))
+    # a unit lowest term at k* < 0, k* = 0 and k* > 0, over rings with e > 1 and
+    # slots wider than a word; the windows of exact series reach below |k*|
+    for ring in (Ring(5, 2), Ring(7, 1, 2), Ring(3, 3, 4), Ring(2**31 - 1, 1)):
+        m, p = ring.modulus, ring.p
+        for kstar in (-7, 0, 7):
+            coeffs = {k: rng.randrange(m) for k in range(kstar + 1, kstar + rng.randrange(2, 14))}
+            coeffs[kstar] = rng.randrange(1, p) + p * rng.randrange(m)
+            yield TruncSeries.make(ring, coeffs, prec=kstar + rng.randrange(1, 20)), None
+            for window in (1, rng.randrange(1, 7), abs(kstar) + rng.randrange(1, 30)):
+                yield TruncSeries.make(ring, coeffs), window
+    # a unit lowest term at wide windows; terms spaced w/8 apart keep the
+    # references to a few powers of t
+    for ring in (Ring(7, 2), Ring(2**31 - 1, 1), Ring(3, 2, 3)):
+        m, p = ring.modulus, ring.p
+        for w in (256, 1024, 4096):
+            coeffs = {k: rng.randrange(m) for k in range(w // 8, w + w // 4, w // 8)}
+            coeffs[0] = rng.randrange(1, p) + p * rng.randrange(m)
+            yield TruncSeries.make(ring, coeffs, prec=w), None
+            yield TruncSeries.make(ring, coeffs), w
 
 
 def _shares_window_rules(s):
@@ -1004,8 +1054,88 @@ def test_inverse_makes_logarithmically_many_products(monkeypatch):
     inv = TruncSeries.make(ring, {0: 1, 1: 1}).inverse(window)
     assert inv.prec == window
     assert dict(inv.coeffs) == {k: (-1) ** k % 5 for k in range(window)}
-    # two products per doubling; the term-by-term loop made about `window`
-    assert len(calls) <= 3 * window.bit_length()
+    # a unit lowest term takes Newton's iteration, which makes no series product
+    assert not calls
+    # a nilpotent term below the unit term takes the doubling sum: two products
+    # per doubling; the term-by-term loop made about `window`
+    s = TruncSeries.make(Ring(5, 2), {-1: 5, 0: 1, 1: 1})
+    inv = s.inverse(window)
+    assert inv.prec == window and dict(inv.coeffs) == _true_inverse(s, window)
+    assert 0 < len(calls) <= 3 * window.bit_length()
+
+
+def test_newton_lifts_in_ceil_log2_target_steps(monkeypatch):
+    # from the one term known at the start to target = prec - k* (window + k*
+    # for an exact series), each step doubling, with two unpacked products a
+    # step and no series product
+    unpacked, dots = [], []
+    real_unpack, real_dot = loop_sim._unpack, loop_sim._dot
+
+    def spy_unpack(*args):
+        unpacked.append(1)
+        return real_unpack(*args)
+
+    def spy_dot(*args):
+        dots.append(1)
+        return real_dot(*args)
+
+    monkeypatch.setattr(loop_sim, "_unpack", spy_unpack)
+    monkeypatch.setattr(loop_sim, "_dot", spy_dot)
+    rng = random.Random(18)
+    ring = Ring(7, 2)
+    checked = 0
+    for target in (1, 2, 3, 4, 5, 43, 1024, 1025, 4096):
+        for kstar in (-3, 0, 5):
+            coeffs = {k: rng.randrange(1, 49) for k in range(kstar + 1, kstar + target + 3)}
+            coeffs[kstar] = rng.randrange(1, 7)
+            cases = [(TruncSeries.make(ring, coeffs, prec=kstar + target), None)]
+            if target > kstar:
+                cases.append((TruncSeries.make(ring, coeffs), target - kstar))
+            for s, window in cases:
+                unpacked.clear()
+                inv = s.inverse(window)
+                assert inv.prec == target - kstar
+                assert len(unpacked) == 2 * math.ceil(math.log2(target)), (target, kstar)
+                checked += 1
+    assert not dots and checked == 49
+
+
+def _inverse_by_doubling(s, window=None):
+    """The inverse of a series with a unit lowest term as the doubling sum
+    computes it: lead_inv times the geometric series in -t, on the same
+    window rules."""
+    p, m, a = s.ring.p, s.ring.modulus, s.ring.a
+    kstar, cstar = s.coeffs[0]
+    assert cstar % p
+    lead_inv = TruncSeries.monomial(s.ring, -kstar, pow(cstar, -1, m))
+    shifted = None if s.prec is None else s.prec - kstar
+    t = s * lead_inv - TruncSeries.one(s.ring, prec=shifted)
+    if s.prec is None:
+        t = t.with_prec(window + abs(kstar) + a * (abs(kstar) + abs(s.lo)) + 2)
+    inv = lead_inv * loop_sim._geometric_sum(t)
+    cap = window if s.prec is None else s.prec + 2 * inv.val()
+    return inv.with_prec(min(inv.prec, cap))
+
+
+def test_newton_matches_the_doubling_sum_on_wide_dense_units():
+    # every coefficient random below the window, as the determinants that
+    # straighten inverts are
+    rng = random.Random(4096)
+    checked = 0
+    for ring, windows in ((Ring(7, 2), (256, 1024, 4096)), (Ring(101, 3), (1024,)),
+                          (Ring(2**31 - 1, 1), (256,)), (Ring(2, 5, 2), (1024,))):
+        m, p = ring.modulus, ring.p
+        for w in windows:
+            for kstar in (-3, 0, 5):
+                coeffs = {k: rng.randrange(m) for k in range(kstar + 1, kstar + w + 2)}
+                coeffs[kstar] = rng.randrange(1, p) + p * rng.randrange(m)
+                for s, window in ((TruncSeries.make(ring, coeffs, prec=kstar + w), None),
+                                  (TruncSeries.make(ring, coeffs), w)):
+                    inv = s.inverse(window)
+                    assert _state(inv) == _state(_inverse_by_doubling(s, window)), (ring, w)
+                    assert (s * inv).equals(TruncSeries.one(ring))
+                    checked += 1
+    assert checked == 36
 
 
 def test_series_has_no_stored_pole_bound():
