@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-import json
 from typing import Sequence
 
 from .rootdata import GammaData, RootDatum, WeylElement
@@ -50,18 +49,6 @@ class ApartmentPoint:
                 return False
         return True
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema": 1,
-                "e": self.gamma.e,
-                "p": self.gamma.p,
-                "r": self.gamma.r,
-                "group": self.rd.label,
-                "eta": [[f"{c.numerator}/{c.denominator}" for c in eta] for eta in self.etas],
-            }
-        )
-
 
 def point_from_type(
     rd: RootDatum,
@@ -85,18 +72,6 @@ def frobenius(x: ApartmentPoint) -> ApartmentPoint:
     etas = tuple(
         tuple(p * c for c in x.etas[(j - 1) % r]) for j in range(r)
     )
-    return ApartmentPoint(x.rd, x.gamma, etas)
-
-
-def sigma_action(x: ApartmentPoint) -> ApartmentPoint:
-    """(sigma x)_j = psi(x_{j-1}): cyclic shift with the pinned twist."""
-    r = x.gamma.r
-    etas = tuple(tuple(x.gamma.psi.apply(x.etas[(j - 1) % r])) for j in range(r))
-    return ApartmentPoint(x.rd, x.gamma, etas)
-
-
-def inertia_action(x: ApartmentPoint) -> ApartmentPoint:
-    etas = tuple(tuple(x.gamma.inertial.apply(eta)) for eta in x.etas)
     return ApartmentPoint(x.rd, x.gamma, etas)
 
 

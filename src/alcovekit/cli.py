@@ -43,21 +43,22 @@ from .weyl_affine import admissible_set, base_alcove, h_mu
 
 
 # 4096 is the largest power of two at which `straighten --p 7 --window W` runs
-# within the time of `--n 8` (about 1.1 s); --hmu and --f at 4096 take less
+# within the 1.1 s `--n 8` took when these caps were set; --hmu and --f at 4096
+# take less
 MAX_STRAIGHTEN_SIZE = 4096
 # --a widens both the coefficients (Z/p^a) and the slack window (4a):
 # `straighten --p 7 --a A --f 400 --window 8` takes 0.6 s at A = 128, 1.5 s at
 # 192, 3.7 s at 256 and 38 s at 512, so 128 is the largest power of two within
-# the time of `--n 8`
+# that 1.1 s
 MAX_STRAIGHTEN_A = 128
 # a genericity figure draws depth + 1 shaded triangles per alcove:
 # `figure --kind genericity --p 100003` takes 0.9 s at --depth 8192, 1.7 s at 16384
 MAX_FIGURE_DEPTH = 8192
-# the cap on (e + 1) * r, r = ord_e(p), was sized when each of the e/2 + 1
-# nodes of an sl2 figure built a type over r slots; one integer scan a node
-# no longer depends on r.  On a 2-core VM, `figure --kind sl2 --p 98299
-# --e 16383` (r = 1) takes 0.33 s as a CLI run, and in process `--p 65537
-# --e 32768` (r = 1) renders in 0.15-0.17 s and `--p 7 --e 1024` (r = 128) in 5 ms
+# an sl2 figure colours its e + 1 nodes by one integer scan each, so e sets
+# its cost and r = ord_e(p) does not.  On a 2-core VM, `figure --kind sl2
+# --p 98299 --e 16383` takes 0.33 s as a CLI run, and in process `--p 7
+# --e 16383` (r = 126) renders in 0.11-0.16 s and `--p 7 --e 8192`
+# (r = 1024) in 0.04-0.08 s
 MAX_SL2_SIZE = 16384
 
 
@@ -287,13 +288,8 @@ def _cmd_figure(args) -> CommandResult:
             raise ValueError(f"--depth must lie in [0, p/3], got {depth} for p={args.p}")
         if depth > MAX_FIGURE_DEPTH:
             raise CapExceeded(f"--depth is capped at {MAX_FIGURE_DEPTH}")
-    if kind == "rank1_line":
-        # finding ord_e(p) takes up to e steps, so e alone is checked first
-        size = args.e + 1
-        if size <= MAX_SL2_SIZE:
-            size *= split_gamma(build_root_datum("SL2"), args.p, args.e).r
-        if size > MAX_SL2_SIZE:
-            raise CapExceeded(f"sl2 figures are capped at (e + 1) * ord_e(p) <= {MAX_SL2_SIZE}")
+    if kind == "rank1_line" and args.e + 1 > MAX_SL2_SIZE:
+        raise CapExceeded(f"sl2 figures are capped at e + 1 <= {MAX_SL2_SIZE}")
     spec = figures.FigureSpec(kind=kind, p=args.p, e=args.e, shading_depth=depth,
                               mu=_parse_ints(args.mu))
     svg = figures.render(spec)

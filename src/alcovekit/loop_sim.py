@@ -20,11 +20,13 @@ from typing import Sequence
 from .apartment import ValuationPattern
 from .rootdata import CapExceeded, RefusedError, check_prime
 
-# det expands each minor once, in at most n*2^(n-1) series products.  8 is the largest
-# n at which `straighten --p 7 --n n` runs within the old n!-cost time of `--n 6`
+# det expands each minor once, in at most n*2^(n-1) series products.  As a CLI run on
+# a 2-core VM, `straighten --p 7` takes 0.2 s at --n 6, 0.4 s at --n 8 and 0.7 s at
+# --n 9 (1.4 s at --n 6 when every minor was expanded anew); the cap stays 8 until
+# one cap on predicted cost replaces the separate size caps
 MAX_LOOP_N = 8
 # congruence_compare makes max(n, p^(a-1)) products by v+p.  At 50000 the slowest
-# `compare` within the cap takes about 1 s, as `straighten --n 8` does
+# `compare` within the cap takes about 1 s, as `straighten --n 8` did when it was set
 MAX_COMPARE_POWER = 50000
 
 
@@ -87,7 +89,7 @@ class TruncSeries:
         """Pole bound: all coefficients below lo vanish.  Derived from the
         support, never stored: min(0, lowest known exponent), 0 for an exact
         zero."""
-        low = self._support_lo()
+        low = _ends(self)[1]
         return 0 if low is None else min(0, low)
 
     def coeff(self, k: int) -> int:
@@ -132,16 +134,15 @@ class TruncSeries:
         m = self.ring.modulus
         return TruncSeries(self.ring, tuple((k, (-v) % m) for k, v in self.coeffs), self.prec)
 
-    def _support_lo(self) -> int | None:
-        """Lowest exponent that can carry a nonzero coefficient; None = zero."""
-        if self.coeffs:
-            return self.coeffs[0][0]
-        return self.prec  # all known coefficients vanish
-
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         if self.ring != other.ring:
             raise ValueError("series over different rings")
-        return _sum_of_products(self.ring, ((self, other),))
+        ea, eb = _ends(self), _ends(other)
+        prec = _mul_window(ea, eb)
+        nb = _slot_bytes(min(len(self.coeffs), len(other.coeffs)), self.ring.modulus)
+        return _dot(self.ring, [(_pack_series(self, nb, _reach(self, [prec], [eb[2]])),
+                                 _pack_series(other, nb, _reach(other, [prec], [ea[2]])))],
+                    nb, prec)
 
     def is_zero(self) -> bool:
         """Zero on the whole known window."""
@@ -288,22 +289,28 @@ def _window_width(s: TruncSeries) -> int:
     return max(1, s.prec - s.lo)
 
 
-def _mul_window(a: TruncSeries, b: TruncSeries) -> int | None:
-    """The prec of the product a * b.
+def _ends(s: TruncSeries) -> tuple[int | None, int | None, int | None]:
+    """(prec, support lo, val) of s: all that the window and packing rules
+    read of a factor.  The support lo is the lowest exponent that can carry
+    a nonzero coefficient: the val, else the prec (None for an exact zero)."""
+    if s.coeffs:
+        low = s.coeffs[0][0]
+        return s.prec, low, low
+    return s.prec, s.prec, None
+
+
+def _mul_window(a: tuple, b: tuple) -> int | None:
+    """The prec of a product whose factors have the `_ends` a and b.
 
     Each factor's window ends at its prec; shifted by the lowest exponent the
     other factor can carry, that bounds what the product knows.
     """
-    cands = []
-    if a.prec is not None:
-        off = b._support_lo()
-        if off is not None:
-            cands.append(a.prec + off)
-    if b.prec is not None:
-        off = a._support_lo()
-        if off is not None:
-            cands.append(b.prec + off)
-    return min(cands) if cands else None
+    (a_prec, a_lo, _), (b_prec, b_lo, _) = a, b
+    if a_prec is None or b_lo is None:
+        return None if b_prec is None or a_lo is None else b_prec + a_lo
+    if b_prec is None or a_lo is None:
+        return a_prec + b_lo
+    return min(a_prec + b_lo, b_prec + a_lo)
 
 
 # Kronecker substitution: a series with coefficients c_k becomes the integer
@@ -388,19 +395,6 @@ def _dot(ring: Ring, pairs, nb: int, prec: int | None) -> TruncSeries:
                        prec)
 
 
-def _sum_of_products(ring: Ring, pairs) -> TruncSeries:
-    """The series sum of a * b over the pairs (a, b) of series, in one `_dot`,
-    known below the least prec of the products."""
-    prec, terms = None, 0
-    for a, b in pairs:
-        prec = _min_prec(prec, _mul_window(a, b))
-        terms += min(len(a.coeffs), len(b.coeffs))
-    nb = _slot_bytes(terms, ring.modulus)
-    return _dot(ring, [(_pack_series(a, nb, _reach(a, [prec], [b.val()])),
-                        _pack_series(b, nb, _reach(b, [prec], [a.val()])))
-                       for a, b in pairs], nb, prec)
-
-
 @dataclass(frozen=True)
 class LoopElement:
     ring: Ring
@@ -442,51 +436,57 @@ class LoopElement:
         terms = max((len(s.coeffs) for el in (self, other) for row in el.rows for s in row),
                     default=0)
         nb = _slot_bytes(n * terms, ring.modulus)
-        precs = [[reduce(_min_prec, (_mul_window(self.rows[i][k], other.rows[k][j])
-                                     for k in range(n))) for j in range(n)] for i in range(n)]
+        ea = [[_ends(s) for s in row] for row in self.rows]
+        eb = [[_ends(s) for s in row] for row in other.rows]
+        precs = [[reduce(_min_prec, [_mul_window(a, b) for a, b in zip(row, col)])
+                  for col in zip(*eb)] for row in ea]
         # entry (i, k) of self enters the products of row i, entry (k, j) of
         # other those of column j
         prec_cols = list(zip(*precs))
-        a_cols = list(zip(*self.rows))
-        pa = [[_pack_series(s, nb, _reach(s, precs[i], [t.val() for t in other.rows[k]]))
-               for k, s in enumerate(row)] for i, row in enumerate(self.rows)]
+        b_vals = [[e[2] for e in row] for row in eb]
+        a_col_vals = [[e[2] for e in col] for col in zip(*ea)]
+        pa = [[_pack_series(s, nb, _reach(s, precs[i], b_vals[k])) for k, s in enumerate(row)]
+              for i, row in enumerate(self.rows)]
         pb_cols = list(zip(*(
-            [_pack_series(s, nb, _reach(s, prec_cols[j], [t.val() for t in a_cols[k]]))
+            [_pack_series(s, nb, _reach(s, prec_cols[j], a_col_vals[k]))
              for j, s in enumerate(row)] for k, row in enumerate(other.rows))))
         return LoopElement(ring, tuple(
             tuple(_dot(ring, zip(pa[i], pb_cols[j]), nb, precs[i][j]) for j in range(n))
             for i in range(n)))
 
-    def _minor(self, rows: tuple[int, ...], cols: tuple[int, ...], memo: dict) -> TruncSeries:
-        """The minor on sorted index tuples by Laplace along rows[0], kept in `memo`."""
-        if (n := len(rows)) > MAX_LOOP_N:
-            raise CapExceeded(f"determinant of a {n}x{n} loop element: the limit is {MAX_LOOP_N}")
-        if n == 1:
-            return self.rows[rows[0]][cols[0]]
-        if (rows, cols) not in memo:
-            row, rest = self.rows[rows[0]], rows[1:]
-            memo[rows, cols] = _sum_of_products(self.ring, [
-                (-row[c] if j % 2 else row[c], self._minor(rest, cols[:j] + cols[j + 1:], memo))
-                for j, c in enumerate(cols)])
-        return memo[rows, cols]
-
     def det(self) -> TruncSeries:
         """Laplace expansion along the first row, each minor once; CapExceeded above MAX_LOOP_N."""
-        return self._minor(tuple(range(self.n)), tuple(range(self.n)), {})
+        full = tuple(range(self.n))
+        return _Laplace(self).minor(full, full)[0]
 
     def inverse(self, window: int | None = None) -> "LoopElement":
-        full, memo = tuple(range(self.n)), {}
-        dinv = self._minor(full, full, memo).inverse(window)
+        """adj(self) * det(self)^-1, the determinant inverted with `window`.
+
+        The determinant and the n^2 cofactors come from one Laplace
+        expansion (`_Laplace`).  Entry (i, j) is (-1)^(i+j) M_ji det^-1, M_ji
+        the minor without row j and column i: det^-1 and -det^-1 are packed
+        once, up to the furthest exponent any cofactor product needs, and each
+        product is one `_dot` known below its own `_mul_window`.
+        """
+        full, ring = tuple(range(self.n)), self.ring
+        laplace = _Laplace(self)
+        dinv = laplace.minor(full, full)[0].inverse(window)
         if self.n == 1:
-            return LoopElement(self.ring, ((dinv,),))
+            return LoopElement(ring, ((dinv,),))
         others = [full[:k] + full[k + 1:] for k in full]
-
-        def cofactor(i: int, j: int) -> TruncSeries:
-            cof = self._minor(others[j], others[i], memo)
-            return -cof if (i + j) % 2 == 1 else cof
-
-        return LoopElement(self.ring, tuple(
-            tuple(cofactor(i, j) * dinv for j in full) for i in full))
+        cofs = [[laplace.minor(others[j], others[i]) for j in full] for i in full]
+        ed = _ends(dinv)
+        precs = [[_mul_window(ec, ed) for _, ec in row] for row in cofs]
+        terms = max(min(len(c.coeffs), len(dinv.coeffs)) for row in cofs for c, _ in row)
+        nb = _slot_bytes(terms, ring.modulus)
+        stop = _reach(dinv, [q for row in precs for q in row],
+                      [ec[2] for row in cofs for _, ec in row])
+        signed = (_pack_series(dinv, nb, stop), _pack_series(-dinv, nb, stop))
+        return LoopElement(ring, tuple(
+            tuple(_dot(ring, [(_pack_series(c, nb, _reach(c, (q,), (ed[2],))),
+                               signed[(i + j) % 2])], nb, q)
+                  for j, ((c, _), q) in enumerate(zip(cofs[i], precs[i])))
+            for i in full))
 
     def phi(self) -> "LoopElement":
         return LoopElement(self.ring, tuple(tuple(s.phi() for s in row) for row in self.rows))
@@ -508,6 +508,59 @@ class LoopElement:
     def with_prec(self, prec: int | None) -> "LoopElement":
         return LoopElement(self.ring, tuple(
             tuple(s.with_prec(_min_prec(s.prec, prec)) for s in row) for row in self.rows))
+
+
+class _Laplace:
+    """The minors of one loop element, each expanded along its first row once.
+
+    An exact-zero entry adds no term and no window to a minor, so the minor
+    under it is never formed.  Signed entries and minors are packed at one
+    slot width, `_slot_bytes(n T)` with T the most terms of an entry: a
+    k-minor's `_dot` sums k products, each of which puts at most T products
+    of terms in a slot.  Each operand is packed once per cut (`_reach`): one
+    whose products are exact is cut nowhere, so it is packed once in the
+    whole expansion, and a cut keeps a phi-spread entry beside narrower
+    windows as cheap as the window of the minor it enters.
+    """
+
+    def __init__(self, el: LoopElement):
+        if el.n > MAX_LOOP_N:
+            raise CapExceeded(f"determinant of a {el.n}x{el.n} loop element: "
+                              f"the limit is {MAX_LOOP_N}")
+        self.el = el
+        terms = max(len(s.coeffs) for row in el.rows for s in row)
+        self.nb = _slot_bytes(el.n * terms, el.ring.modulus)
+        # (rows, cols) -> the minor on those sorted indices and its `_ends`
+        self.minors: dict = {((r,), (c,)): (s, _ends(s))
+                             for r, row in enumerate(el.rows) for c, s in enumerate(row)}
+        self.packed: dict = {}  # ((rows, cols, negated), stop) -> the packed (negated) minor
+
+    def minor(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> tuple[TruncSeries, tuple]:
+        """The minor on rows and cols and its `_ends`."""
+        if (rows, cols) not in self.minors:
+            top, rest = rows[:1], rows[1:]
+            prec, factors = None, []
+            for j, c in enumerate(cols):
+                s, es = self.minors[top, (c,)]
+                if es[0] is None and es[2] is None:  # an exact zero
+                    continue
+                sub = cols[:j] + cols[j + 1:]
+                m, em = self.minor(rest, sub)
+                prec = _min_prec(prec, _mul_window(es, em))
+                factors.append((j, c, s, sub, m, es[2], em[2]))
+            d = _dot(self.el.ring, [
+                (self._packed((top, (c,), j % 2 == 1), s, _reach(s, (prec,), (m_val,))),
+                 self._packed((rest, sub, False), m, _reach(m, (prec,), (s_val,))))
+                for j, c, s, sub, m, s_val, m_val in factors], self.nb, prec)
+            self.minors[rows, cols] = d, _ends(d)
+        return self.minors[rows, cols]
+
+    def _packed(self, key: tuple, s: TruncSeries, stop: int | None) -> tuple[int, int] | None:
+        """s, the minor on key = (rows, cols, negated), negated if so, packed
+        below stop."""
+        if (key, stop) not in self.packed:
+            self.packed[key, stop] = _pack_series(-s if key[2] else s, self.nb, stop)
+        return self.packed[key, stop]
 
 
 def phi_c(a: LoopElement, c: LoopElement | None = None,
@@ -532,7 +585,7 @@ def _zero_depth(a: LoopElement) -> int:
 def _vanishing_below(s: TruncSeries) -> int:
     """An exponent below which s is known to vanish: its val, else its prec;
     an exact zero vanishes everywhere and stands in as u^(e 10^9)."""
-    low = s._support_lo()
+    low = _ends(s)[1]
     return low if low is not None else s.ring.e * 10**9
 
 
@@ -658,8 +711,9 @@ def straighten_right(x, b: LoopElement, f: int, h_mu: int,
         # depth of the update a_cur^{-1} a_next: a_cur is an integral unit, so
         # a_cur^{-1} a_next - 1 = a_cur^{-1} (a_next - a_cur) has the valuation
         # of a_next - a_cur
-        trace.append(_zero_depth(a_next - a_cur))
-        if a_next.equals(a_cur):
+        diff = a_next - a_cur
+        trace.append(_zero_depth(diff))
+        if all(s.is_zero() for row in diff.rows for s in row):
             break
         a_cur = a_next
     else:

@@ -1,5 +1,4 @@
 from fractions import Fraction
-import json
 import random
 
 import pytest
@@ -9,13 +8,11 @@ from alcovekit.apartment import (
     ZERO_PLUS,
     ValuationPattern,
     frobenius,
-    inertia_action,
     is_d_generic,
     is_deep_lowest_alcove,
     is_lowest_alcove,
     parahoric_pattern,
     point_from_type,
-    sigma_action,
 )
 from alcovekit.rootdata import (
     GammaData,
@@ -64,6 +61,18 @@ def test_frobenius_slot_shift():
     fx = frobenius(x)
     assert fx.etas[0] == (0, 0)
     assert fx.etas[1] == (7, -7)
+
+
+def sigma_action(x):
+    """(sigma x)_j = psi(x_{j-1}): cyclic shift with the pinned twist."""
+    r = x.gamma.r
+    etas = tuple(tuple(x.gamma.psi.apply(x.etas[(j - 1) % r])) for j in range(r))
+    return ApartmentPoint(x.rd, x.gamma, etas)
+
+
+def inertia_action(x):
+    etas = tuple(tuple(x.gamma.inertial.apply(eta)) for eta in x.etas)
+    return ApartmentPoint(x.rd, x.gamma, etas)
 
 
 def test_frobenius_commutes_with_gamma_action():
@@ -194,12 +203,3 @@ def test_pattern_refuses_non_gl():
     x = sl2_point(1)
     with pytest.raises(ValueError):
         parahoric_pattern(x, 0)
-
-
-def test_json_roundtrip():
-    x = sl2_point(-3)
-    text = x.to_json()
-    assert '"e": 24' in text and "1/8" in text
-    data = json.loads(text)
-    etas = tuple(tuple(F(s) for s in eta) for eta in data["eta"])
-    assert ApartmentPoint(x.rd, x.gamma, etas).etas == x.etas

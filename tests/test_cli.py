@@ -212,9 +212,7 @@ def test_figure_unwritable_out_is_an_error(tmp_path, capsys, out):
     # default depth 33334: 24.7 s
     ["--kind", "genericity", "--p", "100003"],
     ["--kind", "genericity", "--p", "100003", "--depth", "8193"],  # MAX_FIGURE_DEPTH + 1
-    # (e + 1) * ord_e(p) = 8193 * 1024: 52 s
-    ["--kind", "sl2", "--p", "7", "--e", "8192"],
-    ["--kind", "sl2", "--p", "65537", "--e", "16384"],      # r = 1, MAX_SL2_SIZE + 1
+    ["--kind", "sl2", "--p", "65537", "--e", "16384"],      # e + 1 = MAX_SL2_SIZE + 1
     ["--kind", "sl2", "--p", "7", "--e", str(10**15)],       # refused before ord_e(p)
     ["--kind", "sl2", "--p", "7", "--e", "0"],
 ])
@@ -230,8 +228,11 @@ def test_bad_figure_inputs_are_errors(tmp_path, capsys, argv):
     ["--kind", "genericity", "--p", "2"],
     ["--kind", "genericity", "--p", "13"],                     # default depth p // 3
     ["--kind", "genericity", "--p", "100003", "--depth", str(cli.MAX_FIGURE_DEPTH)],
-    # (e + 1) * ord_e(p) = 16384 * 1
+    # e + 1 = MAX_SL2_SIZE
     ["--kind", "sl2", "--p", "98299", "--e", "16383"],
+    # r = ord_e(p) = 1024 no longer counts: 52 s when each node built a type
+    # over r slots, refused while the cap was on (e + 1) * r, now 0.04 s
+    ["--kind", "sl2", "--p", "7", "--e", "8192"],
 ])
 def test_figure_at_the_caps(tmp_path, capsys, argv):
     out = tmp_path / "fig.svg"

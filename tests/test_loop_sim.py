@@ -835,6 +835,155 @@ def test_det_expands_each_minor_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# det and inverse share packed operands: each signed entry and each minor is
+# packed once at one slot width, no minor is formed under an exact-zero entry,
+# and the n^2 cofactor products share one packed det^-1.  The memoized
+# expansion that formed every term and multiplied each cofactor by det^-1 on
+# its own is the reference: the same coeffs and prec on every input.
+
+def _laplace_minor(x, rows, cols, memo):
+    """The minor on sorted index tuples by Laplace along rows[0], kept in memo."""
+    if len(rows) == 1:
+        return x.rows[rows[0]][cols[0]]
+    if (rows, cols) not in memo:
+        row, rest = x.rows[rows[0]], rows[1:]
+        acc = None
+        for j, c in enumerate(cols):
+            term = (-row[c] if j % 2 else row[c]) * _laplace_minor(
+                x, rest, cols[:j] + cols[j + 1:], memo)
+            acc = term if acc is None else acc + term
+        memo[rows, cols] = acc
+    return memo[rows, cols]
+
+
+def _laplace_det(x):
+    full = tuple(range(x.n))
+    return _laplace_minor(x, full, full, {})
+
+
+def _adjugate_inverse(x, window=None):
+    full, memo = tuple(range(x.n)), {}
+    dinv = _laplace_minor(x, full, full, memo).inverse(window)
+    if x.n == 1:
+        return LoopElement(x.ring, ((dinv,),))
+    others = [full[:k] + full[k + 1:] for k in full]
+
+    def cofactor(i, j):
+        cof = _laplace_minor(x, others[j], others[i], memo)
+        return -cof if (i + j) % 2 == 1 else cof
+
+    return LoopElement(x.ring, tuple(tuple(cofactor(i, j) * dinv for j in full) for i in full))
+
+
+LAPLACE_RINGS = (Ring(7, 1), Ring(5, 2), Ring(3, 3), Ring(2, 4), Ring(7, 2, 2))
+LAPLACE_ENTRIES = ("exact", "window", "pole", "phi", "phi_exact", "exact_zero", "window_zero")
+
+
+def _laplace_entry(rng, ring, kind):
+    m = ring.modulus
+    if kind == "exact_zero":
+        return TruncSeries.zero(ring)
+    if kind == "window_zero":
+        return TruncSeries(ring, (), rng.randrange(-2, 12))
+    lo = rng.randrange(-3, 0) if kind == "pole" else rng.randrange(0, 3)
+    coeffs = {k: rng.randrange(m) for k in range(lo, lo + rng.randrange(1, 7))}
+    prec = None if kind in ("exact", "phi_exact") else rng.randrange(max(lo, 0) + 1, lo + 12)
+    s = TruncSeries.make(ring, coeffs, prec=prec)
+    return s.phi() if kind.startswith("phi") else s
+
+
+def _laplace_element(rng, ring, n, pattern):
+    """dense, diagonal, upper triangular or sparse entries of mixed kinds,
+    the diagonal shifted by 1 half the time so that many are invertible."""
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if {"diagonal": i != j, "triangular": j < i,
+                    "sparse": rng.randrange(3) == 0}.get(pattern, False):
+                row.append(_laplace_entry(rng, ring, rng.choice(("exact_zero", "window_zero"))))
+                continue
+            s = _laplace_entry(rng, ring, rng.choice(LAPLACE_ENTRIES))
+            row.append(s + TruncSeries.one(ring) if i == j and rng.randrange(2) else s)
+        rows.append(tuple(row))
+    return LoopElement(ring, tuple(rows))
+
+
+def test_shared_packing_matches_the_memoized_expansion():
+    rng = random.Random(1919)
+    outcomes = set()
+    for ring in LAPLACE_RINGS:
+        for n in range(1, 6):
+            for window in (None, 5, 20, 40):
+                for pattern in ("dense", "diagonal", "triangular", "sparse"):
+                    x = _laplace_element(rng, ring, n, pattern)
+                    assert _outcome(LoopElement.det, x) == _outcome(_laplace_det, x)
+                    want = _outcome(_adjugate_inverse, x, window)
+                    assert _outcome(LoopElement.inverse, x, window) == want, \
+                        (ring, n, window, pattern)
+                    outcomes.add(want if isinstance(want, type) else tuple)
+                    y = _laplace_element(rng, ring, n, rng.choice(("dense", "sparse")))
+                    for a, b in ((x, y), (y.phi(), x)):
+                        assert _outcome(LoopElement.__mul__, a, b) == \
+                            _outcome(_ref_loop_mul, a, b), (ring, n, pattern)
+    assert outcomes == {tuple, ZeroDivisionError, PrecisionError}
+
+
+def test_minor_slots_hold_every_laplace_term():
+    # a 9-byte slot holds 1024 (m - 1)^2 < 2^72 but not twice that; both
+    # terms of this 2x2 minor put 1024 such products in its central slot
+    ring = Ring(2**31 - 1, 1)
+    m = ring.modulus
+    full = TruncSeries.make(ring, {k: m - 1 for k in range(1024)})
+    ones = TruncSeries.make(ring, {k: 1 for k in range(1024)})  # -ones packs m - 1
+    x = LoopElement(ring, ((full, ones), (full, full)))
+    assert _state(x.det()) == _state(_laplace_det(x))
+
+
+def test_diagonal_det_forms_no_minor_under_a_zero(monkeypatch):
+    rng = random.Random(8)
+    ring = Ring(7, 2)
+    diag = [random_polynomial(rng, ring, 0, 3) + TruncSeries.one(ring) for _ in range(8)]
+    x = LoopElement(ring, tuple(tuple(diag[i] if i == j else TruncSeries.zero(ring)
+                                      for j in range(8)) for i in range(8)))
+    want = _laplace_det(x)
+    calls = []
+    real = loop_sim._dot
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(loop_sim, "_dot", spy)
+    assert _state(x.det()) == _state(want)
+    # one dot for each trailing diagonal minor of size 8 down to 2; the
+    # minors under the 56 exact zeros are never formed
+    assert len(calls) == 7
+
+
+def test_inverse_packs_the_inverse_determinant_once_per_sign(monkeypatch):
+    rng = random.Random(9)
+    ring = Ring(5, 2)
+    x = LoopElement(ring, tuple(tuple(random_polynomial(rng, ring, 0, 4) for _ in range(3))
+                                for _ in range(3)))
+    want = _adjugate_inverse(x, 20)
+    dinv = x.det().inverse(20)
+    packed = []
+    real = loop_sim._pack_series
+
+    def spy(s, nb, stop):
+        packed.append(_state(s))
+        return real(s, nb, stop)
+
+    monkeypatch.setattr(loop_sim, "_pack_series", spy)
+    got = x.inverse(20)
+    assert [[_state(s) for s in row] for row in got.rows] == \
+        [[_state(s) for s in row] for row in want.rows]
+    # each cofactor product used to pack det^-1 anew: 9 times here
+    assert packed.count(_state(dinv)) == 1 and packed.count(_state(-dinv)) == 1
+
+
+# ---------------------------------------------------------------------------
 # The inverse lifts a unit lowest term by Newton's iteration and sums the
 # geometric series by doubling where nilpotent terms sit below the unit term.
 # The term-by-term loop is the reference where it shares their window rules,
