@@ -18,6 +18,7 @@ import math
 import os
 import random
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -125,6 +126,32 @@ def _dumps(obj, default=None, newline: str = "\n") -> str:
     return _dumps(default(obj), default, newline)
 
 
+def _write(obj, write, default=None, newline: str = "\n") -> None:
+    """Write the text of _dumps(obj, default, newline) through `write`, in pieces.
+
+    A dict is written key by key, and an Iterator as a JSON list one item at
+    a time, each item through `_dumps`; so a payload list given as an
+    iterator is never held whole, as a list or as text.  Anything else is
+    one `_dumps` piece.
+    """
+    inner = newline + "  "
+    if isinstance(obj, dict) and obj:
+        sep = "{" + inner
+        for k, v in sorted(obj.items()):
+            write(sep + _quote(k) + ": ")
+            _write(v, write, default, inner)
+            sep = "," + inner
+        write(newline + "}")
+    elif isinstance(obj, Iterator):
+        sep = "[" + inner
+        for v in obj:
+            write(sep + _dumps(v, default, inner))
+            sep = "," + inner
+        write("[]" if sep[0] == "[" else newline + "]")
+    else:
+        write(_dumps(obj, default, newline))
+
+
 def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split(","))
 
@@ -156,19 +183,23 @@ def _cmd_census(args) -> CommandResult:
     rd = build_root_datum(args.group)
     g = split_gamma(rd, args.p, args.e, r=args.r)
     res = census(rd, g)
-    classes = []
-    for c in res.classes:
-        entry = {
+
+    def entry(c) -> dict:
+        out = {
             "class": list(c.coords),
             "representative": [_ratio_str(n, c.den) for n in c.num],
             "invariant": c.invariant,
         }
         if c.witness is not None:
-            entry["witness"] = _witness_json(c.witness)
-        classes.append(entry)
+            out["witness"] = _witness_json(c.witness)
+        return out
+
+    # the entries are built as they are written: formatting numbers cannot
+    # raise, so nothing fails once the first byte is out
     return CommandResult("ok", {
         "group": args.group, "p": args.p, "e": args.e, "r": g.r,
-        "total": res.total, "invariant": res.invariant_count, "classes": classes,
+        "total": res.total, "invariant": res.invariant_count,
+        "classes": map(entry, res.classes),
     })
 
 
@@ -404,13 +435,15 @@ def _emit(result: CommandResult, emit: str) -> None:
         doc = {"schema": 1, "status": result.status, "payload": result.payload}
         if result.trace:
             doc["trace"] = result.trace
-        print(_dumps(doc))
+        _write(doc, sys.stdout.write)
+        sys.stdout.write("\n")
     else:
         if result.trace:
             print(result.trace)
         if result.status != "ok" or not result.trace:
             print(f"status: {result.status}")
-            print(_dumps(result.payload, default=str))
+            _write(result.payload, sys.stdout.write, default=str)
+            sys.stdout.write("\n")
 
 
 def main(argv=None) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import mul
 import random
 import struct
@@ -45,7 +45,7 @@ class Ring:
         if self.a < 1 or self.e < 1:
             raise ValueError(f"need a >= 1 and e >= 1, got a={self.a}, e={self.e}")
 
-    @property
+    @cached_property  # kept in the instance __dict__; no field, so ==, hash and repr ignore it
     def modulus(self) -> int:
         return self.p**self.a
 

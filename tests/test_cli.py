@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -434,13 +435,16 @@ def test_straighten_with_a_huge_prime_and_a_small_window(capsys):
     assert doc["payload"]["residual_is_identity"] is True
 
 
-def test_closed_stdout_ends_quietly():
-    # the reader stops after one byte, as `alcovekit census ... | head -c 1` does
+@pytest.mark.parametrize("emit, first", [("text", b"s"), ("json", b"{")], ids=["text", "json"])
+def test_closed_stdout_ends_quietly(emit, first):
+    # the reader stops after one byte, as `alcovekit census ... | head -c 1`
+    # does; the pipe breaks in the middle of the streamed census
     src = str(Path(alcovekit.__file__).resolve().parents[1])
     proc = subprocess.Popen(
-        [sys.executable, "-m", "alcovekit", "census", "--group", "GL3", "--p", "7", "--e", "24"],
+        [sys.executable, "-m", "alcovekit", "census", "--group", "GL3", "--p", "7", "--e", "24",
+         "--emit", emit],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
-    assert proc.stdout.read(1) == b"s"
+    assert proc.stdout.read(1) == first
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
@@ -605,6 +609,67 @@ def test_writer_matches_the_json_module():
     docs += [_LEAVES, {k: v for k, v in zip(_KEYS, _LEAVES)}]
     for doc in docs:
         assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _lazy(doc, rng):
+    """doc with some of the lists reached through dicts alone given as iterators."""
+    if isinstance(doc, dict):
+        return {k: _lazy(v, rng) for k, v in doc.items()}
+    if isinstance(doc, list) and rng.random() < 0.5:
+        return iter(doc)
+    return doc
+
+
+def test_streamed_writer_matches_the_json_module():
+    rng = random.Random(20261020)
+    docs = [_random_document(rng) for _ in range(400)]
+    iterators = 0
+    for doc in docs:
+        lazy = _lazy(doc, rng)
+        iterators += str(lazy).count("iterator object")
+        pieces = []
+        cli._write(lazy, pieces.append)
+        assert "".join(pieces) == json.dumps(doc, indent=2, sort_keys=True)
+    assert iterators >= 100
+    for lazy, doc in [(iter([]), []), ({"a": iter([])}, {"a": []})]:
+        pieces = []
+        cli._write(lazy, pieces.append)
+        assert "".join(pieces) == json.dumps(doc, indent=2, sort_keys=True)
+    # an unknown leaf inside an iterator goes through `default`, as in _dumps
+    lam = [Fraction(-3, 4), 1, {"z": Fraction(1, 2)}]
+    pieces = []
+    cli._write({"lam": iter(lam), "f": Fraction(5, 7)}, pieces.append, default=str)
+    assert "".join(pieces) == json.dumps({"lam": lam, "f": Fraction(5, 7)}, indent=2,
+                                         sort_keys=True, default=str)
+    assert len(pieces) > len(lam) + 2  # one piece per item, not one for the list
+
+
+class _Discard:
+    """A stdout that counts the characters it is given and keeps none."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_census_output_is_streamed(monkeypatch):
+    # 7.8 MB of JSON: joined whole, the document held about 5.8 times that
+    sink = _Discard()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = cli.main(["census", "--group", "GL3", "--p", "7", "--e", "60", "--emit", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.chars > 7_000_000
+    assert peak < 2 * sink.chars  # the output is ASCII, so characters are bytes
 
 
 def test_writer_takes_unknown_leaves_as_the_json_module_does():
