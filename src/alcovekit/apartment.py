@@ -28,26 +28,30 @@ ZERO_PLUS = _ZeroPlus()
 
 @dataclass(frozen=True)
 class ApartmentPoint:
+    """A point as its slot vectors eta_j, j in {0, ..., r-1}.
+
+    `etas` may hold any number L of vectors with L dividing r: slot j is
+    etas[j mod L], so a Gamma-fixed point of a split Gamma is one vector.
+    """
+
     rd: RootDatum
     gamma: GammaData
-    etas: tuple[RatVec, ...]  # one vector per embedding j
+    etas: tuple[RatVec, ...]
 
     def __post_init__(self):
-        if len(self.etas) != self.gamma.r or any(len(eta) != self.rd.dim for eta in self.etas):
-            raise ValueError(f"need {self.gamma.r} vectors of length {self.rd.dim}")
+        if (not self.etas or self.gamma.r % len(self.etas)
+                or any(len(eta) != self.rd.dim for eta in self.etas)):
+            raise ValueError(f"need a number of vectors dividing r={self.gamma.r}, "
+                             f"each of length {self.rd.dim}")
 
     def eta(self, j: int = 0) -> RatVec:
-        return self.etas[j % self.gamma.r]
+        return self.etas[j % len(self.etas)]
 
     def is_gamma_fixed(self) -> bool:
         """theta(x)_j = theta(x_{theta^-1 j}) equals x_j for both generators."""
-        r = self.gamma.r
-        for j in range(r):
-            if self.gamma.psi.apply(self.etas[(j - 1) % r]) != self.etas[j]:
-                return False
-            if self.gamma.inertial.apply(self.etas[j]) != self.etas[j]:
-                return False
-        return True
+        g = self.gamma
+        return all(g.psi.apply(self.etas[j - 1]) == eta and g.inertial.apply(eta) == eta
+                   for j, eta in enumerate(self.etas))
 
 
 def point_from_type(
@@ -67,12 +71,9 @@ def point_from_type(
 
 def frobenius(x: ApartmentPoint) -> ApartmentPoint:
     """phi(x)_j = o_j + p(x_{j phi} - o_{j phi}); the index j phi is j - 1."""
-    r = x.gamma.r
     p = x.gamma.p
-    etas = tuple(
-        tuple(p * c for c in x.etas[(j - 1) % r]) for j in range(r)
-    )
-    return ApartmentPoint(x.rd, x.gamma, etas)
+    etas = x.etas[-1:] + x.etas[:-1]
+    return ApartmentPoint(x.rd, x.gamma, tuple(tuple(p * c for c in eta) for eta in etas))
 
 
 def is_d_generic(x: ApartmentPoint, d) -> bool:

@@ -172,16 +172,16 @@ def _witness_json(witness) -> dict:
 
 
 def _apartment_point(args) -> tuple[tuple[Fraction, ...], ApartmentPoint]:
-    """--eta and the point (psi^j eta)_j it gives for --group, --p, --e, --r."""
+    """--eta and the point (psi^j eta)_j it gives for --group, --p, --e."""
     rd = build_root_datum(args.group)
-    g = split_gamma(rd, args.p, args.e, r=args.r)
+    g = split_gamma(rd, args.p, args.e)
     eta = _parse_fracs(args.eta)
     return eta, ApartmentPoint(rd, g, g.psi_orbit(eta))
 
 
 def _cmd_census(args) -> CommandResult:
     rd = build_root_datum(args.group)
-    g = split_gamma(rd, args.p, args.e, r=args.r)
+    g = split_gamma(rd, args.p, args.e)
     res = census(rd, g)
 
     def entry(c) -> dict:
@@ -205,7 +205,7 @@ def _cmd_census(args) -> CommandResult:
 
 def _cmd_frobinv(args) -> CommandResult:
     rd = build_root_datum(args.group)
-    g = split_gamma(rd, args.p, args.e, r=args.r)
+    g = split_gamma(rd, args.p, args.e)
     lam = _parse_ints(args.lam)
     flag, witness = frobenius_invariant(GaloisType.from_lambda(rd, g, lam))
     payload = {"lambda": list(lam), "invariant": flag}
@@ -361,12 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     _parents = {"parents": [common]}
 
-    def common_group(sp, with_pe=True):
+    def common_group(sp):
         sp.add_argument("--group", required=True)
-        if with_pe:
-            sp.add_argument("--p", type=int, required=True)
-            sp.add_argument("--e", type=int, required=True)
-            sp.add_argument("--r", type=int, default=None)
+        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--e", type=int, required=True)
 
     sp = sub.add_parser("census", help="type classes at fixed (p, e)", **_parents)
     common_group(sp)

@@ -33,6 +33,12 @@ from .rootdata import (
 
 @dataclass(frozen=True)
 class GaloisType:
+    """Per-slot data (lambda_j, w_j), j in {0, ..., r-1}.
+
+    `lams` and `ws` hold the same number L of entries, L dividing r: slot j
+    is index j mod L.
+    """
+
     rd: RootDatum
     gamma: GammaData
     lams: tuple[tuple[int, ...], ...]  # lambda_j, ambient coordinates
@@ -45,8 +51,7 @@ class GaloisType:
         if g.inertial.apply(lam) != lam:
             raise ValueError("lambda must be fixed by the inertial action")
         lams = g.psi_orbit(lam)
-        ws = (WeylElement.identity(rd.dim),) * g.r
-        return GaloisType(rd, g, lams, ws)
+        return GaloisType(rd, g, lams, (WeylElement.identity(rd.dim),) * len(lams))
 
     def point(self) -> ApartmentPoint:
         return point_from_type(self.rd, self.gamma, self.lams, self.ws)
@@ -54,7 +59,7 @@ class GaloisType:
 
 @dataclass(frozen=True)
 class CocycleValues:
-    """tau on the two generators, slotwise.
+    """tau on the two generators, slotwise, with the slots of the type.
 
     tau_gamma_exps[j] is the diagonal exponent vector of tau(gamma) in slot j
     written in powers of iota_j(omega), i.e. lambda_j mod e.  tau_sigma[j] is
@@ -77,7 +82,7 @@ def _n_family(t: GaloisType) -> list[MonomialMatrix]:
 
 def _sigma_of(g: GammaData, fam: Sequence[MonomialMatrix], j: int) -> MonomialMatrix:
     """(^sigma fam)_j = psi(fam_{j-1})."""
-    return fam[(j - 1) % g.r].conjugate_by_permutation(g.psi.perm())
+    return fam[j - 1].conjugate_by_permutation(g.psi.perm())
 
 
 def cocycle_values(t: GaloisType) -> CocycleValues:
@@ -85,8 +90,8 @@ def cocycle_values(t: GaloisType) -> CocycleValues:
     g = t.gamma
     fam = _n_family(t)
     sig = []
-    for j in range(g.r):
-        v = fam[j].inv() * _sigma_of(g, fam, j)
+    for j, n in enumerate(fam):
+        v = n.inv() * _sigma_of(g, fam, j)
         if not v.is_constant():
             raise ValueError("type data inconsistent: tau(sigma) keeps a u-power")
         sig.append(v)
@@ -121,26 +126,25 @@ def check_cocycle_relations(t: GaloisType) -> dict[str, bool]:
                       for lam in vals.tau_gamma_exps for x in lam)
 
     braid = True
-    for j in range(r):
+    exps, tau_sigma = vals.tau_gamma_exps, vals.tau_sigma
+    for j, (m, cur) in enumerate(zip(tau_sigma, exps)):
         # (^sigma tau(gamma))_j = psi(tau(gamma)_{j-1}); moving the value from
         # slot j-1 to slot j multiplies iota-exponents by p
-        lhs_diag = [(p * x) % e for x in g.psi.apply(vals.tau_gamma_exps[(j - 1) % r])]
+        lhs_diag = [(p * x) % e for x in g.psi.apply(exps[j - 1])]
         # conjugating a diagonal by the monomial tau(sigma): entry i picks cols[i]
-        m = vals.tau_sigma[j]
         conj = [lhs_diag[m.cols[i]] % e for i in range(m.n)]
-        rhs = [(p * x) % e for x in vals.tau_gamma_exps[j]]
-        if conj != rhs:
+        if conj != [(p * x) % e for x in cur]:
             braid = False
     # tau(sigma^r)_j = P_j = prod_{i=0}^{r-1} psi^i(tau(sigma)_{j-i}): P_0 as
     # that product, then P_{j+1} = tau(sigma)_{j+1} psi(P_j) tau(sigma)_{j+1}^{-1},
     # which is the product again because psi^r = 1
     psi = g.psi.perm()
     powers = _perm_powers(psi, r)
-    acc = MonomialMatrix.identity(vals.tau_sigma[0].n, vals.tau_sigma[0].mod)
+    acc = MonomialMatrix.identity(tau_sigma[0].n, tau_sigma[0].mod)
     for i in range(r):
-        acc = acc * vals.tau_sigma[-i % r].conjugate_by_permutation(powers[i])
+        acc = acc * tau_sigma[-i % len(tau_sigma)].conjugate_by_permutation(powers[i])
     wrap = acc.is_identity()
-    for t_sigma in vals.tau_sigma[1:]:
+    for t_sigma in tau_sigma[1:]:
         acc = t_sigma * acc.conjugate_by_permutation(psi) * t_sigma.inv()
         wrap = wrap and acc.is_identity()
     return {"gamma_order": gamma_order, "sigma_braid": braid, "sigma_wrap": wrap}
@@ -184,7 +188,7 @@ def frobenius_invariant(t: GaloisType):
         raise RefusedError("ramified inertial action: no finite decision procedure")
     inv = {w: w.inv() for w in set(t.ws)}
     vs = [inv[w].apply(lam) for lam, w in zip(t.lams, t.ws)]
-    if any(g.psi.apply(vs[j - 1]) != vs[j] for j in range(g.r)):
+    if any(g.psi.apply(vs[j - 1]) != v for j, v in enumerate(vs)):
         raise ValueError("type's point must be Gamma-fixed")
     lam = vs[0]
     if not t.rd.in_cochar_lattice(lam):

@@ -18,9 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 import re
 from typing import Sequence
 
+from .ff import _prime_factors
 from .lattices import (
     in_lattice,
     kernel_basis,
@@ -157,8 +159,8 @@ class RootDatum:
     cochar_basis: tuple[tuple[Fraction, ...], ...]
     block_sizes: tuple[int, ...]
 
-    def pairing(self, root: Sequence, v: Sequence) -> Fraction:
-        return sum(Fraction(a) * Fraction(b) for a, b in zip(root, v))
+    def pairing(self, root: Sequence, v: Sequence):
+        return sum(map(mul, root, v))
 
     def positive_roots(self) -> tuple[Vec, ...]:
         # positive = expressible with nonnegative simple-root coefficients;
@@ -188,18 +190,6 @@ class RootDatum:
 
     def in_cochar_lattice(self, v: Sequence) -> bool:
         return in_lattice(self.cochar_basis, v)
-
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "label": self.label,
-            "dim": self.dim,
-            "rank": self.rank,
-            "roots": [list(r) for r in self.roots],
-            "coroots": [list(r) for r in self.coroots],
-            "simple_indices": list(self.simple_indices),
-            "block_sizes": list(self.block_sizes),
-        }
 
 
 _LABEL_RE = re.compile(r"^(GL|SL|PGL)(\d+)$")
@@ -355,11 +345,10 @@ class GammaData:
         check_prime(self.p)
         if self.r < 1:
             raise ValueError(f"need r >= 1, got r={self.r}")
-        q = self.p**self.r
         if self.e % self.p == 0:
             raise ValueError("tameness requires p not dividing e")
-        if (q - 1) % self.e != 0:
-            raise ValueError(f"e={self.e} must divide q-1={q - 1}")
+        if pow(self.p, self.r, self.e) != 1 % self.e:
+            raise ValueError(f"e={self.e} must divide p^r - 1 for r={self.r}")
         # psi^r = 1 iff the order of psi divides r
         w, order = self.psi, 1
         while not w.is_identity() and order < self.r:
@@ -375,23 +364,34 @@ class GammaData:
         return self.inertial.is_identity()
 
     def psi_orbit(self, v: Sequence) -> tuple[tuple, ...]:
-        """(psi^j v) for j = 0, ..., r-1, one psi step per slot."""
+        """(psi^j v) for j = 0, ..., k-1, with k least such that psi^k v = v.
+
+        This is one period of the slot family (psi^j v)_j: k divides the order
+        of psi, which divides r.
+        """
         orbit = [tuple(v)]
-        for _ in range(self.r - 1):
-            orbit.append(self.psi.apply(orbit[-1]))
+        while (w := self.psi.apply(orbit[-1])) != orbit[0]:
+            orbit.append(w)
         return tuple(orbit)
 
 
-def split_gamma(rd: RootDatum, p: int, e: int, r: int | None = None) -> GammaData:
-    """GammaData with trivial inertial action; r defaults to ord_e(p)."""
-    if r is None:
-        if e < 1 or gcd(p, e) != 1:
-            raise ValueError(f"ord_e(p) needs e >= 1 and gcd(p, e) = 1, got p={p}, e={e}")
-        r = 1
-        acc = p % e if e > 1 else 0
-        while e > 1 and acc != 1 % e:
-            acc = (acc * p) % e
-            r += 1
+def split_gamma(rd: RootDatum, p: int, e: int) -> GammaData:
+    """GammaData with trivial inertial action and r = ord_e(p).
+
+    r divides phi(e): each prime l of phi(e) is stripped from r while
+    p^(r/l) = 1 mod e.  e and phi(e) are factored by trial division, so an e
+    above 10^12 is refused.
+    """
+    if e < 1 or gcd(p, e) != 1:
+        raise ValueError(f"ord_e(p) needs e >= 1 and gcd(p, e) = 1, got p={p}, e={e}")
+    if e > 10**12:
+        raise CapExceeded(f"ord_e(p) is computed for e <= 10^12 only, got e={e}")
+    r = e
+    for l in _prime_factors(e):
+        r = r // l * (l - 1)
+    for l in _prime_factors(r):
+        while r % l == 0 and pow(p, r // l, e) == 1 % e:
+            r //= l
     ident = WeylElement.identity(rd.dim)
     return GammaData(p=p, e=e, r=r, psi=ident, inertial=ident)
 
@@ -468,20 +468,3 @@ def tate_h0(rd: RootDatum, g: GammaData) -> list[int]:
     if free:
         raise AssertionError("Tate H^0 should be finite")
     return torsion
-
-
-def dominance_leq(rd: RootDatum, nu: Sequence[int], mu: Sequence[int]) -> bool:
-    """nu <= mu in dominance order: mu - nu is a nonnegative sum of positive coroots."""
-    diff = [m - n for m, n in zip(mu, nu)]
-    off = 0
-    for size in rd.block_sizes:
-        block = diff[off:off + size]
-        if sum(block) != 0:
-            return False
-        acc = 0
-        for x in block[:-1]:
-            acc += x
-            if acc < 0:
-                return False
-        off += size
-    return True

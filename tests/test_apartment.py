@@ -63,6 +63,23 @@ def test_frobenius_slot_shift():
     assert fx.etas[1] == (7, -7)
 
 
+def test_a_period_reads_as_its_r_slots():
+    # psi of order 2 and r = 4: a point stored as 2 slots is slot j mod 2
+    rng = random.Random(3)
+    rd = build_root_datum("GL2")
+    g = GammaData(p=5, e=4, r=4, psi=WeylElement(((0, 1), (1, 0))), inertial=ident(2))
+    for _ in range(20):
+        v = (F(rng.randrange(-8, 8), 4), F(rng.randrange(-8, 8), 4))
+        w = g.psi.apply(v) if rng.random() < 0.5 else v
+        x = ApartmentPoint(rd, g, (v, w))
+        full = ApartmentPoint(rd, g, (v, w) * 2)
+        assert [x.eta(j) for j in range(8)] == [full.eta(j) for j in range(8)]
+        assert x.is_gamma_fixed() == full.is_gamma_fixed() == (w == g.psi.apply(v))
+        assert frobenius(x).etas * 2 == frobenius(full).etas
+    with pytest.raises(ValueError):
+        ApartmentPoint(rd, g, ((F(0), F(0)),) * 3)  # 3 does not divide r = 4
+
+
 def sigma_action(x):
     """(sigma x)_j = psi(x_{j-1}): cyclic shift with the pinned twist."""
     r = x.gamma.r

@@ -335,11 +335,11 @@ def test_wrong_length_vector_is_an_error(capsys):
     ["generic", "--group", "GL2", "--p", "5", "--e", "4", "--eta", "0,0", "--d", "1/0"],
     ["generic", "--group", "GL2", "--p", "5", "--e", "4", "--eta", "1/0,0", "--d", "1"],
     ["pattern", "--group", "GL2", "--p", "5", "--e", "4", "--eta", "0,-1/4", "--f", "1/0"],
-    # r = 0 passed the q - 1 divisibility check and was a ZeroDivisionError
-    ["census", "--group", "SL2", "--p", "7", "--e", "24", "--r", "0"],
-    ["frobinv", "--group", "SL2", "--p", "7", "--e", "24", "--r", "0", "--lam=-3,3"],
-    ["generic", "--group", "GL2", "--p", "5", "--e", "4", "--r", "0", "--eta", "0,0", "--d", "1"],
-    ["pattern", "--group", "GL2", "--p", "5", "--e", "4", "--r", "0", "--eta", "0,-1/4"],
+    # e < 1 or gcd(p, e) > 1: ord_e(p) does not exist
+    ["census", "--group", "SL2", "--p", "7", "--e", "0"],
+    ["frobinv", "--group", "SL2", "--p", "7", "--e", "-24", "--lam=-3,3"],
+    ["generic", "--group", "GL2", "--p", "5", "--e", "10", "--eta", "0,0", "--d", "1"],
+    ["pattern", "--group", "GL2", "--p", "5", "--e", "0", "--eta", "0,-1/4"],
     # lambda outside X_*: were answered with "invariant": false
     ["frobinv", "--group", "SL2", "--p", "7", "--e", "24", "--lam=1,0"],
     ["frobinv", "--group", "PGL2", "--p", "7", "--e", "24", "--lam=1,0"],
@@ -453,27 +453,36 @@ def test_closed_stdout_ends_quietly(emit, first):
 
 
 @pytest.mark.parametrize("argv, payload", [
-    (["generic", "--group", "GL2", "--p", "5", "--e", "4", "--eta", "0,0", "--d", "1"],
-     {"d": "1", "eta": ["0/1", "0/1"], "generic": False}),
-    (["frobinv", "--group", "GL2", "--p", "5", "--e", "4", "--lam=1,0"],
-     {"invariant": True, "lambda": [1, 0],
-      "witness": {"translation": [-1, 0], "weyl": [[1, 0], [0, 1]]}}),
+    (["frobinv", "--group", "GL2", "--p", "7", "--e", "1000000007", "--lam=0,0"],
+     {"invariant": True, "lambda": [0, 0],
+      "witness": {"translation": [0, 0], "weyl": [[1, 0], [0, 1]]}}),
+    (["generic", "--group", "GL2", "--p", "7", "--e", "1000000007", "--eta=1/3,0", "--d", "1"],
+     {"d": "1", "eta": ["1/3", "0/1"], "generic": True}),
+    (["pattern", "--group", "GL2", "--p", "7", "--e", "1000000007", "--eta=1/3,0"],
+     {"e": 1000000007, "n": 2, "torus_level": "0/1",
+      "lower_bounds": [["0/1", "-333333335/1000000007"], ["333333336/1000000007", "0/1"]]}),
 ])
-def test_psi_orbits_take_linear_work_in_r(capsys, monkeypatch, argv, payload):
-    # psi^j was rebuilt from the identity for every slot j: 2 * 10^6 products at r = 2000
-    calls = []
-    mul = WeylElement.__mul__
+def test_one_psi_period_answers_at_a_large_e(capsys, argv, payload):
+    # r = ord_e(7) = (e - 1) / 2 here; a point of a split Gamma is one slot
+    start = time.perf_counter()
+    code, doc = run_json(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert code == 0 and doc["payload"] == payload
 
-    def spy(a, b):
-        calls.append(1)
-        return mul(a, b)
 
-    monkeypatch.setattr(WeylElement, "__mul__", spy)
-    for r in ("1", "2000"):
-        calls.clear()
-        code, doc = run_json(capsys, argv + ["--r", r])
-        assert code == 0 and doc["payload"] == payload
-        assert len(calls) <= 2 * 2000
+@pytest.mark.parametrize("argv", [
+    ["census", "--group", "GL1", "--p", "7", "--e", "1000000007"],
+    ["census", "--group", "GL1", "--p", "7", "--e", "1000000000039"],
+    ["frobinv", "--group", "GL2", "--p", "7", "--e", "1000000000039", "--lam=0,0"],
+    ["generic", "--group", "GL2", "--p", "7", "--e", "1000000000039", "--eta=1/3,0", "--d", "1"],
+    ["pattern", "--group", "GL2", "--p", "7", "--e", "1000000000039", "--eta=1/3,0"],
+])
+def test_large_e_is_an_error_within_a_second(capsys, argv):
+    # census caps e at 10^4 after ord_e(p); split_gamma refuses e above 10^12
+    start = time.perf_counter()
+    code, doc = run_json(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and doc["status"] == "error"
 
 
 def test_parser_is_built_once(capsys):

@@ -36,15 +36,23 @@ SL2 = build_root_datum("SL2")
 G24 = split_gamma(SL2, 7, 24)
 
 
+def _r_slots(t):
+    """t with slot j mod L written out for every j < r."""
+    r = t.gamma.r
+    return GaloisType(t.rd, t.gamma, tuple(t.lams[j % len(t.lams)] for j in range(r)),
+                      tuple(t.ws[j % len(t.ws)] for j in range(r)))
+
+
 def test_cocycle_values_sl2():
-    t = GaloisType.from_lambda(SL2, G24, (-3, 3))
-    vals = cocycle_values(t)
-    assert all(m.is_identity() for m in vals.tau_sigma)
-    assert vals.tau_gamma_exps == ((21, 3), (21, 3))  # (-3, 3) mod 24
-    t0 = GaloisType.from_lambda(SL2, G24, (0, 0))
-    vals0 = cocycle_values(t0)
-    assert vals0.tau_gamma_exps == ((0, 0), (0, 0))
-    assert all(m.is_identity() for m in vals0.tau_sigma)
+    # from_lambda stores one psi-period, here one slot; both forms read as r slots
+    for lam, exps in (((-3, 3), (21, 3)), ((0, 0), (0, 0))):  # lambda mod 24
+        t = GaloisType.from_lambda(SL2, G24, lam)
+        assert len(t.lams) == 1 and len(_r_slots(t).lams) == G24.r == 2
+        for typ in (t, _r_slots(t)):
+            vals = cocycle_values(typ)
+            slots = len(vals.tau_gamma_exps)
+            assert all(m.is_identity() for m in vals.tau_sigma)
+            assert [vals.tau_gamma_exps[j % slots] for j in range(G24.r)] == [exps] * 2
 
 
 def _rational_frobenius_invariant(t):
@@ -288,12 +296,16 @@ def test_frobenius_invariant_matches_the_rational_scan_with_a_weyl_part(p, mu):
 
 def test_gamma_fixedness_at_large_r_matches_the_point_check():
     # Gamma-fixedness is decided on the integer vectors w_j^{-1}(lambda_j);
-    # the point-based check builds all r Fraction slots of the point
+    # on a type written out to r slots, the point-based check builds all r
+    # Fraction slots of the point
     gl2 = build_root_datum("GL2")
     swap = WeylElement(((0, 1), (1, 0)))
     for psi in (ident(2), swap):
         g = GammaData(p=5, e=4, r=20000, psi=psi, inertial=ident(2))
-        fixed = GaloisType.from_lambda(gl2, g, (1, 0))
+        period = GaloisType.from_lambda(gl2, g, (1, 0))
+        assert period.point().is_gamma_fixed()
+        assert frobenius_invariant(period) == _rational_frobenius_invariant(period)
+        fixed = _r_slots(period)
         moved = GaloisType(gl2, g, fixed.lams[:-1] + ((2, -1),), fixed.ws)
         rewound = GaloisType(gl2, g, fixed.lams, fixed.ws[:-1] + (swap,))
         verdicts = [t.point().is_gamma_fixed() for t in (fixed, moved, rewound)]
@@ -589,7 +601,8 @@ def test_sigma_wrap_by_the_slot_recurrence_matches_the_per_slot_products(monkeyp
     seen = set()
     for label, g in cases:
         rd = build_root_datum(label)
-        t = GaloisType.from_lambda(rd, g, (0,) * rd.dim)
+        # r slots, to pair with an r-long tau(sigma)
+        t = _r_slots(GaloisType.from_lambda(rd, g, (0,) * rd.dim))
         vals = cocycle_values(t)
         n, mod = rd.dim, g.q - 1
         for trial in range(30):

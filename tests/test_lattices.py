@@ -284,12 +284,12 @@ def test_pi1_and_tate_closed_forms(n):
         cases[f"PGL{n}"] = ((0, [n]), n - 1)
     for label, (fundamental, rank) in cases.items():
         rd = build_root_datum(label)
-        g = split_gamma(rd, 5, e, r=1)
+        g = split_gamma(rd, 5, e)  # r = ord_4(5) = 1
         assert pi1(rd) == fundamental
         assert pi1_coinvariants(rd, g) == (fundamental, not fundamental[1])
         assert tate_h0(rd, g) == [e] * rank
     if n > 1:
         rd = build_root_datum(f"GL{n}xSL{n}xPGL{n}")
-        g = split_gamma(rd, 5, e, r=1)
+        g = split_gamma(rd, 5, e)  # r = ord_4(5) = 1
         assert pi1(rd) == (1, [n])
         assert tate_h0(rd, g) == [e] * (3 * n - 2)

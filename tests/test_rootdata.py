@@ -1,6 +1,5 @@
 from fractions import Fraction
 import itertools
-import json
 import math
 
 import pytest
@@ -13,7 +12,6 @@ from alcovekit.rootdata import (
     WeylElement,
     build_root_datum,
     check_prime,
-    dominance_leq,
     pi1,
     pi1_coinvariants,
     split_gamma,
@@ -163,6 +161,25 @@ def test_gamma_validation():
             GammaData(p=p, e=1, r=1, psi=ident(2), inertial=ident(2))
 
 
+def test_split_gamma_finds_the_order_of_p_mod_e():
+    gl1 = build_root_datum("GL1")
+
+    def order(p, e):
+        r, acc = 1, p % e
+        while acc != 1 % e:
+            r, acc = r + 1, acc * p % e
+        return r
+
+    for p in (2, 3, 5, 7, 101):
+        for e in range(1, 3001):
+            if math.gcd(p, e) == 1:
+                assert split_gamma(gl1, p, e).r == order(p, e), (p, e)
+    # lcm of ord 2^9 mod 2^12 and 4 * 5^10 mod 5^12
+    assert split_gamma(gl1, 7, 10**12).r == 5 * 10**9
+    with pytest.raises(CapExceeded):
+        split_gamma(gl1, 7, 10**12 + 1)
+
+
 def test_gamma_psi_order_must_divide_r():
     swap = WeylElement(((0, 1), (1, 0)))
     # psi^2 = 1 but psi^3 = psi: order 2 does not divide r = 3
@@ -193,21 +210,9 @@ def test_check_prime_matches_trial_division():
 
 def test_dominance_and_height():
     rd = build_root_datum("GL3")
-    assert dominance_leq(rd, (1, 1, 0), (2, 0, 0))
-    assert not dominance_leq(rd, (2, 0, 0), (1, 1, 0))
-    assert not dominance_leq(rd, (1, 0, 0), (2, 0, 0))  # different totals
     assert h_mu(rd, (2, 1, 0)) == 2
     assert h_mu(rd, (0, 0, 0)) == 0
     assert h_mu(build_root_datum("GL3xGL3"), (1, 0, 0, 1, 0, 0)) == 1
-
-
-def test_datum_json_roundtrip():
-    for label in ("GL3", "SL2", "PGL3", "GL3xGL3"):
-        rd = build_root_datum(label)
-        data = json.loads(json.dumps(rd.to_json()))
-        # the label alone rebuilds the datum the rest of the record describes
-        rd2 = build_root_datum(data["label"])
-        assert rd2 == rd and rd2.to_json() == data
 
 
 # dense reference for the signed-permutation representation of WeylElement
