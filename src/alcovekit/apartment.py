@@ -2,8 +2,8 @@
 
 A point is stored relative to the Chevalley origin o: one rational vector
 eta[j] = x_j - o_j per embedding j in {0,...,r-1}.  All wall and genericity
-predicates are root-pairing computations with Fractions; strictness is
-literal, there is no epsilon anywhere.
+predicates compare differences eta_i - eta_j, the pairings with the roots
+e_i - e_j, as Fractions; strictness is literal, there is no epsilon anywhere.
 """
 from __future__ import annotations
 
@@ -91,8 +91,8 @@ def is_d_generic(x: ApartmentPoint, d) -> bool:
     hi = 1 - d / p
     if lo >= hi:
         return False
-    for a in x.rd.positive_roots():
-        t = x.rd.pairing(a, eta)
+    for i, j in x.rd.positive_roots:
+        t = eta[i] - eta[j]
         frac = t - (t.numerator // t.denominator)
         if not (lo < frac < hi):
             return False
@@ -102,8 +102,8 @@ def is_d_generic(x: ApartmentPoint, d) -> bool:
 def is_lowest_alcove(x: ApartmentPoint) -> bool:
     """0 <= <a, x-o> < 1 for every positive root a (slot 0)."""
     eta = x.eta(0)
-    for a in x.rd.positive_roots():
-        t = x.rd.pairing(a, eta)
+    for i, j in x.rd.positive_roots:
+        t = eta[i] - eta[j]
         if not (0 <= t < 1):
             return False
     return True
@@ -112,8 +112,8 @@ def is_lowest_alcove(x: ApartmentPoint) -> bool:
 def is_deep_lowest_alcove(rd: RootDatum, mu_eta: Sequence[int], d, p: int) -> bool:
     """d < <a, mu+eta> < p - d for every positive root a (the n_a = 0 case)."""
     d = Fraction(d)
-    for a in rd.positive_roots():
-        t = rd.pairing(a, mu_eta)
+    for i, j in rd.positive_roots:
+        t = mu_eta[i] - mu_eta[j]
         if not (d < t < p - d):
             return False
     return True

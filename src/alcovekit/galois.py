@@ -70,11 +70,11 @@ class CocycleValues:
     tau_sigma: tuple[MonomialMatrix, ...]
 
 
-def _n_family(t: GaloisType) -> list[MonomialMatrix]:
-    g = t.gamma
+def _n_family(g: GammaData, lams: Sequence[Sequence[int]],
+              ws: Sequence[WeylElement]) -> list[MonomialMatrix]:
     mod = g.q - 1
     out = []
-    for lam, w in zip(t.lams, t.ws):
+    for lam, w in zip(lams, ws):
         wl = MonomialMatrix.from_weyl(w, mod)
         out.append(wl.inv() * MonomialMatrix.diag_upow(lam, mod))
     return out
@@ -88,17 +88,18 @@ def _sigma_of(g: GammaData, fam: Sequence[MonomialMatrix], j: int) -> MonomialMa
 def cocycle_values(t: GaloisType) -> CocycleValues:
     """tau(gamma) and tau(sigma) as monomial data; errors if no u-free value exists."""
     g = t.gamma
-    fam = _n_family(t)
+    # census representatives carry lambda as integral Fractions
+    if any(c != int(c) for lam in t.lams for c in lam):
+        raise ValueError("type data inconsistent: lambda is not integral")
+    lams = [tuple(map(int, lam)) for lam in t.lams]
+    fam = _n_family(g, lams, t.ws)
     sig = []
     for j, n in enumerate(fam):
         v = n.inv() * _sigma_of(g, fam, j)
         if not v.is_constant():
             raise ValueError("type data inconsistent: tau(sigma) keeps a u-power")
         sig.append(v)
-    # census representatives carry lambda as integral Fractions
-    if any(c != int(c) for lam in t.lams for c in lam):
-        raise ValueError("type data inconsistent: lambda is not integral")
-    gam = tuple(tuple(int(c) % g.e for c in lam) for lam in t.lams)
+    gam = tuple(tuple(c % g.e for c in lam) for lam in lams)
     return CocycleValues(gam, tuple(sig))
 
 
@@ -219,7 +220,7 @@ class CensusResult:
     classes: tuple[CensusClass, ...]
 
 
-def census(rd: RootDatum, g: GammaData, cap: int = 10**6) -> CensusResult:
+def census(rd: RootDatum, g: GammaData) -> CensusResult:
     """All type classes at fixed (p, e): lambda in X_* / (W-action + e X_*).
 
     A class is named by its canonical coordinates: the lexicographically least
@@ -237,13 +238,14 @@ def census(rd: RootDatum, g: GammaData, cap: int = 10**6) -> CensusResult:
     lambda is invariant, F c mod e lies in the W-orbit of c: classes failing
     this lookup in the images just marked get (False, None).  The rest take
     the first w with num - w(F num) = 0 mod e den (_frobenius_witness).
+    CapExceeded past rank 3, e = 10^4 or e^rank = 10^6.
     """
     if not g.split():
         raise RefusedError("census requires a split inertial action")
     if rd.rank > 3 or g.e > 10**4:
         raise CapExceeded("census limited to rank <= 3 and e <= 10^4")
     e, rank = g.e, rd.rank
-    if e**rank > cap:
+    if e**rank > 10**6:
         raise CapExceeded("census enumeration domain exceeds cap")
     place = [e ** (rank - 1 - i) for i in range(rank)]
 

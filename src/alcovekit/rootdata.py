@@ -1,9 +1,11 @@
 """Based root data for GL/SL/PGL and products, Weyl groups, and Galois actions.
 
 Coordinates: every datum lives in an ambient Z^dim (one block of size n per
-GL_n-type factor).  Roots are functionals via the dot product, coroots are
-ambient vectors, and the cocharacter lattice is stored as an explicit basis
-of (possibly fractional) ambient vectors:
+GL_n-type factor).  Every datum is of type A, so a root is an index pair
+(i, j) inside one block, standing for e_i - e_j; it is its own coroot, and it
+pairs with an ambient vector v as <e_i - e_j, v> = v_i - v_j.  The
+cocharacter lattice is stored as an explicit basis of (possibly fractional)
+ambient vectors:
 
   * GL_n: the full Z^n,
   * SL_n: the sum-zero sublattice,
@@ -17,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
-from operator import mul
 import re
 from typing import Sequence
 
@@ -31,8 +33,6 @@ from .lattices import (
     quotient_invariants,
     solve_in_lattice,
 )
-
-Vec = tuple[int, ...]
 
 
 class UnsupportedLabel(ValueError):
@@ -150,36 +150,41 @@ class WeylElement:
 
 @dataclass(frozen=True)
 class RootDatum:
+    """GL/SL/PGL blocks of the given sizes; all but the cocharacter basis
+    follows from the sizes.  Roots are index pairs, as in the module docstring."""
+
     label: str
-    dim: int
-    rank: int
-    roots: tuple[Vec, ...]
-    coroots: tuple[Vec, ...]
-    simple_indices: tuple[int, ...]
     cochar_basis: tuple[tuple[Fraction, ...], ...]
     block_sizes: tuple[int, ...]
 
-    def pairing(self, root: Sequence, v: Sequence):
-        return sum(map(mul, root, v))
+    @cached_property
+    def dim(self) -> int:
+        return sum(self.block_sizes)
 
-    def positive_roots(self) -> tuple[Vec, ...]:
-        # positive = expressible with nonnegative simple-root coefficients;
-        # for the block GL-coordinates this is just e_i - e_j with i < j.
-        pos = []
-        for a in self.roots:
-            first = next(k for k, x in enumerate(a) if x != 0)
-            if a[first] > 0:
-                pos.append(a)
-        return tuple(pos)
+    @cached_property
+    def rank(self) -> int:
+        return len(self.cochar_basis)
 
-    def reflection(self, root_index: int) -> WeylElement:
-        a = self.roots[root_index]
-        av = self.coroots[root_index]
-        n = self.dim
-        m = tuple(
-            tuple((1 if i == j else 0) - av[i] * a[j] for j in range(n)) for i in range(n)
-        )
-        return WeylElement(m)
+    @cached_property
+    def positive_roots(self) -> tuple[tuple[int, int], ...]:
+        """The pairs i < j inside each block, block by block, lexicographically."""
+        out, off = [], 0
+        for n in self.block_sizes:
+            out += [(i, j) for i in range(off, off + n) for j in range(i + 1, off + n)]
+            off += n
+        return tuple(out)
+
+    @cached_property
+    def simple_roots(self) -> tuple[tuple[int, int], ...]:
+        """The pairs (k, k + 1) inside each block, block by block."""
+        return tuple((i, j) for i, j in self.positive_roots if j == i + 1)
+
+    def reflection(self, root: tuple[int, int]) -> WeylElement:
+        """s_a for a = e_i - e_j: the transposition of coordinates i and j."""
+        i, j = root
+        cols = list(range(self.dim))
+        cols[i], cols[j] = j, i
+        return WeylElement._make(tuple(cols), (1,) * self.dim)
 
     def basis_coords(self, v: Sequence) -> tuple[int, ...]:
         """Coordinates of a cocharacter-lattice vector in the stored basis."""
@@ -195,99 +200,39 @@ class RootDatum:
 _LABEL_RE = re.compile(r"^(GL|SL|PGL)(\d+)$")
 
 
-def _single_datum(kind: str, n: int) -> RootDatum:
-    if n < 2 and not (kind == "GL" and n == 1):
-        raise UnsupportedLabel(f"{kind}{n}: need n >= 2 (or GL1)")
-    roots = []
-    coroots = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                a = [0] * n
-                a[i], a[j] = 1, -1
-                roots.append(tuple(a))
-                coroots.append(tuple(a))
-    simple = []
-    for i in range(n - 1):
-        a = [0] * n
-        a[i], a[i + 1] = 1, -1
-        simple.append(roots.index(tuple(a)))
+def _block_basis(kind: str, n: int) -> list[tuple[Fraction, ...]]:
+    """The cocharacter basis of one GL_n, SL_n or PGL_n block."""
     if kind == "GL":
-        basis = tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
-        rank = n
-    elif kind == "SL":
-        basis = tuple(
-            tuple(Fraction(1 if j == i else (-1 if j == i + 1 else 0)) for j in range(n))
-            for i in range(n - 1)
-        )
-        rank = n - 1
-    else:  # PGL: coweight lattice inside the sum-zero hyperplane
-        basis = tuple(
-            tuple(Fraction(1 if j == i else 0) - Fraction(1, n) for j in range(n))
-            for i in range(n - 1)
-        )
-        rank = n - 1
-    return RootDatum(
-        label=f"{kind}{n}",
-        dim=n,
-        rank=rank,
-        roots=tuple(roots),
-        coroots=tuple(coroots),
-        simple_indices=tuple(simple),
-        cochar_basis=basis,
-        block_sizes=(n,),
-    )
-
-
-def _product(data: Sequence[RootDatum]) -> RootDatum:
-    dim = sum(d.dim for d in data)
-    roots = []
-    coroots = []
-    simple = []
-    basis = []
-    off = 0
-    for d in data:
-        for a in d.roots:
-            roots.append(tuple([0] * off + list(a) + [0] * (dim - off - d.dim)))
-        for a in d.coroots:
-            coroots.append(tuple([0] * off + list(a) + [0] * (dim - off - d.dim)))
-        off += d.dim
-    off = 0
-    count = 0
-    for d in data:
-        for i in d.simple_indices:
-            simple.append(count + i)
-        count += len(d.roots)
-        for b in d.cochar_basis:
-            basis.append(tuple([Fraction(0)] * off + list(b) + [Fraction(0)] * (dim - off - d.dim)))
-        off += d.dim
-    return RootDatum(
-        label="x".join(d.label for d in data),
-        dim=dim,
-        rank=sum(d.rank for d in data),
-        roots=tuple(roots),
-        coroots=tuple(coroots),
-        simple_indices=tuple(simple),
-        cochar_basis=tuple(basis),
-        block_sizes=tuple(s for d in data for s in d.block_sizes),
-    )
+        return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    if kind == "SL":
+        return [tuple(Fraction(int(j == i) - int(j == i + 1)) for j in range(n))
+                for i in range(n - 1)]
+    return [tuple(Fraction(int(j == i)) - Fraction(1, n) for j in range(n))
+            for i in range(n - 1)]
 
 
 def build_root_datum(label: str) -> RootDatum:
     """Standard based root datum for "GLn", "SLn", "PGLn" or "AxB" products."""
     label = label.strip()
     if label.lower() in ("trivial", "t0"):
-        return RootDatum("trivial", 0, 0, (), (), (), (), ())
-    parts = label.split("x")
-    data = []
-    for part in parts:
+        return RootDatum("trivial", (), ())
+    blocks = []
+    for part in label.split("x"):
         m = _LABEL_RE.match(part.strip())
         if not m:
             raise UnsupportedLabel(f"cannot parse group label {part!r}")
-        data.append(_single_datum(m.group(1), int(m.group(2))))
-    if len(data) == 1:
-        return data[0]
-    return _product(data)
+        kind, n = m.group(1), int(m.group(2))
+        if n < 2 and not (kind == "GL" and n == 1):
+            raise UnsupportedLabel(f"{kind}{n}: need n >= 2 (or GL1)")
+        blocks.append((kind, n))
+    dim = sum(n for _, n in blocks)
+    zero = (Fraction(0),)
+    basis, off = [], 0
+    for kind, n in blocks:
+        basis += [zero * off + b + zero * (dim - off - n) for b in _block_basis(kind, n)]
+        off += n
+    return RootDatum("x".join(f"{kind}{n}" for kind, n in blocks), tuple(basis),
+                     tuple(n for _, n in blocks))
 
 
 _WEYL_CACHE: dict = {}
@@ -303,7 +248,7 @@ def weyl_group(rd: RootDatum, cap: int = 10**6) -> list[WeylElement]:
         if len(cached) > cap:
             raise CapExceeded(f"Weyl group larger than cap {cap}")
         return cached
-    gens = [rd.reflection(i) for i in rd.simple_indices]
+    gens = [rd.reflection(a) for a in rd.simple_roots]
     ident = WeylElement.identity(rd.dim)
     seen = {ident}
     order: list[WeylElement] = [ident]
@@ -397,7 +342,14 @@ def split_gamma(rd: RootDatum, p: int, e: int) -> GammaData:
 
 
 def _coroot_coord_rows(rd: RootDatum) -> list[list[int]]:
-    return [list(rd.basis_coords(cv)) for cv in rd.coroots]
+    """Basis coordinates of e_i - e_j for the positive roots (i, j): they span
+    the coroot lattice."""
+    rows = []
+    for i, j in rd.positive_roots:
+        v = [0] * rd.dim
+        v[i], v[j] = 1, -1
+        rows.append(list(rd.basis_coords(v)))
+    return rows
 
 
 def pi1(rd: RootDatum) -> tuple[int, list[int]]:

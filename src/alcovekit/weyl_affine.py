@@ -76,11 +76,7 @@ class BaseAlcove:
 def _walls(rd: RootDatum, bary: RatVec) -> Walls:
     denom = math.lcm(*(c.denominator for c in bary))
     y = tuple(int(c * denom) for c in bary)
-    walls = []
-    for a in rd.positive_roots():
-        i, j = a.index(1), a.index(-1)
-        walls.append((i, j, (y[i] - y[j]) // denom))
-    return denom, y, tuple(walls)
+    return denom, y, tuple((i, j, (y[i] - y[j]) // denom) for i, j in rd.positive_roots)
 
 
 def base_alcove(rd: RootDatum) -> BaseAlcove:
@@ -89,18 +85,12 @@ def base_alcove(rd: RootDatum) -> BaseAlcove:
     bary = [Fraction(0)] * rd.dim
     off = 0
     for size in rd.block_sizes:
-        for i in range(size - 1):
-            a = [0] * rd.dim
-            a[off + i], a[off + i + 1] = 1, -1
-            idx = rd.roots.index(tuple(a))
-            refl.append(AffineWeylElement(rd, (0,) * rd.dim, rd.reflection(idx)))
+        for i in range(off, off + size - 1):
+            refl.append(AffineWeylElement(rd, (0,) * rd.dim, rd.reflection((i, i + 1))))
         if size >= 2:
-            a = [0] * rd.dim
-            a[off], a[off + size - 1] = 1, -1
-            idx = rd.roots.index(tuple(a))
             nu = [0] * rd.dim
             nu[off], nu[off + size - 1] = 1, -1
-            refl.append(AffineWeylElement(rd, tuple(nu), rd.reflection(idx)))
+            refl.append(AffineWeylElement(rd, tuple(nu), rd.reflection((off, off + size - 1))))
         for k in range(size):
             bary[off + k] = Fraction(-(size - 1 - k), size)
         off += size
@@ -200,8 +190,8 @@ def _lower_closure(tops: Sequence[AffineWeylElement], base: BaseAlcove,
     found = {z.key(): z for z in tops}
     _check_work(ell, len(found))
     # the reflection in <a, y> = k is y -> s_a(y) + k a, i.e. v^{-k a} s_a; the
-    # walls follow rd.positive_roots()
-    finite = [rd.reflection(rd.roots.index(a)) for a in rd.positive_roots()]
+    # walls follow rd.positive_roots
+    finite = [rd.reflection(a) for a in rd.positive_roots]
     refl: dict[tuple[int, int], AffineWeylElement] = {}  # (wall, k) -> reflection
     todo = list(found.values())
     while todo:
@@ -251,7 +241,7 @@ def _orbit(rd: RootDatum, mu: tuple[int, ...], ell: int) -> list[tuple[int, ...]
     Every v^{w mu} lies in Adm(mu) and has length ell, so the walk stops with
     CapExceeded as soon as ell * |orbit| alone passes MAX_BRUHAT_WORK.
     """
-    gens = [rd.reflection(i) for i in rd.simple_indices]
+    gens = [rd.reflection(a) for a in rd.simple_roots]
     orbit, seen = [mu], {mu}
     for nu in orbit:  # the list grows while it is walked
         for s in gens:
@@ -301,12 +291,10 @@ def admissible_set(
 
 
 def h_mu(rd: RootDatum, mu: Sequence[int]) -> int:
-    """The height of mu: max over roots a of <a, mu>."""
+    """The height of mu: max over roots a of <a, mu>, i.e. of |mu_i - mu_j|."""
     if len(mu) != rd.dim:
         raise ValueError(f"mu has {len(mu)} entries, the group needs {rd.dim}")
-    if not rd.roots:
-        return 0
-    return max(int(rd.pairing(a, mu)) for a in rd.roots)
+    return max((abs(mu[i] - mu[j]) for i, j in rd.positive_roots), default=0)
 
 
 def elements_of_length_at_most(rd: RootDatum, bound: int,

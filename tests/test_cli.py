@@ -548,6 +548,15 @@ CLI_DIGESTS = [
      "4daf4ca2e6f2a8c88d4a10b617270a8591076a072c1fe8e1ca2dd91736f30492"),
     ("json", "hmu --group GL3xGL3 --mu 1,0,0,1,0,0", 0,
      "76bb78f77f59590fd1772641ef78b71d255db5853af7a94216786463abb5c8a5"),
+    # mixed products and GL1: block-by-block roots, walls and Weyl order
+    ("json", "census --group SL2xPGL2 --p 5 --e 8", 0,
+     "73dbc43145d9181c893b2bf234889712721d17d010547fb5a2d232e17d31dc90"),
+    ("json", "generic --group GL2xGL2 --p 7 --e 24 --eta=1/8,-1/8,1/3,0 --d 1", 0,
+     "c165116ccaa3f9c3e29dbe05b66b58416158b33ac034b7dc4a6b1e29e57dd2b0"),
+    ("json", "hmu --group GL1 --mu 5", 0,
+     "6fc7e2752453fe03fd57829c913158c86a5f30d011076f202d83cd133c6a83bc"),
+    ("json", "hmu --group SL2xGL1xPGL3 --mu 1,-1,4,2,0,-2", 0,
+     "364f20e7948b980730fa10308f28b292c32bfbb8fc2abc884f527964aee5fb7c"),
     ("json", "straighten --p 7 --a 1 --f 1 --hmu 1 --seed 5 --window 28", 0,
      "0a6b311c11c68d454ec732ab79e274993723432b73994e6c1e468b0fe36bbded"),
     # wide windows: every unit inverse lifts its terms by Newton's iteration

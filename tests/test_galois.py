@@ -135,8 +135,9 @@ def test_census_bounded_by_tate():
 
 def test_census_caps():
     gl3 = build_root_datum("GL3")
+    # 101^3 > 10^6 points of (Z/e)^rank
     with pytest.raises(CapExceeded):
-        census(gl3, split_gamma(gl3, 101, 100), cap=10**4)
+        census(gl3, split_gamma(gl3, 7, 101))
 
 
 def _least_image(actions, coords, e):
@@ -561,6 +562,10 @@ def test_cocycle_relations_on_census():
         for cls in census(rd, g).classes:
             t = GaloisType.from_lambda(rd, g, cls.lam)
             assert all(check_cocycle_relations(t).values())
+            # cls.lam holds integral Fractions; the cocycle is built from ints
+            vals = cocycle_values(t)
+            assert all(type(x) is int for m in vals.tau_sigma for x in m.upows)
+            assert all(type(x) is int for lam in vals.tau_gamma_exps for x in lam)
 
 
 def _psi_powers(g):

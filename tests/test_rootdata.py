@@ -1,9 +1,13 @@
+import dataclasses
 from fractions import Fraction
 import itertools
 import math
+import operator
+import random
 
 import pytest
 
+from alcovekit.lattices import quotient_invariants
 from alcovekit.rootdata import (
     CapExceeded,
     GammaData,
@@ -29,34 +33,43 @@ def ident(n):
 
 def test_build_examples():
     gl3 = build_root_datum("GL3")
-    assert len(gl3.roots) == 6 and gl3.rank == 3
-    assert tuple(gl3.roots[i] for i in gl3.simple_indices) == ((1, -1, 0), (0, 1, -1))
+    assert gl3.positive_roots == ((0, 1), (0, 2), (1, 2)) and gl3.simple_roots == ((0, 1), (1, 2))
+    assert gl3.dim == 3 and gl3.rank == 3
     sl2 = build_root_datum("SL2")
-    assert len(sl2.roots) == 2 and sl2.rank == 1
+    assert sl2.positive_roots == ((0, 1),) and sl2.dim == 2 and sl2.rank == 1
     prod = build_root_datum("GL3xGL3")
-    assert len(prod.roots) == 12 and prod.rank == 6
+    assert len(prod.positive_roots) == 6 and prod.rank == 6
+    assert prod.simple_roots == ((0, 1), (1, 2), (3, 4), (4, 5))
+    assert [f.name for f in dataclasses.fields(RootDatum)] == [
+        "label", "cochar_basis", "block_sizes"]
     with pytest.raises(UnsupportedLabel):
         build_root_datum("E8")
+
+
+def _root_vector(rd, a):
+    """e_i - e_j in the ambient coordinates, for the pair a = (i, j)."""
+    v = [0] * rd.dim
+    v[a[0]], v[a[1]] = 1, -1
+    return tuple(v)
+
+
+def _all_roots(rd):
+    return rd.positive_roots + tuple((j, i) for i, j in rd.positive_roots)
 
 
 def test_datum_invariants():
     for label in ("GL3", "SL3", "PGL3", "GL2xGL3"):
         rd = build_root_datum(label)
-        # <alpha_i, alpha_i^vee> = 2 and Cartan integrality
-        for a, av in zip(rd.roots, rd.coroots):
-            assert rd.pairing(a, av) == 2
-        for a in rd.roots:
-            for bv in rd.coroots:
-                assert rd.pairing(a, bv).denominator == 1
-        # negation is an involution of the root list
-        root_set = set(rd.roots)
-        for a in rd.roots:
-            assert tuple(-x for x in a) in root_set
-        # reflections permute the roots and coroots
-        for i in range(len(rd.roots)):
-            s = rd.reflection(i)
-            for av in rd.coroots:
-                assert tuple(s.apply(av)) in set(rd.coroots)
+        vecs = {_root_vector(rd, a) for a in _all_roots(rd)}
+        for a in _all_roots(rd):
+            av = _root_vector(rd, a)
+            # every coroot is a cocharacter, and <a, a^vee> = 2
+            assert rd.in_cochar_lattice(av)
+            assert av[a[0]] - av[a[1]] == 2
+            # s_a(a^vee) = -a^vee, and s_a permutes the coroots
+            s = rd.reflection(a)
+            assert s.apply(av) == tuple(-x for x in av)
+            assert {s.apply(v) for v in vecs} == vecs
 
 
 def test_weyl_group_orders():
@@ -70,12 +83,11 @@ def test_weyl_group_orders():
 
 def test_weyl_closure_on_coroots():
     rd = build_root_datum("GL3")
-    coroots = set(rd.coroots)
+    coroots = {_root_vector(rd, a) for a in _all_roots(rd)}
     ws = weyl_group(rd)
     assert ws[0].is_identity()
     for w in ws:
-        for av in rd.coroots:
-            assert tuple(w.apply(av)) in coroots
+        assert {w.apply(av) for av in coroots} == coroots
 
 
 def test_pi1():
@@ -127,13 +139,8 @@ def _relabel(rd: RootDatum) -> RootDatum:
     rev = lambda v: tuple(v[n - 1 - i] for i in range(n))
     return RootDatum(
         label=rd.label + "-rev",
-        dim=n,
-        rank=rd.rank,
-        roots=tuple(rev(a) for a in rd.roots),
-        coroots=tuple(rev(a) for a in rd.coroots),
-        simple_indices=rd.simple_indices,
         cochar_basis=tuple(rev(b) for b in rd.cochar_basis),
-        block_sizes=rd.block_sizes,
+        block_sizes=rd.block_sizes[::-1],
     )
 
 
@@ -213,6 +220,104 @@ def test_dominance_and_height():
     assert h_mu(rd, (2, 1, 0)) == 2
     assert h_mu(rd, (0, 0, 0)) == 0
     assert h_mu(build_root_datum("GL3xGL3"), (1, 0, 0, 1, 0, 0)) == 1
+
+
+# vector reference for the root data: roots and coroots as dense ambient
+# vectors, simple roots by index, and reflections as dense matrices
+
+def _reference_block(kind, n):
+    """(roots, coroots, simple indices, cochar basis) of one GL/SL/PGL block."""
+    roots = []
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                a = [0] * n
+                a[i], a[j] = 1, -1
+                roots.append(tuple(a))
+    simple = []
+    for i in range(n - 1):
+        a = [0] * n
+        a[i], a[i + 1] = 1, -1
+        simple.append(roots.index(tuple(a)))
+    if kind == "GL":
+        basis = [tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)]
+    elif kind == "SL":
+        basis = [tuple(Fraction(1 if j == i else (-1 if j == i + 1 else 0)) for j in range(n))
+                 for i in range(n - 1)]
+    else:
+        basis = [tuple(Fraction(1 if j == i else 0) - Fraction(1, n) for j in range(n))
+                 for i in range(n - 1)]
+    return roots, list(roots), simple, basis
+
+
+def _reference_datum(label):
+    """(dim, roots, coroots, simple indices, cochar basis) of a product label."""
+    if label == "trivial":
+        return 0, [], [], [], []
+    sizes = [int(part.lstrip("GLSP")) for part in label.split("x")]
+    dim = sum(sizes)
+    roots, coroots, simple, basis = [], [], [], []
+    off = 0
+    for part, n in zip(label.split("x"), sizes):
+        r, c, si, b = _reference_block(part.rstrip("0123456789"), n)
+
+        def pad(v, z=0):
+            return tuple([z] * off + list(v) + [z] * (dim - off - n))
+
+        simple += [len(roots) + i for i in si]
+        roots += [pad(a) for a in r]
+        coroots += [pad(a) for a in c]
+        basis += [pad(v, Fraction(0)) for v in b]
+        off += n
+    return dim, roots, coroots, simple, basis
+
+
+def _reference_reflection(a, av):
+    n = len(a)
+    return tuple(tuple((1 if i == j else 0) - av[i] * a[j] for j in range(n)) for i in range(n))
+
+
+def _reference_weyl_group(dim, roots, coroots, simple):
+    gens = [WeylElement(_reference_reflection(roots[i], coroots[i])) for i in simple]
+    ident = WeylElement.identity(dim)
+    seen, order, frontier = {ident}, [ident], [ident]
+    while frontier:
+        new = []
+        for w in frontier:
+            for g in gens:
+                x = g * w
+                if x not in seen:
+                    seen.add(x)
+                    new.append(x)
+        new.sort()
+        order.extend(new)
+        frontier = new
+    return order
+
+
+def _pair(a):
+    return a.index(1), a.index(-1)
+
+
+@pytest.mark.parametrize("label", [
+    "GL1", "GL2", "GL3", "GL4", "SL2", "SL3", "SL4", "PGL2", "PGL3", "PGL4", "trivial",
+    "GL2xGL1", "GL1xGL2", "SL2xPGL3", "GL3xGL3", "SL2xGL1xPGL3"])
+def test_pair_roots_match_the_vector_reference(label):
+    rd = build_root_datum(label)
+    dim, roots, coroots, simple, basis = _reference_datum(label)
+    assert (rd.dim, rd.rank, rd.cochar_basis) == (dim, len(basis), tuple(basis))
+    positive = [a for a in roots if a[next(k for k, x in enumerate(a) if x)] > 0]
+    assert rd.positive_roots == tuple(map(_pair, positive))
+    assert rd.simple_roots == tuple(_pair(roots[i]) for i in simple)
+    for a, av in zip(roots, coroots):
+        assert rd.reflection(_pair(a)).matrix == _reference_reflection(a, av)
+    rng = random.Random(label)
+    for _ in range(20):
+        mu = tuple(rng.randint(-6, 6) for _ in range(dim))
+        assert h_mu(rd, mu) == max((sum(map(operator.mul, a, mu)) for a in roots), default=0)
+    rows = [list(rd.basis_coords(av)) for av in coroots]
+    assert pi1(rd) == ((0, []) if dim == 0 else quotient_invariants(len(basis), rows))
+    assert weyl_group(rd) == _reference_weyl_group(dim, roots, coroots, simple)
 
 
 # dense reference for the signed-permutation representation of WeylElement

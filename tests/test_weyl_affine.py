@@ -172,8 +172,8 @@ def _fraction_length(z, base):
     y0 = base.interior
     y1 = z.act(y0)
     total = 0
-    for a in z.rd.positive_roots():
-        s, t = sorted((z.rd.pairing(a, y0), z.rd.pairing(a, y1)))
+    for i, j in z.rd.positive_roots:
+        s, t = sorted((y0[i] - y0[j], y1[i] - y1[j]))
         lo = s.numerator // s.denominator + 1  # smallest integer > s
         hi = -((-t.numerator) // t.denominator) - 1  # largest integer < t
         total += max(0, hi - lo + 1)
