@@ -136,18 +136,18 @@ def check_cocycle_relations(t: GaloisType) -> dict[str, bool]:
         conj = [lhs_diag[m.cols[i]] % e for i in range(m.n)]
         if conj != [(p * x) % e for x in cur]:
             braid = False
-    # tau(sigma^r)_j = P_j = prod_{i=0}^{r-1} psi^i(tau(sigma)_{j-i}): P_0 as
-    # that product, then P_{j+1} = tau(sigma)_{j+1} psi(P_j) tau(sigma)_{j+1}^{-1},
-    # which is the product again because psi^r = 1
+    # tau(sigma^r)_j = P_j = prod_{i=0}^{r-1} psi^i(tau(sigma)_{j-i}) is conjugate
+    # to P_{j-1} (psi^r = 1), so P_0 decides.  Its factors repeat with period
+    # T = lcm(L, ord(psi)), ord(psi) being the orbit length of (1, ..., n), so
+    # P_0 = Q^(r/T) for Q the product of the first T; P_0 = 1 iff ord(Q) | r/T
     psi = g.psi.perm()
-    powers = _perm_powers(psi, r)
+    period = lcm(len(tau_sigma), len(g.psi_orbit(range(1, len(psi) + 1))))
+    if r % period:
+        raise ValueError(f"type data inconsistent: {len(tau_sigma)} slots for r={r}")
     acc = MonomialMatrix.identity(tau_sigma[0].n, tau_sigma[0].mod)
-    for i in range(r):
-        acc = acc * tau_sigma[-i % len(tau_sigma)].conjugate_by_permutation(powers[i])
-    wrap = acc.is_identity()
-    for t_sigma in tau_sigma[1:]:
-        acc = t_sigma * acc.conjugate_by_permutation(psi) * t_sigma.inv()
-        wrap = wrap and acc.is_identity()
+    for i, power in enumerate(_perm_powers(psi, period)):
+        acc = acc * tau_sigma[-i % len(tau_sigma)].conjugate_by_permutation(power)
+    wrap = (r // period) % acc.order() == 0
     return {"gamma_order": gamma_order, "sigma_braid": braid, "sigma_wrap": wrap}
 
 
@@ -194,7 +194,7 @@ def frobenius_invariant(t: GaloisType):
     lam = vs[0]
     if not t.rd.in_cochar_lattice(lam):
         raise ValueError(f"lambda={lam} is not in the cocharacter lattice of {t.rd.label}")
-    den = lcm(*(c.denominator for c in lam))
+    den = t.rd.den  # lambda in X_* has numerators over rd.den; m is the same for any den
     wit = _frobenius_witness(g, weyl_group(t.rd), [int(c * den) for c in lam], den)
     return wit is not None, wit
 
@@ -263,10 +263,8 @@ def census(rd: RootDatum, g: GammaData) -> CensusResult:
     action_rows = [[distinct.setdefault(tuple(row), len(distinct)) for row in rows]
                    for rows in actions]
     frob = [[g.p * a for a in row] for row in _action_in_basis(rd, g.psi.inv())]
-    # ambient coordinates of the integer-scaled basis scaled_i = den * b_i, so
-    # representatives are integer numerators over den
-    den = lcm(*(c.denominator for b in rd.cochar_basis for c in b))
-    columns = list(zip(*([int(c * den) for c in b] for b in rd.cochar_basis)))
+    # the basis rows are numerators over rd.den, so representatives are too
+    columns = list(zip(*rd.cochar_basis))
 
     marked = bytearray(e**rank)
     classes = []
@@ -285,8 +283,8 @@ def census(rd: RootDatum, g: GammaData) -> CensusResult:
         num = tuple(sum(map(mul, coords, col)) for col in columns)
         wit = None
         if index(frob, coords) in orbit:
-            wit = _frobenius_witness(g, weyl, num, den)
-        classes.append(CensusClass(num, den, coords, wit is not None, wit))
+            wit = _frobenius_witness(g, weyl, num, rd.den)
+        classes.append(CensusClass(num, rd.den, coords, wit is not None, wit))
         i = marked.find(0, i + 1)
     return CensusResult(len(classes), sum(c.invariant for c in classes), tuple(classes))
 

@@ -1,8 +1,10 @@
 """Exact integer lattice arithmetic: Smith normal form, kernels, quotients.
 
-Everything here works on plain Python integers (arbitrary precision) and
-lists of lists.  No floating point is allowed anywhere in this package's
-lattice computations, and no rational arithmetic is done here either: one
+Everything here takes and returns plain Python integers (arbitrary
+precision) in lists of lists.  No floating point is allowed anywhere in this
+package's lattice computations, and no rational arithmetic is done here
+either: rational lattice data is scaled to integers by its owner (the
+cocharacter basis of a root datum is held as numerators over one `den`).  One
 integer routine, `_echelon`, brings a matrix to row echelon form by
 unimodular row operations and returns the transform with it.  The kernel is
 read off the transform, a lattice solve divides down the echelon pivots,
@@ -11,7 +13,7 @@ and the Smith form alternates the routine on a matrix and its transpose
 """
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 
@@ -97,19 +99,17 @@ def quotient_invariants(rank: int, sub_gens: Sequence[Sequence[int]]) -> tuple[i
     return free, torsion
 
 
-def solve_in_lattice(gens: Sequence[Sequence], target: Sequence):
+def solve_in_lattice(gens: Sequence[Sequence[int]], target: Sequence[int]):
     """Express `target` as an integer combination of `gens`, or return None.
 
-    `gens` are vectors in Q^n spanning a lattice, possibly dependent; the
-    coefficients must be integers for membership.  Generators and target are
-    scaled by their common denominator, the generators are echeloned, and
-    the target is reduced by exact integer division down the pivots.
+    `gens` are integer vectors spanning a lattice, possibly dependent, and
+    `target` is an integer vector.  The generators are echeloned, and the
+    target is reduced by exact integer division down the pivots.
     """
     if not gens:
         return [] if all(x == 0 for x in target) else None
-    den = lcm(*(x.denominator for g in gens for x in g), *(x.denominator for x in target))
-    h, u = _echelon([[x.numerator * (den // x.denominator) for x in g] for g in gens])
-    residual = [x.numerator * (den // x.denominator) for x in target]
+    h, u = _echelon(gens)
+    residual = list(target)
     coeffs = [0] * len(gens)
     for row, urow in zip(h, u):
         c = next((j for j, x in enumerate(row) if x), None)
@@ -121,10 +121,6 @@ def solve_in_lattice(gens: Sequence[Sequence], target: Sequence):
         residual = [x - f * y for x, y in zip(residual, row, strict=True)]
         coeffs = [x + f * y for x, y in zip(coeffs, urow)]
     return None if any(residual) else coeffs
-
-
-def in_lattice(gens: Sequence[Sequence], target: Sequence) -> bool:
-    return solve_in_lattice(gens, target) is not None
 
 
 def kernel_basis(mat: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -4,8 +4,9 @@ Coordinates: every datum lives in an ambient Z^dim (one block of size n per
 GL_n-type factor).  Every datum is of type A, so a root is an index pair
 (i, j) inside one block, standing for e_i - e_j; it is its own coroot, and it
 pairs with an ambient vector v as <e_i - e_j, v> = v_i - v_j.  The
-cocharacter lattice is stored as an explicit basis of (possibly fractional)
-ambient vectors:
+cocharacter lattice is stored as an explicit basis of ambient vectors, each
+held as integer numerators over one common denominator `den` (the lcm of the
+PGL block sizes, 1 without a PGL block):
 
   * GL_n: the full Z^n,
   * SL_n: the sum-zero sublattice,
@@ -18,15 +19,13 @@ the unitary-group involution (a,b,c) -> (-c,-b,-a).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 import re
 from typing import Sequence
 
 from .ff import _prime_factors
 from .lattices import (
-    in_lattice,
     kernel_basis,
     mat_mul,
     identity_matrix,
@@ -151,10 +150,12 @@ class WeylElement:
 @dataclass(frozen=True)
 class RootDatum:
     """GL/SL/PGL blocks of the given sizes; all but the cocharacter basis
-    follows from the sizes.  Roots are index pairs, as in the module docstring."""
+    follows from the sizes.  Roots are index pairs, as in the module docstring.
+    The basis vectors are cochar_basis[k][i] / den."""
 
     label: str
-    cochar_basis: tuple[tuple[Fraction, ...], ...]
+    cochar_basis: tuple[tuple[int, ...], ...]
+    den: int
     block_sizes: tuple[int, ...]
 
     @cached_property
@@ -186,36 +187,42 @@ class RootDatum:
         cols[i], cols[j] = j, i
         return WeylElement._make(tuple(cols), (1,) * self.dim)
 
+    def _solve(self, v: Sequence) -> list[int] | None:
+        """Basis coordinates of v (ints or Fractions), or None off the lattice."""
+        scaled = [c * self.den for c in v]
+        if any(x.denominator != 1 for x in scaled):
+            return None
+        return solve_in_lattice(self.cochar_basis, [x.numerator for x in scaled])
+
     def basis_coords(self, v: Sequence) -> tuple[int, ...]:
         """Coordinates of a cocharacter-lattice vector in the stored basis."""
-        coeffs = solve_in_lattice(self.cochar_basis, v)
+        coeffs = self._solve(v)
         if coeffs is None:
             raise ValueError(f"{v} is not in the cocharacter lattice of {self.label}")
         return tuple(coeffs)
 
     def in_cochar_lattice(self, v: Sequence) -> bool:
-        return in_lattice(self.cochar_basis, v)
+        return self._solve(v) is not None
 
 
 _LABEL_RE = re.compile(r"^(GL|SL|PGL)(\d+)$")
 
 
-def _block_basis(kind: str, n: int) -> list[tuple[Fraction, ...]]:
-    """The cocharacter basis of one GL_n, SL_n or PGL_n block."""
+def _block_basis(kind: str, n: int, den: int) -> list[tuple[int, ...]]:
+    """One GL_n, SL_n or PGL_n block's cocharacter basis times den (n | den for PGL)."""
     if kind == "GL":
-        return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+        return [tuple(den * (i == j) for j in range(n)) for i in range(n)]
     if kind == "SL":
-        return [tuple(Fraction(int(j == i) - int(j == i + 1)) for j in range(n))
+        return [tuple(den * ((j == i) - (j == i + 1)) for j in range(n))
                 for i in range(n - 1)]
-    return [tuple(Fraction(int(j == i)) - Fraction(1, n) for j in range(n))
-            for i in range(n - 1)]
+    return [tuple(den * (j == i) - den // n for j in range(n)) for i in range(n - 1)]
 
 
 def build_root_datum(label: str) -> RootDatum:
     """Standard based root datum for "GLn", "SLn", "PGLn" or "AxB" products."""
     label = label.strip()
     if label.lower() in ("trivial", "t0"):
-        return RootDatum("trivial", (), ())
+        return RootDatum("trivial", (), 1, ())
     blocks = []
     for part in label.split("x"):
         m = _LABEL_RE.match(part.strip())
@@ -226,12 +233,12 @@ def build_root_datum(label: str) -> RootDatum:
             raise UnsupportedLabel(f"{kind}{n}: need n >= 2 (or GL1)")
         blocks.append((kind, n))
     dim = sum(n for _, n in blocks)
-    zero = (Fraction(0),)
+    den = lcm(*(n for kind, n in blocks if kind == "PGL"))
     basis, off = [], 0
     for kind, n in blocks:
-        basis += [zero * off + b + zero * (dim - off - n) for b in _block_basis(kind, n)]
+        basis += [(0,) * off + b + (0,) * (dim - off - n) for b in _block_basis(kind, n, den)]
         off += n
-    return RootDatum("x".join(f"{kind}{n}" for kind, n in blocks), tuple(basis),
+    return RootDatum("x".join(f"{kind}{n}" for kind, n in blocks), tuple(basis), den,
                      tuple(n for _, n in blocks))
 
 
@@ -301,7 +308,7 @@ class GammaData:
         if not w.is_identity() or self.r % order:
             raise ValueError("psi must have order dividing r")
 
-    @property
+    @cached_property  # kept in the instance __dict__; no field, so ==, hash and repr ignore it
     def q(self) -> int:
         return self.p**self.r
 
@@ -360,7 +367,8 @@ def pi1(rd: RootDatum) -> tuple[int, list[int]]:
 
 
 def _action_in_basis(rd: RootDatum, w: WeylElement) -> list[list[int]]:
-    cols = [rd.basis_coords(w.apply(b)) for b in rd.cochar_basis]
+    # w(b) for a row b of numerators is the row of numerators of w(b / den)
+    cols = [solve_in_lattice(rd.cochar_basis, w.apply(b)) for b in rd.cochar_basis]
     return [[cols[j][i] for j in range(rd.rank)] for i in range(rd.rank)]
 
 

@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .rootdata import CapExceeded, RootDatum, WeylElement
 
-RatVec = tuple[Fraction, ...]
-# (L, Y, walls): L the common denominator of the base alcove's interior,
-# Y = L * interior in integers, and one (i, j, floor(<a, interior>)) per
+# (L, Y, walls): the base alcove's barycenter Y / L, off every affine wall, in
+# integers Y over L = lcm(block sizes), and one (i, j, floor(<a, Y / L>)) per
 # positive root a = e_i - e_j
 Walls = tuple[int, tuple[int, ...], tuple[tuple[int, int, int], ...]]
 
@@ -45,7 +43,7 @@ class AffineWeylElement:
         nu = tuple(-c for c in winv.apply(self.translation))
         return AffineWeylElement(self.rd, nu, winv)
 
-    def act(self, y: Sequence[Fraction]) -> RatVec:
+    def act(self, y: Sequence) -> tuple:
         img = self.finite.apply(y)
         return tuple(a - b for a, b in zip(img, self.translation))
 
@@ -69,20 +67,14 @@ class BaseAlcove:
     rd: RootDatum
     simple_affine_reflections: tuple[AffineWeylElement, ...]
     omega_generators: tuple[AffineWeylElement, ...]
-    interior: RatVec  # barycenter, guaranteed off every affine wall
     walls: Walls
-
-
-def _walls(rd: RootDatum, bary: RatVec) -> Walls:
-    denom = math.lcm(*(c.denominator for c in bary))
-    y = tuple(int(c * denom) for c in bary)
-    return denom, y, tuple((i, j, (y[i] - y[j]) // denom) for i, j in rd.positive_roots)
 
 
 def base_alcove(rd: RootDatum) -> BaseAlcove:
     """The base alcove for block GL-type data (vertices o, o-(1,0,..), ...)."""
     refl: list[AffineWeylElement] = []
-    bary = [Fraction(0)] * rd.dim
+    denom = math.lcm(*rd.block_sizes)
+    y = [0] * rd.dim
     off = 0
     for size in rd.block_sizes:
         for i in range(off, off + size - 1):
@@ -92,11 +84,11 @@ def base_alcove(rd: RootDatum) -> BaseAlcove:
             nu[off], nu[off + size - 1] = 1, -1
             refl.append(AffineWeylElement(rd, tuple(nu), rd.reflection((off, off + size - 1))))
         for k in range(size):
-            bary[off + k] = Fraction(-(size - 1 - k), size)
+            y[off + k] = -(size - 1 - k) * (denom // size)  # -(size - 1 - k) / size
         off += size
-    bary = tuple(bary)
-    walls = _walls(rd, bary)
-    alc = BaseAlcove(rd, tuple(refl), (), bary, walls)
+    walls = (denom, tuple(y),
+             tuple((i, j, (y[i] - y[j]) // denom) for i, j in rd.positive_roots))
+    alc = BaseAlcove(rd, tuple(refl), (), walls)
     omegas = []
     off = 0
     for size in rd.block_sizes:
@@ -105,14 +97,14 @@ def base_alcove(rd: RootDatum) -> BaseAlcove:
         _, om = reduced_word(translation_element(rd, nu), alc)
         omegas.append(om)
         off += size
-    return BaseAlcove(rd, tuple(refl), tuple(omegas), bary, walls)
+    return BaseAlcove(rd, tuple(refl), tuple(omegas), walls)
 
 
 def length(w: AffineWeylElement, base: BaseAlcove | None = None) -> int:
     """Number of affine hyperplanes separating the base alcove from w(base).
 
     Iwahori-Matsumoto count in integers: for each positive root a = e_i - e_j
-    the walls <a, y> = k between the interior y0 and its image w(y0) =
+    the walls <a, y> = k between the barycenter y0 and its image w(y0) =
     w y0 - nu number |floor(<a, w(y0)>) - floor(<a, y0>)|, because neither
     pairing is an integer (w permutes the walls and y0 lies on none).
     """
@@ -163,7 +155,7 @@ def reduced_word(
 # 0.15-0.20 s and 0.46-0.50 s: 16384 admits both
 MAX_BRUHAT_WORK = 16384
 
-# (b.key(), base.interior) -> the interval below b, as {key: element}
+# (b.key(), base.walls) -> the interval below b, as {key: element}
 _closures: dict = {}
 
 
@@ -216,7 +208,7 @@ def _lower_closure(tops: Sequence[AffineWeylElement], base: BaseAlcove,
 
 def _interval(b: AffineWeylElement, base: BaseAlcove) -> dict:
     """The Bruhat interval below b as {key: element}: _lower_closure of b, cached."""
-    k = (b.key(), base.interior)
+    k = (b.key(), base.walls)
     if k not in _closures:
         _closures[k] = _lower_closure([b], base, length(b, base))
     return _closures[k]

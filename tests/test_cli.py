@@ -557,6 +557,13 @@ CLI_DIGESTS = [
      "6fc7e2752453fe03fd57829c913158c86a5f30d011076f202d83cd133c6a83bc"),
     ("json", "hmu --group SL2xGL1xPGL3 --mu 1,-1,4,2,0,-2", 0,
      "364f20e7948b980730fa10308f28b292c32bfbb8fc2abc884f527964aee5fb7c"),
+    # a common den (6, or 3 beside SL2) that differs from a block's own
+    ("json", "census --group PGL2xPGL3 --p 7 --e 12", 0,
+     "2ba90ef797046e37a57af2925856a47b4779b4c2639aa7acd552d42f172d1f46"),
+    ("json", "frobinv --group PGL2xPGL3 --p 13 --e 12 --lam=3,-3,2,1,-3", 0,
+     "ad95fe440676ed8b75bb99ca371fd68c584785e1a7a1eb0991b1707e4c9da970"),
+    ("json", "adm --group SL2xPGL3 --mu 1,-1,1,0,-1", 0,
+     "131cb916cc8d3d08de4689c1644aa8b05212869e8f381ccedc45e34496ab57c5"),
     ("json", "straighten --p 7 --a 1 --f 1 --hmu 1 --seed 5 --window 28", 0,
      "0a6b311c11c68d454ec732ab79e274993723432b73994e6c1e468b0fe36bbded"),
     # wide windows: every unit inverse lifts its terms by Newton's iteration

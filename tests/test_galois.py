@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -148,13 +149,18 @@ def _least_image(actions, coords, e):
                for cols in actions)
 
 
+def _basis(rd):
+    """The stored basis as ambient vectors of Fractions: numerators over den."""
+    return [tuple(Fraction(x, rd.den) for x in b) for b in rd.cochar_basis]
+
+
 def _basis_actions(rd):
-    return [[rd.basis_coords(w.apply(b)) for b in rd.cochar_basis] for w in weyl_group(rd)]
+    return [[rd.basis_coords(w.apply(b)) for b in _basis(rd)] for w in weyl_group(rd)]
 
 
 def _from_basis_coords(rd, coords):
     """The ambient vector sum_i coords[i] b_i over the stored basis, in Fractions."""
-    return tuple(sum((c * b[k] for c, b in zip(coords, rd.cochar_basis)), Fraction(0))
+    return tuple(sum((c * b[k] for c, b in zip(coords, _basis(rd))), Fraction(0))
                  for k in range(rd.dim))
 
 
@@ -576,60 +582,100 @@ def _psi_powers(g):
 
 
 def _sigma_wrap_per_slot(g, tau_sigma):
-    """sigma_wrap as first written: the product of r factors for every slot."""
+    """sigma_wrap as first written: the product of r factors for every slot,
+    slot j read from entry j mod L."""
     powers = _psi_powers(g)
     for j in range(g.r):
         acc = MonomialMatrix.identity(tau_sigma[0].n, tau_sigma[0].mod)
         for i in range(g.r):
-            acc = acc * tau_sigma[(j - i) % g.r].conjugate_by_permutation(powers[i])
+            acc = acc * tau_sigma[(j - i) % len(tau_sigma)].conjugate_by_permutation(powers[i])
         if not acc.is_identity():
             return False
     return True
 
 
-def test_sigma_wrap_by_the_slot_recurrence_matches_the_per_slot_products(monkeypatch):
+def test_sigma_wrap_from_one_period_matches_the_per_slot_products(monkeypatch):
     import alcovekit.galois as galois
 
     rng = random.Random(11)
+    swap = WeylElement(((0, 1), (1, 0)))
+    cycle3 = WeylElement(((0, 0, 1), (1, 0, 0), (0, 1, 0)))
+    cycle4 = WeylElement(((0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
+    # (label, Gamma, L slots of tau(sigma)); the period T = lcm(L, ord psi)
     cases = [
-        ("GL2", GammaData(p=5, e=4, r=1, psi=ident(2), inertial=ident(2))),
-        ("GL2", GammaData(p=5, e=8, r=2, psi=WeylElement(((0, 1), (1, 0))),
-                          inertial=ident(2))),
-        ("GL3", GammaData(p=5, e=8, r=6,
-                          psi=WeylElement(((0, 0, 1), (1, 0, 0), (0, 1, 0))),
-                          inertial=ident(3))),
-        ("GL4", GammaData(p=3, e=8, r=8,
-                          psi=WeylElement(((0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0),
-                                           (0, 0, 1, 0))),
-                          inertial=ident(4))),
+        ("GL2", GammaData(p=5, e=4, r=1, psi=ident(2), inertial=ident(2)), 1),
+        ("GL2", GammaData(p=5, e=8, r=2, psi=swap, inertial=ident(2)), 2),
+        ("GL3", GammaData(p=5, e=8, r=6, psi=cycle3, inertial=ident(3)), 6),
+        ("GL4", GammaData(p=3, e=8, r=8, psi=cycle4, inertial=ident(4)), 8),
+        # L < r: T = 2 and r/T = 4; T = 1 and r/T = 4; T = 6 = r; T = 4, r/T = 2
+        ("GL2", GammaData(p=5, e=8, r=8, psi=swap, inertial=ident(2)), 2),
+        ("GL2", GammaData(p=5, e=4, r=4, psi=ident(2), inertial=ident(2)), 1),
+        ("GL3", GammaData(p=5, e=8, r=6, psi=cycle3, inertial=ident(3)), 2),
+        ("GL4", GammaData(p=3, e=8, r=8, psi=cycle4, inertial=ident(4)), 2),
     ]
-    seen = set()
-    for label, g in cases:
+    for label, g, slots in cases:
+        seen = set()
         rd = build_root_datum(label)
-        # r slots, to pair with an r-long tau(sigma)
-        t = _r_slots(GaloisType.from_lambda(rd, g, (0,) * rd.dim))
-        vals = cocycle_values(t)
         n, mod = rd.dim, g.q - 1
-        for trial in range(30):
-            tau = []
-            for _ in range(g.r):
+        t = GaloisType(rd, g, ((0,) * n,) * slots, (ident(n),) * slots)
+        vals = cocycle_values(t)
+        psi = _psi_powers(g)[1 % g.r]
+        assert mod % (2 * g.r // slots) == 0
+
+        def monomial(exps, cols=tuple(range(n))):
+            return MonomialMatrix(n, mod, tuple(cols), tuple(exps), (0,) * n)
+
+        for trial in range(40):
+            c = []
+            for _ in range(slots):
                 cols = list(range(n))
                 rng.shuffle(cols)
-                exps = [rng.randrange(mod) if rng.random() < 0.5 else 0 for _ in range(n)]
-                tau.append(MonomialMatrix(n, mod, tuple(cols), tuple(exps), (0,) * n))
-            if trial % 2:
-                # choose tau_0 so that the slot-0 product is the identity
-                rest = MonomialMatrix.identity(n, mod)
-                powers = _psi_powers(g)
-                for i in range(1, g.r):
-                    rest = rest * tau[-i % g.r].conjugate_by_permutation(powers[i])
-                tau[0] = rest.inv()
+                c.append(monomial([rng.randrange(mod) if rng.random() < 0.5 else 0
+                                   for _ in range(n)], cols))
+            if trial % 2 == 0:
+                tau = c
+            else:
+                # tau_j = c_j psi(c_{j-1})^{-1}, times a scalar y at j = 0: one
+                # period of factors telescopes to y^(T/L), and P_0 to y^(r/L),
+                # which is 1 for trial = 1 mod 4 and may not be for 3 mod 4
+                step = mod // ((1 if trial % 4 == 1 else 2) * g.r // slots)
+                y = monomial([step * rng.randrange(2 * g.r) % mod] * n)
+                tau = [c[j] * c[j - 1].conjugate_by_permutation(psi).inv()
+                       for j in range(slots)]
+                tau[0] = y * tau[0]
             want = _sigma_wrap_per_slot(g, tau)
             seen.add(want)
             monkeypatch.setattr(galois, "cocycle_values", lambda _, tau=tau: CocycleValues(
                 vals.tau_gamma_exps, tuple(tau)))
-            assert check_cocycle_relations(t)["sigma_wrap"] == want
-    assert seen == {True, False}
+            assert check_cocycle_relations(t)["sigma_wrap"] == want, (label, g.r, slots)
+        assert seen == {True, False}, (label, g.r, slots)
+
+
+def test_sigma_wrap_refuses_slots_that_do_not_divide_r():
+    rd = build_root_datum("GL2")
+    g = GammaData(p=5, e=8, r=2, psi=ident(2), inertial=ident(2))
+    t = GaloisType(rd, g, ((0, 0),) * 3, (ident(2),) * 3)
+    with pytest.raises(ValueError, match="3 slots for r=2"):
+        check_cocycle_relations(t)
+
+
+def test_cocycle_relations_at_a_large_r():
+    # r = ord_e(7) = 1000002 at e = 1000003: sigma_wrap takes one period, and
+    # p^r (about 845,000 digits) is formed once
+    rd = build_root_datum("GL2")
+    t = GaloisType.from_lambda(rd, split_gamma(rd, 7, 1000003), (0, 0))
+    start = time.perf_counter()
+    assert check_cocycle_relations(t) == {
+        "gamma_order": True, "sigma_braid": True, "sigma_wrap": True}
+    assert time.perf_counter() - start < 2
+
+
+def test_gamma_q_is_computed_once():
+    g = split_gamma(build_root_datum("GL2"), 7, 1000003)
+    before = repr(g), hash(g)
+    assert g.q is g.q
+    assert (repr(g), hash(g)) == before
+    assert g == split_gamma(build_root_datum("GL2"), 7, 1000003)
 
 
 @pytest.mark.parametrize("bad", [24, -1, Fraction(1, 2)])

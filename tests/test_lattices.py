@@ -1,10 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from alcovekit.lattices import (
-    in_lattice,
     kernel_basis,
     quotient_invariants,
     smith_normal_form,
@@ -39,11 +39,16 @@ def test_solve_in_lattice():
     gens = [[1, -1, 0], [0, 1, -1]]
     assert solve_in_lattice(gens, (1, 0, -1)) == [1, 1]
     assert solve_in_lattice(gens, (1, 1, 1)) is None
-    assert in_lattice(gens, (2, -1, -1))
-    assert not in_lattice(gens, (Fraction(1, 2), Fraction(-1, 2), 0))
+    assert solve_in_lattice(gens, (2, -1, -1)) is not None
+    # rational targets go through a root datum, which scales by its den
+    half = (Fraction(1, 2), Fraction(-1, 2), 0)
+    assert not build_root_datum("SL3").in_cochar_lattice(half)
+    assert not build_root_datum("PGL3").in_cochar_lattice(half)
+    assert build_root_datum("PGL3").in_cochar_lattice(
+        (Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3)))
     # dependent generators
     assert solve_in_lattice([[1, 1], [2, 2]], (1, 2)) is None
-    assert in_lattice([[2, 4], [3, 6]], (1, 2))
+    assert solve_in_lattice([[2, 4], [3, 6]], (1, 2)) is not None
 
 
 def test_kernel_basis():
@@ -208,6 +213,13 @@ def _random_matrix(rng, rows, cols, bound=6, rational=False):
     return [[entry() for _ in range(cols)] for _ in range(rows)]
 
 
+def _scaled(gens, target):
+    """Rational generators and target times a common denominator d: x lies in
+    L(gens) exactly when d x lies in L(d gens), with the same coefficients."""
+    d = math.lcm(*(Fraction(x).denominator for v in (*gens, target) for x in v))
+    return [[int(x * d) for x in g] for g in gens], [int(x * d) for x in target]
+
+
 def _combination(coeffs, gens, n):
     return tuple(sum(c * g[k] for c, g in zip(coeffs, gens)) for k in range(n))
 
@@ -251,7 +263,8 @@ def test_solve_matches_gauss_jordan_on_independent_generators():
         inside = _combination([rng.randint(-5, 5) for _ in gens], gens, n)
         outside = tuple(x + Fraction(rng.randint(-2, 2), rng.randint(1, 4)) for x in inside)
         for target in (inside, outside, (0,) * n):
-            assert solve_in_lattice(gens, target) == _old_solve(gens, target), (gens, target)
+            assert solve_in_lattice(*_scaled(gens, target)) == _old_solve(gens, target), \
+                (gens, target)
 
 
 def test_solve_on_dependent_generators_finds_every_solution_gauss_jordan_found():
@@ -264,14 +277,14 @@ def test_solve_on_dependent_generators_finds_every_solution_gauss_jordan_found()
             continue
         checked += 1
         target = _combination([rng.randint(-4, 4) for _ in gens], gens, n)
-        coeffs = solve_in_lattice(gens, target)
+        coeffs = solve_in_lattice(*_scaled(gens, target))
         assert coeffs is not None and _combination(coeffs, gens, n) == target, (gens, target)
         old = _old_solve(gens, target)
         assert old is None or _combination(old, gens, n) == target
     gens = [[Fraction(-1, 2), 4], [Fraction(5, 3), -2], [0, -2]]
     target = (Fraction(-1, 6), -14)
     assert _old_solve(gens, target) is None
-    assert _combination(solve_in_lattice(gens, target), gens, 2) == target
+    assert _combination(solve_in_lattice(*_scaled(gens, target)), gens, 2) == target
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

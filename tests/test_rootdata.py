@@ -22,7 +22,7 @@ from alcovekit.rootdata import (
     tate_h0,
     weyl_group,
 )
-from alcovekit.weyl_affine import h_mu
+from alcovekit.weyl_affine import base_alcove, h_mu
 
 U3_TWIST = WeylElement(((0, 0, -1), (0, -1, 0), (-1, 0, 0)))
 
@@ -41,7 +41,11 @@ def test_build_examples():
     assert len(prod.positive_roots) == 6 and prod.rank == 6
     assert prod.simple_roots == ((0, 1), (1, 2), (3, 4), (4, 5))
     assert [f.name for f in dataclasses.fields(RootDatum)] == [
-        "label", "cochar_basis", "block_sizes"]
+        "label", "cochar_basis", "den", "block_sizes"]
+    # one den for the datum: the lcm of the PGL block sizes
+    assert [build_root_datum(label).den for label in (
+        "GL3", "SL2xGL1", "PGL3", "SL2xPGL3", "PGL2xPGL3", "PGL4xPGL2", "trivial")] == [
+        1, 1, 3, 3, 6, 4, 1]
     with pytest.raises(UnsupportedLabel):
         build_root_datum("E8")
 
@@ -140,6 +144,7 @@ def _relabel(rd: RootDatum) -> RootDatum:
     return RootDatum(
         label=rd.label + "-rev",
         cochar_basis=tuple(rev(b) for b in rd.cochar_basis),
+        den=rd.den,
         block_sizes=rd.block_sizes[::-1],
     )
 
@@ -305,7 +310,13 @@ def _pair(a):
 def test_pair_roots_match_the_vector_reference(label):
     rd = build_root_datum(label)
     dim, roots, coroots, simple, basis = _reference_datum(label)
-    assert (rd.dim, rd.rank, rd.cochar_basis) == (dim, len(basis), tuple(basis))
+    assert (rd.dim, rd.rank) == (dim, len(basis))
+    # the basis is stored as int numerators over the least common denominator
+    assert all(type(x) is int for b in rd.cochar_basis for x in b) and type(rd.den) is int
+    assert tuple(tuple(Fraction(x, rd.den) for x in b) for b in rd.cochar_basis) == tuple(basis)
+    assert rd.den == math.lcm(*(x.denominator for b in basis for x in b))
+    denom, y, walls = base_alcove(rd).walls
+    assert all(type(x) is int for x in (denom, *y, *(c for w in walls for c in w)))
     positive = [a for a in roots if a[next(k for k, x in enumerate(a) if x)] > 0]
     assert rd.positive_roots == tuple(map(_pair, positive))
     assert rd.simple_roots == tuple(_pair(roots[i]) for i in simple)

@@ -1,4 +1,6 @@
+from fractions import Fraction
 import itertools
+import math
 import random
 
 import pytest
@@ -166,10 +168,16 @@ def test_composition_law_associative():
                 assert ((a * b) * c).key() == (a * (b * c)).key()
 
 
-def _fraction_length(z, base):
+def _barycenter(rd):
+    """The base alcove's barycenter in Fractions: -(n - 1 - k) / n at slot k
+    of a block of size n."""
+    return tuple(Fraction(-(n - 1 - k), n) for n in rd.block_sizes for k in range(n))
+
+
+def _fraction_length(z):
     """Reference: count the walls <a, y> = k strictly between the base
-    alcove's interior and its image with exact rational pairings."""
-    y0 = base.interior
+    alcove's barycenter and its image with exact rational pairings."""
+    y0 = _barycenter(z.rd)
     y1 = z.act(y0)
     total = 0
     for i, j in z.rd.positive_roots:
@@ -185,7 +193,11 @@ def _fraction_length(z, base):
 def test_integer_length_matches_the_fraction_count(label):
     rd = build_root_datum(label)
     base = base_alcove(rd)
+    denom, y, _ = base.walls
     assert all(isinstance(c, int) for c in base.walls[1])
+    # Y / L is the barycenter, and L its least common denominator
+    assert tuple(Fraction(c, denom) for c in y) == _barycenter(rd)
+    assert denom == math.lcm(*(c.denominator for c in _barycenter(rd)))
     rng = random.Random(2024)
     shifts = [(0,) * rd.dim, tuple(range(rd.dim)),
               tuple(rng.randint(-7, 7) for _ in range(rd.dim))]
@@ -195,7 +207,7 @@ def test_integer_length_matches_the_fraction_count(label):
         for nu in shifts:
             x = translation_element(rd, nu) * z
             ell = length(x, base)
-            assert ell == _fraction_length(x, base), (label, x)
+            assert ell == _fraction_length(x), (label, x)
             assert len(reduced_word(x, base)[0]) == ell
 
 
