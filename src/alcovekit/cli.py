@@ -47,11 +47,6 @@ from .weyl_affine import admissible_set, base_alcove, h_mu
 # within the 1.1 s `--n 8` took when these caps were set; --hmu and --f at 4096
 # take less
 MAX_STRAIGHTEN_SIZE = 4096
-# --a widens both the coefficients (Z/p^a) and the slack window (4a):
-# `straighten --p 7 --a A --f 400 --window 8` takes 0.6 s at A = 128, 1.5 s at
-# 192, 3.7 s at 256 and 38 s at 512, so 128 is the largest power of two within
-# that 1.1 s
-MAX_STRAIGHTEN_A = 128
 # a genericity figure draws depth + 1 shaded triangles per alcove:
 # `figure --kind genericity --p 100003` takes 0.9 s at --depth 8192, 1.7 s at 16384
 MAX_FIGURE_DEPTH = 8192
@@ -269,8 +264,6 @@ def _cmd_straighten(args) -> CommandResult:
         raise ValueError(f"--hmu is the height of mu = (hmu, 0, ...), at least 0, got {args.hmu}")
     if max(window, args.hmu, args.f) > MAX_STRAIGHTEN_SIZE:
         raise CapExceeded(f"the window, --hmu and --f are capped at {MAX_STRAIGHTEN_SIZE}")
-    if args.a > MAX_STRAIGHTEN_A:
-        raise CapExceeded(f"--a is capped at {MAX_STRAIGHTEN_A}")
     ring = Ring(args.p, args.a, 1)
     rng = random.Random(args.seed)
     mu = tuple([args.hmu] + [0] * (args.n - 1))

@@ -25,7 +25,7 @@ import math
 from typing import Sequence
 
 from .galois import _frobenius_witness
-from .rootdata import build_root_datum, split_gamma, weyl_group
+from .rootdata import build_root_datum, split_gamma
 from .weyl_affine import admissible_set, base_alcove, elements_of_length_at_most
 
 LAYOUT = {
@@ -73,12 +73,11 @@ def sl2_node_colors(p: int, e: int) -> list[tuple[int, str]]:
     """
     rd = build_root_datum("SL2")
     g = split_gamma(rd, p, e)
-    weyl = weyl_group(rd)
     out = []
     for n in range(e + 1):
         if n % 2 == 1:
             out.append((n, LAYOUT["node_white"]))
-        elif _frobenius_witness(g, weyl, (-(n // 2), n // 2), 1) is None:
+        elif _frobenius_witness(rd, g, (-(n // 2), n // 2)) is None:
             out.append((n, LAYOUT["node_red"]))
         else:
             out.append((n, LAYOUT["node_green"]))

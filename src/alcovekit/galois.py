@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from operator import mul
 from typing import Sequence
@@ -151,23 +152,31 @@ def check_cocycle_relations(t: GaloisType) -> dict[str, bool]:
     return {"gamma_order": gamma_order, "sigma_braid": braid, "sigma_wrap": wrap}
 
 
-def _frobenius_witness(g: GammaData, weyl: Sequence[WeylElement],
-                       num: Sequence[int], den: int):
-    """The first w in `weyl` with lambda - w(p psi^{-1} lambda) in e X_*, and m.
+def _frobenius_witness(rd: RootDatum, g: GammaData, num: Sequence[int]):
+    """The least-length w in W with lambda - w(p psi^{-1} lambda) in e X_*, and m.
 
-    lambda = num / den in ambient coordinates, and m is that difference over e.
-    Every group that build_root_datum builds is GL_n, SL_n, PGL_n or a product
-    of these, and there a vector in the span of X_* that is integral lies in
-    X_* (in Q^vee for PGL_n).  So the test is one congruence: every coordinate
-    of num - w(p psi^{-1} num) is 0 mod e den.  Returns (w, m), or None.
+    lambda = num / rd.den in ambient coordinates, and m is that difference
+    over e.  In GL_n, SL_n, PGL_n and their products an integral vector in
+    the span of X_* lies in X_* (in Q^vee for PGL_n), so the test is that
+    num - w(image), image = p psi^{-1} num, is 0 mod e den.  W permutes each
+    block, so w pairs the indices of num with those of image in the same
+    residue class.  Paired in index order, class by class, w is the unique
+    solution of least length (any other inverts two indices of one class),
+    and the first in weyl_group's order.  Returns (w, m), or None.
     """
+    mod = g.e * rd.den
     image = [g.p * c for c in g.psi.inv().apply(num)]
-    mod = g.e * den
-    for w in weyl:
-        diff = [a - b for a, b in zip(num, w.apply(image))]
-        if not any(d % mod for d in diff):
-            return w, tuple(d // mod for d in diff)
-    return None
+    cols = []
+    for off, n in zip(accumulate(rd.block_sizes, initial=0), rd.block_sizes):
+        free: dict[int, list[int]] = {}  # residue -> its image indices, last first
+        for c in reversed(range(off, off + n)):
+            free.setdefault(image[c] % mod, []).append(c)
+        for a in num[off:off + n]:
+            if not free.get(a % mod):
+                return None
+            cols.append(free[a % mod].pop())
+    m = tuple((a - image[c]) // mod for a, c in zip(num, cols))
+    return WeylElement._make(tuple(cols), (1,) * rd.dim), m
 
 
 def frobenius_invariant(t: GaloisType):
@@ -175,8 +184,8 @@ def frobenius_invariant(t: GaloisType):
 
     Returns (flag, witness) where witness = (w_star, m): with x's slot-0
     coordinate eta = -lambda / e, lambda = w_0^{-1}(lambda_0), the condition
-    w_star(p psi^{-1}(eta)) - m = eta with m in X_*, decided by
-    _frobenius_witness.  A lambda outside X_* is a ValueError.  Ramified
+    w_star(p psi^{-1}(eta)) - m = eta with m in X_* and w_star of least length
+    (_frobenius_witness).  A lambda outside X_* is a ValueError.  Ramified
     inertial actions are refused: there is no finite orbit test for them here.
 
     Gamma-fixedness is decided on the integer vectors v_j = w_j^{-1}(lambda_j):
@@ -194,8 +203,7 @@ def frobenius_invariant(t: GaloisType):
     lam = vs[0]
     if not t.rd.in_cochar_lattice(lam):
         raise ValueError(f"lambda={lam} is not in the cocharacter lattice of {t.rd.label}")
-    den = t.rd.den  # lambda in X_* has numerators over rd.den; m is the same for any den
-    wit = _frobenius_witness(g, weyl_group(t.rd), [int(c * den) for c in lam], den)
+    wit = _frobenius_witness(t.rd, g, [int(c * t.rd.den) for c in lam])
     return wit is not None, wit
 
 
@@ -237,8 +245,8 @@ def census(rd: RootDatum, g: GammaData) -> CensusResult:
     witness.  Write c for lambda's basis coordinates and F = p psi^{-1}.  If
     lambda is invariant, F c mod e lies in the W-orbit of c: classes failing
     this lookup in the images just marked get (False, None).  The rest take
-    the first w with num - w(F num) = 0 mod e den (_frobenius_witness).
-    CapExceeded past rank 3, e = 10^4 or e^rank = 10^6.
+    the least-length w with num - w(F num) = 0 mod e den (_frobenius_witness).
+    CapExceeded past rank 3 (so |W| <= 24), e = 10^4 or e^rank = 10^6.
     """
     if not g.split():
         raise RefusedError("census requires a split inertial action")
@@ -256,8 +264,7 @@ def census(rd: RootDatum, g: GammaData) -> CensusResult:
             i = i * e + sum(map(mul, row, coords)) % e
         return i
 
-    weyl = weyl_group(rd)
-    actions = [_action_in_basis(rd, w) for w in weyl]
+    actions = [_action_in_basis(rd, w) for w in weyl_group(rd)]
     # each w's rows as positions among the distinct rows, in first-seen order
     distinct: dict[tuple[int, ...], int] = {}
     action_rows = [[distinct.setdefault(tuple(row), len(distinct)) for row in rows]
@@ -283,7 +290,7 @@ def census(rd: RootDatum, g: GammaData) -> CensusResult:
         num = tuple(sum(map(mul, coords, col)) for col in columns)
         wit = None
         if index(frob, coords) in orbit:
-            wit = _frobenius_witness(g, weyl, num, rd.den)
+            wit = _frobenius_witness(rd, g, num)
         classes.append(CensusClass(num, rd.den, coords, wit is not None, wit))
         i = marked.find(0, i + 1)
     return CensusResult(len(classes), sum(c.invariant for c in classes), tuple(classes))

@@ -25,9 +25,11 @@ from .rootdata import CapExceeded, RefusedError, check_prime
 # --n 9 (1.4 s at --n 6 when every minor was expanded anew); the cap stays 8 until
 # one cap on predicted cost replaces the separate size caps
 MAX_LOOP_N = 8
-# congruence_compare makes max(n, p^(a-1)) products by v+p.  At 50000 the slowest
-# `compare` within the cap takes about 1 s, as `straighten --n 8` did when it was set
-MAX_COMPARE_POWER = 50000
+# a of Z/p^a.  As CLI runs on a 2-core VM, `straighten --p 7 --a A --f 400 --window 8`
+# takes 0.6 s at A = 128, 1.5 s at 192 and 38 s at 512; `compare` (a^2 products
+# below p^a) at a = 128, p = 3317044064679887385961783 takes 1.5 s at n = 10^6 and
+# 2.7 s at a 4,000-digit n
+MAX_A = 128
 
 
 class PrecisionError(RuntimeError):
@@ -36,11 +38,15 @@ class PrecisionError(RuntimeError):
 
 @dataclass(frozen=True)
 class Ring:
+    """Coefficients Z/p^a and u with u^e = v; CapExceeded when a > MAX_A."""
+
     p: int
     a: int
     e: int = 1
 
     def __post_init__(self):
+        if self.a > MAX_A:
+            raise CapExceeded(f"a is capped at {MAX_A}, got a={self.a}")
         check_prime(self.p)
         if self.a < 1 or self.e < 1:
             raise ValueError(f"need a >= 1 and e >= 1, got a={self.a}, e={self.e}")
@@ -722,43 +728,49 @@ def straighten_right(x, b: LoopElement, f: int, h_mu: int,
     return StraighteningResult(a_cur, len(trace), _is_integral_unit(a_cur), tuple(trace))
 
 
+def _v_plus_p_power(ring: Ring, k: int) -> TruncSeries:
+    """(v+p)^k by the binomial theorem: sum over j < a of C(k, j) p^j v^(k-j),
+    since p^j = 0 mod p^a from j = a on.  C(k, j) is carried exactly as
+    p^t times a unit mod p^a, so k may have thousands of digits."""
+    p, a, m = ring.p, ring.a, ring.modulus
+    coeffs, t, unit = {k: 1}, 0, 1
+    for j in range(1, min(k, a - 1) + 1):
+        # C(k, j) = C(k, j-1) (k - j + 1) / j
+        for x, step in ((k - j + 1, 1), (j, -1)):
+            while x % p == 0:
+                x, t = x // p, t + step
+            unit = unit * pow(x, step, m) % m
+        if t + j < a:
+            coeffs[k - j] = unit * p ** (t + j)
+    return TruncSeries.make(ring, coeffs)
+
+
 def congruence_compare(n: int, a: int, p: int) -> dict:
     """Verify the v-versus-(v+p) congruence facts by explicit division.
 
     Checks (v+p)^n in v^{n-a+1} R[v], v^n in (v+p)^{n-a+1} R[v], and
-    (v+p)^{p^{a-1}} = v^{p^{a-1}} mod p^a; quotients are returned.  The
-    three powers come from one loop of max(n, p^{a-1}) products, refused
-    with CapExceeded above MAX_COMPARE_POWER.
+    (v+p)^{p^{a-1}} = v^{p^{a-1}} mod p^a; quotients are returned.  Each
+    power has at most a terms (_v_plus_p_power), so no series product is
+    made, and the division takes at most a steps of a terms each.
     """
     if n < a:
         raise ValueError("first inclusion needs n >= a")
     ring = Ring(p, a, 1)
-    if n > MAX_COMPARE_POWER or (t := p**(a - 1)) > MAX_COMPARE_POWER:
-        raise CapExceeded(f"compare makes max(n, p^(a-1)) products of v+p: "
-                          f"the limit is {MAX_COMPARE_POWER}")
-    m, deg_d = ring.modulus, n - a + 1
-    vp = TruncSeries.v_plus_p(ring)
-    power = TruncSeries.one(ring)
-    powers = {}
-    for k in range(1, max(n, t) + 1):
-        power = power * vp
-        if k in (deg_d, n, t):
-            powers[k] = power
+    m, deg_d, t = ring.modulus, n - a + 1, p**(a - 1)
+    powers = {k: _v_plus_p_power(ring, k) for k in (deg_d, n, t)}
     # (v+p)^n / v^{n-a+1}: every coefficient below n-a+1 must vanish mod p^a
     low_ok = all(k >= deg_d for k, _ in powers[n].coeffs)
     quotient1 = {k - deg_d: v for k, v in powers[n].coeffs if k >= deg_d}
-    # v^n divided by the monic (v+p)^{n-a+1}
-    rem = dict([(n, 1)])
+    # v^n divided by the monic (v+p)^{n-a+1}, top term down (popping c v^k
+    # cancels it); rem is reduced mod p^a only where it is read
+    rem = {n: 1}
     quotient2: dict[int, int] = {}
-    div = dict(powers[deg_d].coeffs)
-    while rem and max(rem) >= deg_d:
-        k = max(rem)
-        c = rem[k]
-        quotient2[k - deg_d] = c
-        for kk, vv in div.items():
-            rem[kk + k - deg_d] = (rem.get(kk + k - deg_d, 0) - c * vv) % m
-        rem = {kk: vv for kk, vv in rem.items() if vv % m}
-    division_ok = not rem
+    for k in range(n, deg_d - 1, -1):
+        if c := rem.pop(k, 0) % m:
+            quotient2[k - deg_d] = c
+            for kk, vv in powers[deg_d].coeffs[:-1]:
+                rem[kk + k - deg_d] = rem.get(kk + k - deg_d, 0) - c * vv
+    division_ok = not any(v % m for v in rem.values())
     # (v+p)^{p^{a-1}} = v^{p^{a-1}} mod p^a
     binomial_ok = powers[t].equals(TruncSeries.monomial(ring, t))
     return {

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
+from itertools import accumulate, permutations, product
+from math import factorial, gcd, lcm, prod
 import re
 from typing import Sequence
 
@@ -245,36 +246,19 @@ def build_root_datum(label: str) -> RootDatum:
 _WEYL_CACHE: dict = {}
 
 
-def weyl_group(rd: RootDatum, cap: int = 10**6) -> list[WeylElement]:
-    """Full Weyl group, closed under composition, identity first.
-
-    BFS over products of simple reflections; deterministic ordering.
-    """
-    cached = _WEYL_CACHE.get(rd)
-    if cached is not None:
-        if len(cached) > cap:
-            raise CapExceeded(f"Weyl group larger than cap {cap}")
-        return cached
-    gens = [rd.reflection(a) for a in rd.simple_roots]
-    ident = WeylElement.identity(rd.dim)
-    seen = {ident}
-    order: list[WeylElement] = [ident]
-    frontier = [ident]
-    while frontier:
-        new = []
-        for w in frontier:
-            for g in gens:
-                x = g * w
-                if x not in seen:
-                    seen.add(x)
-                    new.append(x)
-                    if len(seen) > cap:
-                        raise CapExceeded(f"Weyl group larger than cap {cap}")
-        new.sort()
-        order.extend(new)
-        frontier = new
-    _WEYL_CACHE[rd] = order
-    return order
+def weyl_group(rd: RootDatum) -> list[WeylElement]:
+    """W, the permutations inside each block, identity first: by length (the
+    number of inversions), then by matrix order.  CapExceeded, before any
+    element is built, when |W| = prod n_i! exceeds 10^6."""
+    if rd not in _WEYL_CACHE:
+        if prod(map(factorial, rd.block_sizes)) > 10**6:
+            raise CapExceeded(f"the Weyl group of {rd.label} has more than 10^6 elements")
+        blocks = [permutations(range(s, s + n))
+                  for s, n in zip(accumulate(rd.block_sizes, initial=0), rd.block_sizes)]
+        ws = [WeylElement._make(sum(parts, ()), (1,) * rd.dim) for parts in product(*blocks)]
+        _WEYL_CACHE[rd] = sorted(ws, key=lambda w: (
+            sum(a > b for i, a in enumerate(w.cols) for b in w.cols[i + 1:]), w))
+    return _WEYL_CACHE[rd]
 
 
 @dataclass(frozen=True)

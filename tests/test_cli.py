@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import alcovekit
-from alcovekit import cli, rootdata, weyl_affine
+from alcovekit import cli, galois, loop_sim, rootdata, weyl_affine
 from alcovekit.rootdata import WeylElement
 from alcovekit.loop_sim import PrecisionError
 
@@ -327,9 +327,9 @@ def test_wrong_length_vector_is_an_error(capsys):
     ["census", "--group", "SL2", "--p", "-7", "--e", "24"],
     ["compare", "--p", "3", "--a", "0", "--n", "2"],         # was a TypeError
     ["compare", "--p", "4", "--a", "2", "--n", "5"],
-    # p^(a-1) = 10^6 and n = 10^6 products of v+p: 11.3 s, and more than 20 s
-    ["compare", "--p", "101", "--a", "4", "--n", "4"],
-    ["compare", "--p", "3", "--a", "2", "--n", "1000000"],
+    # a above the bound of Ring; with p composite, the bound is named first
+    ["compare", "--p", "3", "--a", "129", "--n", "200"],
+    ["compare", "--p", "4", "--a", "129", "--n", "200"],
     ["hmu", "--group", "GL3", "--mu", "5"],                  # mu of the wrong length
     # zero denominators were ZeroDivisionError tracebacks
     ["generic", "--group", "GL2", "--p", "5", "--e", "4", "--eta", "0,0", "--d", "1/0"],
@@ -350,6 +350,19 @@ def test_bad_p_a_mu_are_errors(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    # p^(a-1) = 10^6 and n = 10^6 products of v+p were refused; (v+p)^k
+    # mod p^a has at most a terms
+    ["compare", "--p", "101", "--a", "4", "--n", "4"],
+    ["compare", "--p", "3", "--a", "2", "--n", "1000000"],
+])
+def test_compare_answers_large_powers(capsys, argv):
+    code, doc = run_json(capsys, argv)
+    assert code == 0 and doc["status"] == "ok"
+    pay = doc["payload"]
+    assert pay["first_inclusion"] and pay["second_inclusion"] and pay["frobenius_congruence"]
+
+
+@pytest.mark.parametrize("argv", [
     ["straighten", "--p", "7", "--window", "0"],    # was a PrecisionError traceback
     ["straighten", "--p", "7", "--window", "-3"],
     ["straighten", "--p", "7", "--n", "0"],         # was an AttributeError traceback
@@ -362,7 +375,7 @@ def test_bad_p_a_mu_are_errors(capsys, argv):
     ["straighten", "--p", "7", "--f", "4097"],      # MAX_STRAIGHTEN_SIZE + 1
     # ran for more than 25 s
     ["straighten", "--p", "7", "--a", "1000", "--f", "400", "--window", "8"],
-    ["straighten", "--p", "7", "--a", "129", "--f", "400"],  # MAX_STRAIGHTEN_A + 1
+    ["straighten", "--p", "7", "--a", "129", "--f", "400"],  # MAX_A + 1
     # p * window plus the poles of X^-1 B^-1 fell short of the window: each
     # ended in the internal "window slack exhausted" (exit 3)
     ["straighten", "--p", "7", "--hmu", "200", "--f", "40"],
@@ -400,7 +413,7 @@ def test_straighten_at_the_f_cap(capsys):
 
 
 def test_straighten_at_the_a_cap(capsys):
-    argv = ["straighten", "--p", "7", "--a", str(cli.MAX_STRAIGHTEN_A), "--f", "400"]
+    argv = ["straighten", "--p", "7", "--a", str(loop_sim.MAX_A), "--f", "400"]
     code, doc = run_json(capsys, argv)
     assert code == 0 and doc["status"] == "ok"
     assert doc["payload"]["residual_is_identity"] is True
@@ -719,6 +732,30 @@ def test_adm_walks_the_orbit_not_the_weyl_group(capsys, monkeypatch):
     monkeypatch.setattr(weyl_affine, "weyl_group", boom, raising=False)
     code, doc = run_json(capsys, ["adm", "--group", "GL9", "--mu", "1,0,0,0,0,0,0,0,0"])
     assert code == 0 and doc["payload"]["size"] == 2**9 - 1
+
+
+def test_frobinv_builds_its_witness_without_the_weyl_group(capsys, monkeypatch):
+    # the witness is the least-length solution, built block by block; the
+    # scan over W took 22.6 s to build the 9! elements of GL9
+    def boom(*args, **kwargs):
+        raise AssertionError("weyl_group called")
+
+    monkeypatch.setattr(rootdata, "weyl_group", boom)
+    monkeypatch.setattr(galois, "weyl_group", boom)
+    lam = "--lam=0,1,2,0,1,2,0,1,5"
+    code, doc = run_json(capsys, ["frobinv", "--group", "GL9", "--p", "7", "--e", "3", lam])
+    assert code == 0 and doc["status"] == "ok"
+    assert doc["payload"]["invariant"] is True
+    assert doc["payload"]["witness"]["translation"] == [0, -2, -4, 0, -2, -4, 0, -2, -10]
+
+
+def test_frobinv_answers_gl12(capsys):
+    # |W| = 12! is past weyl_group's cap, which the parent's scan hit
+    t0 = time.perf_counter()
+    code, doc = run_json(capsys, ["frobinv", "--group", "GL12", "--p", "7", "--e", "3",
+                                  "--lam=" + ",".join(["0"] * 12)])
+    assert time.perf_counter() - t0 < 2
+    assert code == 0 and doc["payload"]["invariant"] is True
 
 
 def test_adm_refuses_a_large_orbit_before_walking_it(capsys):

@@ -1,10 +1,13 @@
 import itertools
+import math
 import random
+import re
 import time
 from fractions import Fraction
 
 import pytest
 
+from alcovekit import galois
 from alcovekit.galois import (
     CocycleValues,
     GaloisType,
@@ -18,6 +21,7 @@ from alcovekit.galois import (
     strictify,
     type_from_s_mu,
 )
+from alcovekit.lattices import smith_normal_form
 from alcovekit.monomial import MonomialMatrix
 from alcovekit.rootdata import (
     CapExceeded,
@@ -197,6 +201,43 @@ CENSUS_CASES = [
 ]
 
 
+def _burnside_count(rd, e):
+    """The number of W-orbits on (Z/e)^rank, by Burnside: the mean over w of
+    |Fix(A_w mod e)|, which is the product of gcd(d_i, e) over the Smith
+    invariants d_i of A_w - 1, a missing (zero) invariant counting as e."""
+    fixed = []
+    for cols in _basis_actions(rd):
+        invariants = smith_normal_form([[x - (i == j) for j, x in enumerate(col)]
+                                        for i, col in enumerate(cols)])
+        fixed.append(math.prod(math.gcd(d, e) for d in invariants)
+                     * e ** (rd.rank - len(invariants)))
+    count, rest = divmod(sum(fixed), len(fixed))
+    assert rest == 0
+    return count
+
+
+# census inputs of the pinned CLI digests that CENSUS_CASES lacks
+_PINNED_CENSUS = [
+    ("GL2", 5, 24), ("GL2", 7, 24), ("GL3", 7, 24), ("SL3", 7, 24), ("PGL3", 7, 24),
+    ("PGL3", 3, 13), ("PGL4", 7, 24), ("SL4", 7, 24), ("PGL2xPGL3", 7, 12),
+    ("SL2xPGL2", 5, 8), ("SL2", 5, 8), ("PGL2", 5, 8),
+]
+
+
+@pytest.mark.parametrize("label, p, e",
+                         CENSUS_CASES + _PINNED_CENSUS + [("GL3", 7, 60), ("GL4", 7, 24)])
+def test_census_total_matches_the_burnside_count(label, p, e):
+    rd = build_root_datum(label)
+    if rd.rank > 3:  # census's rank cap: the counts alone
+        assert _burnside_count(rd, e) == math.comb(rd.dim + e - 1, rd.dim) == 17550
+        return
+    res = census(rd, split_gamma(rd, p, e))
+    assert res.total == len(res.classes) == _burnside_count(rd, e)
+    if re.fullmatch(r"GL\d+", label):
+        # a class of GL_n is a multiset of n residues mod e
+        assert res.total == math.comb(rd.dim + e - 1, rd.dim)
+
+
 def _twisted_gammas():
     swap = WeylElement(((0, 1), (1, 0)))
     twist = WeylElement(((0, 0, -1), (0, -1, 0), (-1, 0, 0)))
@@ -299,6 +340,45 @@ def test_frobenius_invariant_matches_the_rational_scan_with_a_weyl_part(p, mu):
     verdicts = [_rational_frobenius_invariant(t2) for t2 in types]
     assert [frobenius_invariant(t2) for t2 in types] == verdicts
     assert verdicts[0][0] and {flag for flag, _ in verdicts} == {True, False}
+
+
+def _scanned_witness(rd, g, num):
+    """_frobenius_witness as the scan over W it replaced: the first w in
+    weyl_group's order (length, then matrix order) that solves the congruence."""
+    image = [g.p * c for c in g.psi.inv().apply(num)]
+    mod = g.e * rd.den
+    for w in weyl_group(rd):
+        diff = [a - b for a, b in zip(num, w.apply(image))]
+        if not any(d % mod for d in diff):
+            return w, tuple(d // mod for d in diff)
+    return None
+
+
+@pytest.mark.parametrize("label", [
+    "trivial", "GL1", "GL2", "GL3", "GL4", "GL5", "SL2", "SL3", "PGL2", "PGL3", "PGL4",
+    "GL2xGL1", "SL2xPGL3", "GL3xGL3"])
+def test_witness_is_the_first_solution_in_weyl_order(label):
+    # the closed form pairs indices class by class; the scan walks all of W
+    rd = build_root_datum(label)
+    rng = random.Random(label)
+    # p = 1 mod e, p = -1 mod e (F pairs x with -x) and neither
+    gammas = [split_gamma(rd, p, e)
+              for p, e in ((7, 3), (13, 12), (3, 2), (7, 8), (5, 6), (5, 8), (7, 24))]
+    if label == "GL3":
+        gammas.append(GammaData(p=5, e=8, r=2, psi=WeylElement(((0, 0, -1), (0, -1, 0),
+                                                                (-1, 0, 0))), inertial=ident(3)))
+    seen = set()
+    for g in gammas:
+        for _ in range(60):
+            # few distinct residues, so that solutions with ties are common
+            num = [rd.den * rng.randrange(-2, 3) * rng.choice((1, g.e)) + rng.choice((0, rd.den))
+                   for _ in range(rd.dim)]
+            want = _scanned_witness(rd, g, num)
+            assert galois._frobenius_witness(rd, g, num) == want, (g, num)
+            seen.add("none" if want is None else want[0].is_identity())
+    # no solution, the identity, and (with two indices in a block) a longer w
+    assert seen == ({True} if rd.dim == 0 else
+                    {"none", True} if max(rd.block_sizes) < 2 else {"none", True, False})
 
 
 def test_gamma_fixedness_at_large_r_matches_the_point_check():

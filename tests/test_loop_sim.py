@@ -6,7 +6,7 @@ import pytest
 from alcovekit.apartment import point_from_type, parahoric_pattern
 from alcovekit import loop_sim
 from alcovekit.loop_sim import (
-    MAX_COMPARE_POWER,
+    MAX_A,
     MAX_LOOP_N,
     LoopElement,
     PrecisionError,
@@ -28,6 +28,7 @@ from alcovekit.loop_sim import (
 from alcovekit.rootdata import (
     CapExceeded,
     RefusedError,
+    check_prime,
     WeylElement,
     build_root_datum,
     split_gamma,
@@ -42,6 +43,11 @@ def test_ring_validation():
     for p, a, e in ((4, 2, 1), (1, 1, 1), (3, 0, 1), (5, 1, 0)):
         with pytest.raises(ValueError):
             Ring(p, a, e)
+    assert Ring(7, MAX_A).a == 128
+    # the bound on a is checked before p, so a composite p is refused the same way
+    for p in (7, 4):
+        with pytest.raises(CapExceeded, match="^a is capped at 128, got a=129$"):
+            Ring(p, MAX_A + 1)
 
 
 def test_series_basics():
@@ -314,17 +320,45 @@ def test_compare_takes_its_powers_from_one_loop(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(TruncSeries, "__mul__", spy)
-    for n, a, p in ((20, 3, 5), (7, 2, 3), (4, 4, 3)):
-        calls.clear()
+    # each power of v+p comes from the binomial theorem: no series product
+    # at all, where the product loop made max(n, p^(a-1)) of them
+    for n, a, p in ((20, 3, 5), (7, 2, 3), (4, 4, 3), (4, 4, 101), (10**6, 2, 3)):
         r = congruence_compare(n, a, p)
         assert r["first_inclusion"] and r["second_inclusion"] and r["frobenius_congruence"]
-        # max(n, p^(a-1)) products; separate loops made n + (n-a+1) + p^(a-1)
-        assert len(calls) == max(n, p ** (a - 1))
-    calls.clear()
-    for n, a, p in ((MAX_COMPARE_POWER + 1, 2, 3), (4, 4, 101), (10**6, 2, 3)):
+    for n, a, p in ((200, MAX_A + 1, 3), (MAX_A + 1, MAX_A + 1, 101)):
         with pytest.raises(CapExceeded):
             congruence_compare(n, a, p)
     assert not calls
+
+
+def test_v_plus_p_power_matches_repeated_products():
+    for p in (2, 3, 5, 7, 11, 13):
+        ks = set(range(61)) | {p**j + d for j in range(1, 4) for d in (-3, 3)}
+        for a in range(1, 9):
+            ring = Ring(p, a)
+            power = TruncSeries.one(ring)
+            for k in range(max(ks) + 1):
+                if k in ks:
+                    got = loop_sim._v_plus_p_power(ring, k)
+                    assert (got.coeffs, got.prec) == (power.coeffs, None), (p, a, k)
+                power = power * TruncSeries.v_plus_p(ring)
+
+
+def test_compare_quotients_at_the_largest_a():
+    # a = 128 with a 25-digit prime just under check_prime's bound: p^(a-1)
+    # has 3,100 digits, so no power could be formed by products
+    p, a, n = 3317044064679887385961783, MAX_A, 1000
+    check_prime(p)
+    r = congruence_compare(n, a, p)
+    assert r["first_inclusion"] and r["second_inclusion"] and r["frobenius_congruence"]
+    ring = Ring(p, a)
+    m = ring.modulus
+    # v^n = q (v+p)^(n-a+1): q_k = (-p)^(a-1-k) C(n-k-1, a-1-k), from
+    # (1 + p x)^-(n-a+1) read backwards
+    assert r["second_quotient"] == {
+        k: c for k in range(a) if (c := (-p) ** (a - 1 - k) * math.comb(n - k - 1, a - 1 - k) % m)}
+    assert r["first_quotient"] == {
+        a - 1 - j: c for j in range(a) if (c := math.comb(n, j) * p**j % m)}
 
 
 def test_laurent_inverse_matches_geometric_series():

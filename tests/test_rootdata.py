@@ -4,6 +4,7 @@ import itertools
 import math
 import operator
 import random
+import time
 
 import pytest
 
@@ -81,8 +82,12 @@ def test_weyl_group_orders():
         assert len(weyl_group(build_root_datum(f"GL{n}"))) == math.factorial(n)
     assert len(weyl_group(build_root_datum("SL2"))) == 2
     assert len(weyl_group(build_root_datum("GL3xGL3"))) == 36
+    # 10! > 10^6: refused before any element is built (the BFS it replaced
+    # took 56.7 s to reach the cap)
+    t0 = time.perf_counter()
     with pytest.raises(CapExceeded):
-        weyl_group(build_root_datum("GL5"), cap=10)
+        weyl_group(build_root_datum("GL10"))
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_weyl_closure_on_coroots():
