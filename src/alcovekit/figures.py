@@ -15,12 +15,14 @@ alcove vertex is an int tuple, acted on and projected once.  The k-th shaded
 triangle has vertices (p q + k (s - 3 q)) / p, s the vertex sum, so each of its
 plane coordinates is one int/int true division; Python rounds that correctly,
 as float() rounds the exact rational, so the bytes equal those of exact
-rational arithmetic.
+rational arithmetic.  The alcove neighbourhood of each figure kind is built
+once per process and shared, read-only, by every later figure of that kind.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import functools
 import math
 from typing import Sequence
 
@@ -150,19 +152,24 @@ def _reduced_center(pts) -> tuple[int, ...]:
     return tuple(3 * c - t for c in s)
 
 
+@functools.cache
 def _alcove_patches(gallery_bound: int, bx_max: float, by_max: float):
-    """(vertices, projected vertices) of the alcoves in a window around o, sorted."""
+    """(vertices, projected vertices) of the alcoves in a window around o, sorted.
+
+    Built once per process for each window, as tuples: every figure that
+    draws the window shares the value, so nothing may change it.
+    """
     rd = build_root_datum("GL3")
     alc = base_alcove(rd)
     out = []
     for z in elements_of_length_at_most(rd, gallery_bound, alc):
         pts = tuple(z.act(v) for v in _BASE_TRIANGLE)
-        xy = [_a2_xy(q) for q in pts]
+        xy = tuple(_a2_xy(q) for q in pts)
         if (abs(sum(x for x, _ in xy) / 3) <= bx_max
                 and abs(sum(y for _, y in xy) / 3) <= by_max):
             out.append((pts, xy))
     out.sort(key=lambda patch: tuple(sorted(str(c) for q in patch[0] for c in q)))
-    return out
+    return tuple(out)
 
 
 def _canvas(patches, scale: float, margin: float):

@@ -9,16 +9,19 @@ the simple affine reflections s~_1, ..., s~_n of each GL_n block.
 Lengths are computed geometrically: l(w) is the number of affine root
 hyperplanes <a, y> = k separating the base alcove from its image, counted in
 integers by the Iwahori-Matsumoto formula from walls precomputed once per
-base alcove.  Reduced words come from a greedy gallery walk, one least-index
-descent per step.  Bruhat intervals (so Bruhat order and Adm) are lower sets
-closed under the reflections in the hyperplanes that separate an element's
-alcove from the base alcove, one product per separating hyperplane.
+base alcove.  A descent of z is read from one wall pairing: l(s~_i z) < l(z)
+exactly when the wall of s~_i separates the base alcove from z(base), so one
+image of the barycenter decides every simple reflection at once.  Reduced
+words come from a greedy gallery walk, one least-index descent per step.
+Bruhat intervals (so Bruhat order and Adm) are lower sets closed under the
+reflections in the hyperplanes that separate an element's alcove from the
+base alcove, one product per separating hyperplane.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .rootdata import CapExceeded, RootDatum, WeylElement
 
@@ -64,31 +67,40 @@ def translation_element(rd: RootDatum, nu: Sequence[int]) -> AffineWeylElement:
 
 @dataclass(frozen=True)
 class BaseAlcove:
+    """The base alcove: its simple affine reflections s~_1, ..., s~_n, the
+    Omega generators, the walls of length (see Walls) and, in simple_walls,
+    the wall <e_i - e_j, y> = k fixed by each s~_i as (i, j, k), in the order
+    of simple_affine_reflections."""
     rd: RootDatum
     simple_affine_reflections: tuple[AffineWeylElement, ...]
     omega_generators: tuple[AffineWeylElement, ...]
     walls: Walls
+    simple_walls: tuple[tuple[int, int, int], ...]
 
 
 def base_alcove(rd: RootDatum) -> BaseAlcove:
     """The base alcove for block GL-type data (vertices o, o-(1,0,..), ...)."""
     refl: list[AffineWeylElement] = []
+    simple_walls: list[tuple[int, int, int]] = []
     denom = math.lcm(*rd.block_sizes)
     y = [0] * rd.dim
     off = 0
     for size in rd.block_sizes:
         for i in range(off, off + size - 1):
             refl.append(AffineWeylElement(rd, (0,) * rd.dim, rd.reflection((i, i + 1))))
+            simple_walls.append((i, i + 1, 0))
         if size >= 2:
+            # y -> s(y) - e_first + e_last fixes <e_first - e_last, y> = -1
             nu = [0] * rd.dim
             nu[off], nu[off + size - 1] = 1, -1
             refl.append(AffineWeylElement(rd, tuple(nu), rd.reflection((off, off + size - 1))))
+            simple_walls.append((off, off + size - 1, -1))
         for k in range(size):
             y[off + k] = -(size - 1 - k) * (denom // size)  # -(size - 1 - k) / size
         off += size
     walls = (denom, tuple(y),
              tuple((i, j, (y[i] - y[j]) // denom) for i, j in rd.positive_roots))
-    alc = BaseAlcove(rd, tuple(refl), (), walls)
+    alc = BaseAlcove(rd, tuple(refl), (), walls, tuple(simple_walls))
     omegas = []
     off = 0
     for size in rd.block_sizes:
@@ -97,7 +109,7 @@ def base_alcove(rd: RootDatum) -> BaseAlcove:
         _, om = reduced_word(translation_element(rd, nu), alc)
         omegas.append(om)
         off += size
-    return BaseAlcove(rd, tuple(refl), tuple(omegas), walls)
+    return BaseAlcove(rd, tuple(refl), tuple(omegas), walls, tuple(simple_walls))
 
 
 def length(w: AffineWeylElement, base: BaseAlcove | None = None) -> int:
@@ -117,13 +129,33 @@ def length(w: AffineWeylElement, base: BaseAlcove | None = None) -> int:
                for i, j, floor0 in walls)
 
 
+def _is_descent(z: AffineWeylElement, base: BaseAlcove) -> Iterator[bool]:
+    """Whether l(s~_i z) < l(z), for each s~_i in turn, from one image of y0.
+
+    s~_i z < z exactly when the wall <e_i - e_j, y> = k of s~_i separates the
+    base alcove from z(base), i.e. when k lies in (min, max] of floor0 and
+    f1 = floor(<e_i - e_j, z(y0)>), the pairings that length counts between.
+    """
+    denom, y, _ = base.walls
+    wy = z.finite.apply(y)
+    nu = z.translation
+    for i, j, k in base.simple_walls:
+        floor0 = (y[i] - y[j]) // denom
+        f1 = (wy[i] - wy[j]) // denom - nu[i] + nu[j]
+        yield min(f1, floor0) < k <= max(f1, floor0)
+
+
 def _descent(z: AffineWeylElement, lz: int,
              base: BaseAlcove) -> tuple[int, AffineWeylElement]:
-    """The least index i (1-based) with l(s~_i z) < l(z) = lz > 0, and s~_i z."""
-    for i, s in enumerate(base.simple_affine_reflections, 1):
-        cand = s * z
-        if length(cand, base) < lz:
-            return i, cand
+    """The least index i (1-based) with l(s~_i z) < l(z) = lz > 0, and s~_i z.
+
+    Read from one wall pairing per simple reflection (_is_descent); the only
+    product is s~_i z for the descent found.
+    """
+    for i, (s, down) in enumerate(zip(base.simple_affine_reflections,
+                                      _is_descent(z, base)), 1):
+        if down:
+            return i, s * z
     raise AssertionError("positive length but no descent; broken alcove data")
 
 
@@ -150,9 +182,10 @@ def reduced_word(
 # l * (elements found), l the length of the upper elements, bounds the products
 # of _lower_closure, one per hyperplane separating each element's alcove from the
 # base alcove; elements alone do not (GL2 (511, 0): 1,023 elements, 2.2 s in
-# process).  On a 2-vCPU VM, Adm of GL4 (4,2,1,0) (13 * 959) takes 0.10-0.12 s
-# in process and 0.31-0.34 s as an `adm` run, and of GL7 (1,1,0^5) (10 * 1,611)
-# 0.15-0.20 s and 0.46-0.50 s: 16384 admits both
+# process).  On a 2-vCPU VM shared with other tenants, Adm of GL4 (4,2,1,0)
+# (13 * 959) takes 0.07-0.08 s in process (0.13 s in a slow phase) and
+# 0.24-0.42 s as an `adm` run, and of GL7 (1,1,0^5) (10 * 1,611) 0.13-0.15 s
+# (0.23 s) and 0.32-0.54 s: 16384 admits both
 MAX_BRUHAT_WORK = 16384
 
 # (b.key(), base.walls) -> the interval below b, as {key: element}
@@ -291,7 +324,12 @@ def h_mu(rd: RootDatum, mu: Sequence[int]) -> int:
 
 def elements_of_length_at_most(rd: RootDatum, bound: int,
                                base: BaseAlcove | None = None) -> list[AffineWeylElement]:
-    """All affine-Weyl-group elements (trivial Omega part) of length <= bound."""
+    """All affine-Weyl-group elements (trivial Omega part) of length <= bound.
+
+    Breadth first from the identity, level by level.  Each element is
+    multiplied only by its ascents: a descent s~_i z lies one level down,
+    already seen.
+    """
     if base is None:
         base = base_alcove(rd)
     ident = affine_identity(rd)
@@ -300,7 +338,9 @@ def elements_of_length_at_most(rd: RootDatum, bound: int,
     for _ in range(bound):
         new = []
         for z in frontier:
-            for s in base.simple_affine_reflections:
+            for s, down in zip(base.simple_affine_reflections, _is_descent(z, base)):
+                if down:
+                    continue
                 x = s * z
                 if x.key() not in seen:
                     seen[x.key()] = x

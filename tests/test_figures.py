@@ -132,3 +132,31 @@ def test_admissible_shading_count():
 def test_unknown_kind():
     with pytest.raises(ValueError):
         figures.render(figures.FigureSpec(kind="rank9"))
+
+
+def test_alcove_neighbourhood_is_built_once_per_window(monkeypatch):
+    builds = []
+    real = figures.elements_of_length_at_most
+
+    def spy(rd, bound, base=None):
+        builds.append(bound)
+        return real(rd, bound, base)
+
+    figures._alcove_patches.cache_clear()
+    monkeypatch.setattr(figures, "elements_of_length_at_most", spy)
+    try:
+        gen = [figures.render(SPECS["genericity_p19_d6.svg"]) for _ in range(2)]
+        adm = [figures.render(SPECS["admissible_mu100.svg"]) for _ in range(2)]
+        assert gen[0] == gen[1] == _golden("genericity_p19_d6.svg")
+        assert adm[0] == adm[1] == _golden("admissible_mu100.svg")
+        # one build for the genericity window, one for the admissible window
+        assert builds == [4, 8]
+        patches = figures._alcove_patches(4, 1.6, 1.5)
+        assert len(builds) == 2
+        assert isinstance(patches, tuple) and patches
+        assert all(isinstance(patch, tuple) for patch in patches)
+        for pts, xy in patches:
+            assert isinstance(pts, tuple) and all(isinstance(q, tuple) for q in pts)
+            assert isinstance(xy, tuple) and all(isinstance(c, tuple) for c in xy)
+    finally:
+        figures._alcove_patches.cache_clear()

@@ -9,7 +9,9 @@ from alcovekit import weyl_affine
 from alcovekit.rootdata import CapExceeded, build_root_datum, weyl_group
 from alcovekit.weyl_affine import (
     AffineWeylElement,
+    _descent,
     _interval,
+    _is_descent,
     admissible_set,
     affine_identity,
     base_alcove,
@@ -168,6 +170,9 @@ def test_composition_law_associative():
                 assert ((a * b) * c).key() == (a * (b * c)).key()
 
 
+LENGTH_LABELS = ["GL1xGL2", "GL2", "GL3", "GL4", "SL2", "SL3", "PGL3", "GL2xGL3", "GL3xGL3"]
+
+
 def _barycenter(rd):
     """The base alcove's barycenter in Fractions: -(n - 1 - k) / n at slot k
     of a block of size n."""
@@ -188,8 +193,7 @@ def _fraction_length(z):
     return total
 
 
-@pytest.mark.parametrize("label", [
-    "GL1xGL2", "GL2", "GL3", "GL4", "SL2", "SL3", "PGL3", "GL2xGL3", "GL3xGL3"])
+@pytest.mark.parametrize("label", LENGTH_LABELS)
 def test_integer_length_matches_the_fraction_count(label):
     rd = build_root_datum(label)
     base = base_alcove(rd)
@@ -209,6 +213,66 @@ def test_integer_length_matches_the_fraction_count(label):
             ell = length(x, base)
             assert ell == _fraction_length(x), (label, x)
             assert len(reduced_word(x, base)[0]) == ell
+
+
+def _product_descent(z, lz, base):
+    """Reference: the least i with l(s~_i z) < lz, by a product and a full length."""
+    for i, s in enumerate(base.simple_affine_reflections, 1):
+        cand = s * z
+        if length(cand, base) < lz:
+            return i, cand
+    return None
+
+
+@pytest.mark.parametrize("label", LENGTH_LABELS)
+def test_descent_from_one_wall_pairing_matches_the_length_test(label):
+    rd = build_root_datum(label)
+    base = base_alcove(rd)
+    assert len(base.simple_walls) == len(base.simple_affine_reflections)
+    for s, (i, j, k) in zip(base.simple_affine_reflections, base.simple_walls):
+        # s~ fixes its wall <e_i - e_j, y> = k pointwise
+        y = [Fraction(c) for c in range(rd.dim)]
+        y[j] = y[i] - k
+        assert s.act(y) == tuple(y)
+    poset = elements_of_length_at_most(rd, 4 if rd.dim < 5 else 3, base)
+    elems = poset + [z * om for z in poset for om in base.omega_generators]
+    for z in elems:
+        lz = length(z, base)
+        flags = list(_is_descent(z, base))
+        assert flags == [length(s * z, base) < lz for s in base.simple_affine_reflections]
+        if lz == 0:
+            assert not any(flags)
+            continue
+        i, below = _descent(z, lz, base)
+        ref_i, ref_below = _product_descent(z, lz, base)
+        assert i == ref_i and below.key() == ref_below.key(), (label, z)
+
+
+def _product_bfs(rd, bound, base):
+    """Reference: the breadth-first walk that multiplies by every s~_i."""
+    ident = affine_identity(rd)
+    seen = {ident.key(): ident}
+    frontier = [ident]
+    for _ in range(bound):
+        new = []
+        for z in frontier:
+            for s in base.simple_affine_reflections:
+                x = s * z
+                if x.key() not in seen:
+                    seen[x.key()] = x
+                    new.append(x)
+        frontier = new
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("label", ["GL2", "GL3", "GL1xGL2", "GL2xGL3", "SL3", "PGL3"])
+def test_elements_of_length_at_most_walks_only_ascents(label):
+    rd = build_root_datum(label)
+    base = base_alcove(rd)
+    for bound in range(5):
+        got = elements_of_length_at_most(rd, bound, base)
+        assert [z.key() for z in got] == [z.key() for z in _product_bfs(rd, bound, base)]
+        assert all(length(z, base) <= bound for z in got)
 
 
 def _bruhat_leq_with_omega_check(a, b, base):
