@@ -18,7 +18,7 @@ import math
 import os
 import random
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -121,13 +121,22 @@ def _dumps(obj, default=None, newline: str = "\n") -> str:
     return _dumps(default(obj), default, newline)
 
 
+class _Texts:
+    """A JSON list written as texts(newline): the text of each item, at the
+    line break and indentation `newline` of its closing bracket, exactly as
+    _dumps would write the item there."""
+
+    def __init__(self, texts: Callable[[str], Iterable[str]]):
+        self.texts = texts
+
+
 def _write(obj, write, default=None, newline: str = "\n") -> None:
     """Write the text of _dumps(obj, default, newline) through `write`, in pieces.
 
-    A dict is written key by key, and an Iterator as a JSON list one item at
-    a time, each item through `_dumps`; so a payload list given as an
-    iterator is never held whole, as a list or as text.  Anything else is
-    one `_dumps` piece.
+    A dict is written key by key, and an Iterator or _Texts as a JSON list
+    one item at a time, each item through `_dumps` or its own text; so a
+    payload list given either way is never held whole, as a list or as text.
+    Anything else is one `_dumps` piece.
     """
     inner = newline + "  "
     if isinstance(obj, dict) and obj:
@@ -137,10 +146,12 @@ def _write(obj, write, default=None, newline: str = "\n") -> None:
             _write(v, write, default, inner)
             sep = "," + inner
         write(newline + "}")
-    elif isinstance(obj, Iterator):
+    elif isinstance(obj, (Iterator, _Texts)):
+        texts = (obj.texts(inner) if isinstance(obj, _Texts)
+                 else (_dumps(v, default, inner) for v in obj))
         sep = "[" + inner
-        for v in obj:
-            write(sep + _dumps(v, default, inner))
+        for text in texts:
+            write(sep + text)
             sep = "," + inner
         write("[]" if sep[0] == "[" else newline + "]")
     else:
@@ -174,27 +185,50 @@ def _apartment_point(args) -> tuple[tuple[Fraction, ...], ApartmentPoint]:
     return eta, ApartmentPoint(rd, g, g.psi_orbit(eta))
 
 
+# leaves of a census entry's skeleton that stand for an int and for the
+# inside of a string: _quote writes them as "\u0000" and "\u0001"
+_INT, _STR = "\x00", "\x01"
+
+
+def _census_texts(rd, classes: Iterable, newline: str) -> Iterator[str]:
+    """The JSON entry of each census class, as _dumps writes it at `newline`.
+
+    Every entry of one census has one of two shapes, without a witness and
+    with one, so _dumps writes each shape once, with marks for its leaves,
+    and the marks become the slots of a str.format template: the entries
+    are the templates filled in, with the bytes of _dumps.
+    """
+    def template(invariant: bool) -> str:
+        entry = {"class": [_INT] * rd.rank, "invariant": invariant,
+                 "representative": [_STR] * rd.dim}
+        if invariant:
+            entry["witness"] = {"translation": [_INT] * rd.dim,
+                                "weyl": [[_INT] * rd.dim] * rd.dim}
+        text = _dumps(entry, newline=newline).replace("{", "{{").replace("}", "}}")
+        return text.replace(_quote(_INT), "{}").replace(_quote(_STR)[1:-1], "{}")
+
+    plain, witnessed = template(False).format, template(True).format
+    # few numerators and Weyl elements repeat across the classes
+    ratio = functools.cache(functools.partial(_ratio_str, d=rd.den))
+    entries = functools.cache(lambda w: [x for row in w.matrix for x in row])
+    for c in classes:
+        if c.witness is None:
+            yield plain(*c.coords, *map(ratio, c.num))
+        else:
+            w, m = c.witness
+            yield witnessed(*c.coords, *map(ratio, c.num), *m, *entries(w))
+
+
 def _cmd_census(args) -> CommandResult:
     rd = build_root_datum(args.group)
     g = split_gamma(rd, args.p, args.e)
     res = census(rd, g)
-
-    def entry(c) -> dict:
-        out = {
-            "class": list(c.coords),
-            "representative": [_ratio_str(n, c.den) for n in c.num],
-            "invariant": c.invariant,
-        }
-        if c.witness is not None:
-            out["witness"] = _witness_json(c.witness)
-        return out
-
-    # the entries are built as they are written: formatting numbers cannot
-    # raise, so nothing fails once the first byte is out
+    # the entries are formatted as they are written: formatting numbers
+    # cannot raise, so nothing fails once the first byte is out
     return CommandResult("ok", {
         "group": args.group, "p": args.p, "e": args.e, "r": g.r,
         "total": res.total, "invariant": res.invariant_count,
-        "classes": map(entry, res.classes),
+        "classes": _Texts(functools.partial(_census_texts, rd, res.classes)),
     })
 
 

@@ -11,12 +11,13 @@ sigma-twist additionally applies the pinned automorphism psi.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
 from math import lcm
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .apartment import ApartmentPoint, frobenius, point_from_type
 from .ff import GF
@@ -28,7 +29,6 @@ from .rootdata import (
     RootDatum,
     WeylElement,
     _action_in_basis,
-    weyl_group,
 )
 
 
@@ -152,7 +152,8 @@ def check_cocycle_relations(t: GaloisType) -> dict[str, bool]:
     return {"gamma_order": gamma_order, "sigma_braid": braid, "sigma_wrap": wrap}
 
 
-def _frobenius_witness(rd: RootDatum, g: GammaData, num: Sequence[int]):
+def _frobenius_witness(rd: RootDatum, g: GammaData, num: Sequence[int],
+                       psi_inv: WeylElement | None = None):
     """The least-length w in W with lambda - w(p psi^{-1} lambda) in e X_*, and m.
 
     lambda = num / rd.den in ambient coordinates, and m is that difference
@@ -162,19 +163,23 @@ def _frobenius_witness(rd: RootDatum, g: GammaData, num: Sequence[int]):
     block, so w pairs the indices of num with those of image in the same
     residue class.  Paired in index order, class by class, w is the unique
     solution of least length (any other inverts two indices of one class),
-    and the first in weyl_group's order.  Returns (w, m), or None.
+    and the first in weyl_group's order.  Returns (w, m), or None.  psi_inv,
+    if given, is g.psi.inv(), formed once by a caller with many num.
     """
     mod = g.e * rd.den
-    image = [g.p * c for c in g.psi.inv().apply(num)]
+    if psi_inv is None:
+        psi_inv = g.psi.inv()
+    image = [g.p * c for c in psi_inv.apply(num)]
     cols = []
     for off, n in zip(accumulate(rd.block_sizes, initial=0), rd.block_sizes):
         free: dict[int, list[int]] = {}  # residue -> its image indices, last first
         for c in reversed(range(off, off + n)):
             free.setdefault(image[c] % mod, []).append(c)
         for a in num[off:off + n]:
-            if not free.get(a % mod):
+            paired = free.get(a % mod)
+            if not paired:
                 return None
-            cols.append(free[a % mod].pop())
+            cols.append(paired.pop())
     m = tuple((a - image[c]) // mod for a, c in zip(num, cols))
     return WeylElement._make(tuple(cols), (1,) * rd.dim), m
 
@@ -228,71 +233,155 @@ class CensusResult:
     classes: tuple[CensusClass, ...]
 
 
+def _gl_canon(c: Sequence[int], e: int) -> tuple[int, ...]:
+    """GL_n: W permutes the coordinates, so the least image is the sorted residues."""
+    return tuple(sorted(c))
+
+
+def _sl_greedy(rest: list[int], e: int) -> tuple[int, ...]:
+    """The least partial sums mod e, all but the last (0), over the orderings
+    of the sorted residues in rest, which sum to 0 mod e; rest is used up.
+    Greedy: at each step the remaining residue that makes the next sum least,
+    i.e. the least one >= -sum mod e, else the least.  Only equal residues
+    tie, and they leave the same rest."""
+    out, c = [], 0
+    for _ in range(len(rest) - 1):
+        i = bisect_left(rest, -c % e)
+        c = (c + rest.pop(i if i < len(rest) else 0)) % e
+        out.append(c)
+    return tuple(out)
+
+
+def _sl_canon(c: Sequence[int], e: int) -> tuple[int, ...]:
+    """SL_n: the basis e_k - e_{k+1} gives coordinates c_k = v_0 + ... + v_k of
+    the ambient v, and W permutes v, a multiset of n residues summing to 0."""
+    return _sl_greedy(sorted([(b - a) % e for a, b in zip((0, *c), (*c, 0))]), e)
+
+
+def _least_rotation(gaps: Sequence[int]) -> tuple[int, ...]:
+    """The lexicographically least rotation of gaps; it starts with a least gap."""
+    m = min(gaps)
+    if gaps.count(m) == 1:
+        k = gaps.index(m)
+        return (*gaps[k:], *gaps[:k])
+    return min((*gaps[k:], *gaps[:k]) for k, g in enumerate(gaps) if g == m)
+
+
+def _pgl_canon(c: Sequence[int], e: int) -> tuple[int, ...]:
+    """PGL_n: the basis e_k - (1/n) sum e gives coordinates c_k = u_k - u_last
+    of a lift u in Z^n, so a class is a multiset of n residues up to a common
+    shift.  Sorted, the residues cut the circle Z/e into n gaps, and moving
+    one of them to 0 and sorting the rest gives the partial sums of the gaps
+    from it on: the least image takes the least rotation of the gaps."""
+    s = sorted((*c, 0))
+    gaps = [b - a for a, b in zip(s, s[1:])]
+    gaps.append(s[0] + e - s[-1])
+    return tuple(accumulate(_least_rotation(gaps)[:-1]))
+
+
+def _gl_classes(n: int, e: int) -> list[tuple[int, ...]]:
+    return list(combinations_with_replacement(range(e), n))
+
+
+def _sl_classes(n: int, e: int) -> list[tuple[int, ...]]:
+    """Each sorted multiset of n residues summing to 0 mod e (n - 1 of them,
+    and the one that makes the sum 0 when it is the largest), in its greedy
+    form, sorted."""
+    out = []
+    for head in combinations_with_replacement(range(e), n - 1):
+        last = -sum(head) % e
+        if last >= head[-1]:
+            out.append(_sl_greedy([*head, last], e))
+    out.sort()
+    return out
+
+
+def _pgl_classes(n: int, e: int) -> list[tuple[int, ...]]:
+    """The gap sequences (see _pgl_canon) that are their own least rotation.
+    Such a sequence starts with a least gap m <= e / n, and its other gaps are
+    m + h_t with h summing to e - n m.  The partial sums of h, taken in
+    combinations_with_replacement order, list the sequences, and so their
+    coordinates (the partial sums of the gaps), in lexicographic order.  One
+    that starts with its only least gap is its own least rotation."""
+    out = []
+    for m in range(e // n + 1):
+        rest = e - n * m
+        for bars in combinations_with_replacement(range(rest + 1), n - 2):
+            gaps = (m, *[m + b - a for a, b in zip((0, *bars), (*bars, rest))])
+            if gaps.count(m) == 1 or _least_rotation(gaps) == gaps:
+                out.append(tuple(accumulate(gaps[:-1])))
+    return out
+
+
+# kind -> (its classes in lexicographic order, the canonical form of a point)
+_BLOCKS = {"GL": (_gl_classes, _gl_canon), "SL": (_sl_classes, _sl_canon),
+           "PGL": (_pgl_classes, _pgl_canon)}
+
+
+def _concatenated(blocks: list) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(coords, num) for one class of each block, concatenated, for every
+    choice in itertools.product order; blocks holds (coords, nums) lists."""
+    if not blocks:
+        yield (), ()
+        return
+    *head, (coords, nums) = blocks
+    for c, v in _concatenated(head):
+        for bc, bv in zip(coords, nums):
+            yield c + bc, v + bv
+
+
 def census(rd: RootDatum, g: GammaData) -> CensusResult:
     """All type classes at fixed (p, e): lambda in X_* / (W-action + e X_*).
 
     A class is named by its canonical coordinates: the lexicographically least
-    W-image, mod e, of its basis coordinates.  The search is one integer pass
-    over (Z/e)^rank in lexicographic order, with one mark per point in a
-    bytearray indexed by the point's base-e number.  The first unmarked point
-    is the least element of its W-orbit, hence a new class; its |W| images
-    are marked, so classes come out sorted and each is found once.  The
-    |W| * rank rows of the actions A_w in the basis repeat (3 distinct of 18
-    for GL3, 14 of 72 for SL4): each distinct row is reduced mod e once per
-    class, and each image's base-e number is a Horner sum over those values.
+    W-image, mod e, of its basis coordinates.  The basis is block-diagonal and
+    W is the product of the blocks' symmetric groups, so a class is one class
+    of each block, and its canonical coordinates are theirs concatenated.
+    Each block lists its classes in lexicographic order from a closed form
+    (_BLOCKS), and the classes come out sorted in itertools.product order:
+    for GL_n, the multisets of n residues; for SL_n, those summing to 0, each
+    in its greedy least form; for PGL_n, the multisets up to a common shift,
+    as the gap sequences around Z/e that are least among their rotations.
 
     Frobenius invariance is decided with frobenius_invariant's verdict and
     witness.  Write c for lambda's basis coordinates and F = p psi^{-1}.  If
-    lambda is invariant, F c mod e lies in the W-orbit of c: classes failing
-    this lookup in the images just marked get (False, None).  The rest take
-    the least-length w with num - w(F num) = 0 mod e den (_frobenius_witness).
-    CapExceeded past rank 3 (so |W| <= 24), e = 10^4 or e^rank = 10^6.
+    lambda is invariant, F c mod e lies in the W-orbit of c, so its canonical
+    form, block by block, is c: classes failing this lookup get
+    (False, None).  The rest take the least-length w with num - w(F num) = 0
+    mod e den (_frobenius_witness).  CapExceeded past rank 3, e = 10^4 or
+    e^rank = 10^6.
     """
     if not g.split():
         raise RefusedError("census requires a split inertial action")
     if rd.rank > 3 or g.e > 10**4:
         raise CapExceeded("census limited to rank <= 3 and e <= 10^4")
-    e, rank = g.e, rd.rank
-    if e**rank > 10**6:
+    e = g.e
+    if e**rd.rank > 10**6:
         raise CapExceeded("census enumeration domain exceeds cap")
-    place = [e ** (rank - 1 - i) for i in range(rank)]
-
-    def index(rows, coords) -> int:
-        """Base-e number of rows @ coords mod e."""
-        i = 0
-        for row in rows:
-            i = i * e + sum(map(mul, row, coords)) % e
-        return i
-
-    actions = [_action_in_basis(rd, w) for w in weyl_group(rd)]
-    # each w's rows as positions among the distinct rows, in first-seen order
-    distinct: dict[tuple[int, ...], int] = {}
-    action_rows = [[distinct.setdefault(tuple(row), len(distinct)) for row in rows]
-                   for rows in actions]
-    frob = [[g.p * a for a in row] for row in _action_in_basis(rd, g.psi.inv())]
-    # the basis rows are numerators over rd.den, so representatives are too
-    columns = list(zip(*rd.cochar_basis))
-
-    marked = bytearray(e**rank)
+    # each block's classes, as coordinates and as ambient numerators, and its
+    # span of coordinates
+    blocks, spans, row, off = [], [], 0, 0
+    for kind, n in zip(rd.block_kinds, rd.block_sizes):
+        classes_of, canon = _BLOCKS[kind]
+        k = n if kind == "GL" else n - 1
+        columns = list(zip(*(b[off:off + n] for b in rd.cochar_basis[row:row + k])))
+        coords = classes_of(n, e)
+        blocks.append((coords, [tuple([sum(map(mul, c, col)) for col in columns])
+                                for c in coords]))
+        spans.append((canon, row, row + k))
+        row, off = row + k, off + n
+    psi_inv = g.psi.inv()
+    frob = [[g.p * a for a in r] for r in _action_in_basis(rd, psi_inv)]
     classes = []
-    i = marked.find(0)
-    while i >= 0:
-        coords = tuple(i // pl % e for pl in place)
-        values = [sum(map(mul, row, coords)) % e for row in distinct]
-        orbit = set()
-        for ks in action_rows:
-            j = 0
-            for k in ks:
-                j = j * e + values[k]
-            orbit.add(j)
-        for j in orbit:
-            marked[j] = 1
-        num = tuple(sum(map(mul, coords, col)) for col in columns)
-        wit = None
-        if index(frob, coords) in orbit:
-            wit = _frobenius_witness(rd, g, num)
+    for coords, num in _concatenated(blocks):
+        image = [sum(map(mul, r, coords)) % e for r in frob]
+        for canon, a, b in spans:
+            if canon(image[a:b], e) != coords[a:b]:
+                wit = None
+                break
+        else:
+            wit = _frobenius_witness(rd, g, num, psi_inv)
         classes.append(CensusClass(num, rd.den, coords, wit is not None, wit))
-        i = marked.find(0, i + 1)
     return CensusResult(len(classes), sum(c.invariant for c in classes), tuple(classes))
 
 

@@ -168,6 +168,13 @@ class RootDatum:
         return len(self.cochar_basis)
 
     @cached_property
+    def block_kinds(self) -> tuple[str, ...]:
+        """"GL", "SL" or "PGL" for each block, read from the label."""
+        if not self.block_sizes:
+            return ()
+        return tuple(_LABEL_RE.match(part).group(1) for part in self.label.split("x"))
+
+    @cached_property
     def positive_roots(self) -> tuple[tuple[int, int], ...]:
         """The pairs i < j inside each block, block by block, lexicographically."""
         out, off = [], 0
@@ -378,18 +385,22 @@ def fixed_sublattice_u(rd: RootDatum, g: GammaData) -> list[list[int]]:
 
 
 def norm_image(rd: RootDatum, g: GammaData) -> list[list[int]]:
-    """Generators (basis coords) of the image of the inertia norm map."""
+    """Generators (basis coords) of the image of the inertia norm map.
+
+    N = sum_{i<e} theta^i for the inertial action theta.  theta is a signed
+    permutation, of some finite order o, so with (q, s) = divmod(e, o),
+    N = q * sum_{i<o} theta^i + sum_{i<s} theta^i: min(o, e) powers, not e.
+    """
     theta = _action_in_basis(rd, g.inertial)
     n = rd.rank
-    acc = identity_matrix(n)
-    total = [[0] * n for _ in range(n)]
-    for _ in range(g.e):
-        for i in range(n):
-            for j in range(n):
-                total[i][j] += acc[i][j]
-        acc = mat_mul(theta, acc)
-    # columns of `total` are N(basis vectors)
-    return [[total[i][j] for i in range(n)] for j in range(n)]
+    ident = identity_matrix(n)
+    powers = [ident]
+    while len(powers) < g.e and (nxt := mat_mul(theta, powers[-1])) != ident:
+        powers.append(nxt)
+    q, s = divmod(g.e, len(powers))
+    # columns of the sum are N(basis vectors)
+    return [[q * sum(m[i][j] for m in powers) + sum(m[i][j] for m in powers[:s])
+             for i in range(n)] for j in range(n)]
 
 
 def tate_h0(rd: RootDatum, g: GammaData) -> list[int]:

@@ -122,22 +122,29 @@ def length(w: AffineWeylElement, base: BaseAlcove | None = None) -> int:
     """
     if base is None:
         base = base_alcove(w.rd)
-    denom, y, walls = base.walls
-    wy = w.finite.apply(y)
+    return _length_at(w, w.finite.apply(base.walls[1]), base)
+
+
+def _length_at(w: AffineWeylElement, wy: tuple[int, ...], base: BaseAlcove) -> int:
+    """length(w), given wy = w.finite.apply(y0) in numerators over denom."""
+    denom, _, walls = base.walls
     nu = w.translation
     return sum(abs((wy[i] - wy[j]) // denom - nu[i] + nu[j] - floor0)
                for i, j, floor0 in walls)
 
 
-def _is_descent(z: AffineWeylElement, base: BaseAlcove) -> Iterator[bool]:
-    """Whether l(s~_i z) < l(z), for each s~_i in turn, from one image of y0.
+def _is_descent(z: AffineWeylElement, base: BaseAlcove,
+                wy: tuple[int, ...] | None = None) -> Iterator[bool]:
+    """Whether l(s~_i z) < l(z), for each s~_i in turn, from one image of y0:
+    wy = z.finite.apply(y0), in numerators over denom, if not given.
 
     s~_i z < z exactly when the wall <e_i - e_j, y> = k of s~_i separates the
     base alcove from z(base), i.e. when k lies in (min, max] of floor0 and
     f1 = floor(<e_i - e_j, z(y0)>), the pairings that length counts between.
     """
     denom, y, _ = base.walls
-    wy = z.finite.apply(y)
+    if wy is None:
+        wy = z.finite.apply(y)
     nu = z.translation
     for i, j, k in base.simple_walls:
         floor0 = (y[i] - y[j]) // denom
@@ -145,15 +152,15 @@ def _is_descent(z: AffineWeylElement, base: BaseAlcove) -> Iterator[bool]:
         yield min(f1, floor0) < k <= max(f1, floor0)
 
 
-def _descent(z: AffineWeylElement, lz: int,
-             base: BaseAlcove) -> tuple[int, AffineWeylElement]:
+def _descent(z: AffineWeylElement, lz: int, base: BaseAlcove,
+             wy: tuple[int, ...] | None = None) -> tuple[int, AffineWeylElement]:
     """The least index i (1-based) with l(s~_i z) < l(z) = lz > 0, and s~_i z.
 
-    Read from one wall pairing per simple reflection (_is_descent); the only
-    product is s~_i z for the descent found.
+    Read from one wall pairing per simple reflection (_is_descent, with wy if
+    given); the only product is s~_i z for the descent found.
     """
     for i, (s, down) in enumerate(zip(base.simple_affine_reflections,
-                                      _is_descent(z, base)), 1):
+                                      _is_descent(z, base, wy)), 1):
         if down:
             return i, s * z
     raise AssertionError("positive length but no descent; broken alcove data")
@@ -298,15 +305,20 @@ def admissible_set(
     ell = length(translation_element(rd, mu), base)
     tops = [translation_element(rd, nu) for nu in _orbit(rd, tuple(mu), ell)]
     found = _lower_closure(tops, base, ell)
-    # word(z) = (i,) + word(s~_i z) for z's first descent i, in order of length
+    # word(z) = (i,) + word(s~_i z) for z's first descent i, in order of
+    # length; one image of the barycenter per z gives both
+    ranked = []
+    for z in found.values():
+        wy = z.finite.apply(base.walls[1])
+        ranked.append((_length_at(z, wy, base), z, wy))
+    ranked.sort(key=lambda t: t[0])
     words: dict = {}
     out = []
-    for lz, z in sorted(((length(z, base), z) for z in found.values()),
-                        key=lambda t: t[0]):
+    for lz, z, wy in ranked:
         if lz == 0:
             word, om = (), z
         else:
-            i, below = _descent(z, lz, base)
+            i, below = _descent(z, lz, base, wy)
             word, om = words[below.key()]
             word = (i,) + word
         words[z.key()] = word, om

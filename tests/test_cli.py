@@ -17,6 +17,7 @@ import alcovekit
 from alcovekit import cli, galois, loop_sim, rootdata, weyl_affine
 from alcovekit.rootdata import WeylElement
 from alcovekit.loop_sim import PrecisionError
+from test_galois import CENSUS_CASES
 
 
 def run_json(capsys, argv):
@@ -43,9 +44,9 @@ def test_adm_takes_each_reduced_word_once(capsys, monkeypatch):
         words.append(args[0].key())
         return real_word(*args)
 
-    def descent_spy(z, lz, base):
+    def descent_spy(z, lz, base, wy=None):
         descents.append(z.key())
-        return real_descent(z, lz, base)
+        return real_descent(z, lz, base, wy)
 
     monkeypatch.setattr(weyl_affine, "reduced_word", word_spy)
     monkeypatch.setattr(weyl_affine, "_descent", descent_spy)
@@ -710,6 +711,27 @@ def test_census_output_is_streamed(monkeypatch):
     assert peak < 2 * sink.chars  # the output is ASCII, so characters are bytes
 
 
+def _census_entry(c) -> dict:
+    """A census class's JSON entry as a dict, as the CLI built it for _dumps."""
+    out = {"class": list(c.coords),
+           "representative": [cli._ratio_str(n, c.den) for n in c.num],
+           "invariant": c.invariant}
+    if c.witness is not None:
+        out["witness"] = cli._witness_json(c.witness)
+    return out
+
+
+@pytest.mark.parametrize("label, p, e", CENSUS_CASES)
+def test_census_template_writes_the_bytes_of_dumps(label, p, e):
+    # the entries sit at "\n    " in the text form and "\n      " in the json
+    # form; the trivial group's entries hold only empty lists
+    rd = rootdata.build_root_datum(label)
+    classes = galois.census(rd, rootdata.split_gamma(rd, p, e)).classes
+    for newline in ("\n    ", "\n      "):
+        want = [cli._dumps(_census_entry(c), newline=newline) for c in classes]
+        assert list(cli._census_texts(rd, classes, newline)) == want
+
+
 def test_writer_takes_unknown_leaves_as_the_json_module_does():
     doc = {"lam": [Fraction(-3, 4), 1], "z": {"w": complex(1, 2)}}
     assert cli._dumps(doc, default=str) == json.dumps(doc, indent=2, sort_keys=True,
@@ -741,7 +763,7 @@ def test_frobinv_builds_its_witness_without_the_weyl_group(capsys, monkeypatch):
         raise AssertionError("weyl_group called")
 
     monkeypatch.setattr(rootdata, "weyl_group", boom)
-    monkeypatch.setattr(galois, "weyl_group", boom)
+    assert not hasattr(galois, "weyl_group")  # census lists its classes without W too
     lam = "--lam=0,1,2,0,1,2,0,1,5"
     code, doc = run_json(capsys, ["frobinv", "--group", "GL9", "--p", "7", "--e", "3", lam])
     assert code == 0 and doc["status"] == "ok"

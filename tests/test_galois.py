@@ -27,6 +27,7 @@ from alcovekit.rootdata import (
     CapExceeded,
     GammaData,
     WeylElement,
+    _action_in_basis,
     build_root_datum,
     split_gamma,
     weyl_group,
@@ -281,6 +282,82 @@ def test_census_decides_without_the_general_scan(monkeypatch):
     for (rd, p, e), ref in zip(cases, refs):
         res = census(rd, split_gamma(rd, p, e))
         assert [(c.coords, c.lam, c.invariant, c.witness) for c in res.classes] == ref
+
+
+def _swept_census(rd, g):
+    """census as the marking sweep it replaced: one integer pass over
+    (Z/e)^rank in lexicographic order, one mark per point in a bytearray
+    indexed by the point's base-e number.  The first unmarked point is the
+    least of its W-orbit, hence a new class, and its |W| images are marked.
+    F c mod e outside the images just marked is not invariant; the rest take
+    _frobenius_witness.  (coords, num, invariant, witness) per class."""
+    e, rank = g.e, rd.rank
+    place = [e ** (rank - 1 - i) for i in range(rank)]
+    actions = [_action_in_basis(rd, w) for w in weyl_group(rd)]
+    frob = [[g.p * a for a in row] for row in _action_in_basis(rd, g.psi.inv())]
+    columns = list(zip(*rd.cochar_basis))
+
+    def index(rows, coords):
+        i = 0
+        for row in rows:
+            i = i * e + sum(a * c for a, c in zip(row, coords)) % e
+        return i
+
+    marked = bytearray(e**rank)
+    out = []
+    i = marked.find(0)
+    while i >= 0:
+        coords = tuple(i // pl % e for pl in place)
+        orbit = {index(rows, coords) for rows in actions}
+        for j in orbit:
+            marked[j] = 1
+        num = tuple(sum(a * c for a, c in zip(coords, col)) for col in columns)
+        wit = galois._frobenius_witness(rd, g, num) if index(frob, coords) in orbit else None
+        out.append((coords, num, wit is not None, wit))
+        i = marked.find(0, i + 1)
+    return out
+
+
+def _sweep_cases():
+    for label, p, e in CENSUS_CASES + _PINNED_CENSUS:
+        rd = build_root_datum(label)
+        yield pytest.param(rd, split_gamma(rd, p, e), id=f"{label}-{p}-{e}")
+    for rd, g in _twisted_gammas():
+        yield pytest.param(rd, g, id=f"{rd.label}-{g.p}-{g.e}-twisted")
+    # psi swaps two blocks, so p psi^{-1} mixes their coordinates
+    for label, p, e in (("GL1xGL1", 5, 8), ("SL2xSL2", 7, 12), ("PGL2xPGL2", 7, 12)):
+        rd = build_root_datum(label)
+        half = rd.dim // 2
+        swap = WeylElement(tuple(tuple(int(j == (i + half) % rd.dim) for j in range(rd.dim))
+                                 for i in range(rd.dim)))
+        g = GammaData(p=p, e=e, r=2, psi=swap, inertial=ident(rd.dim))
+        yield pytest.param(rd, g, id=f"{label}-{p}-{e}-swapped")
+
+
+@pytest.mark.parametrize("rd, g", list(_sweep_cases()))
+def test_census_matches_the_marking_sweep_class_by_class(rd, g):
+    res = census(rd, g)
+    want = _swept_census(rd, g)
+    assert [(c.coords, c.num, c.invariant, c.witness) for c in res.classes] == want
+    assert all(c.den == rd.den for c in res.classes)
+    assert (res.total, res.invariant_count) == (len(want), sum(f for _, _, f, _ in want))
+
+
+@pytest.mark.parametrize("label", ["GL1", "GL2", "GL3", "SL2", "SL3", "SL4",
+                                   "PGL2", "PGL3", "PGL4"])
+@pytest.mark.parametrize("e", [7, 12])
+def test_block_canonical_forms_are_the_least_images(label, e):
+    # every point of (Z/e)^rank: the closed form equals the least W-image,
+    # and the block's class list is the sorted set of them
+    rd = build_root_datum(label)
+    classes_of, canon = galois._BLOCKS[rd.block_kinds[0]]
+    actions = _basis_actions(rd)
+    least = set()
+    for coords in itertools.product(range(e), repeat=rd.rank):
+        want = _least_image(actions, coords, e)
+        assert canon(coords, e) == want, coords
+        least.add(want)
+    assert classes_of(rd.dim, e) == sorted(least)
 
 
 @pytest.mark.parametrize("rd, g", list(_twisted_gammas()))

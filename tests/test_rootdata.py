@@ -8,15 +8,17 @@ import time
 
 import pytest
 
-from alcovekit.lattices import quotient_invariants
+from alcovekit.lattices import identity_matrix, mat_mul, quotient_invariants
 from alcovekit.rootdata import (
     CapExceeded,
     GammaData,
     RootDatum,
     UnsupportedLabel,
     WeylElement,
+    _action_in_basis,
     build_root_datum,
     check_prime,
+    norm_image,
     pi1,
     pi1_coinvariants,
     split_gamma,
@@ -128,6 +130,50 @@ def test_tate_h0():
     gl3 = build_root_datum("GL3")
     g_u3 = GammaData(p=13, e=6, r=1, psi=ident(3), inertial=U3_TWIST)
     assert tate_h0(gl3, g_u3) == [3]  # order e/2
+
+
+def _norm_by_steps(rd, g):
+    """norm_image as the loop it replaced: e products, sum_{i<e} theta^i."""
+    theta = _action_in_basis(rd, g.inertial)
+    n = rd.rank
+    acc = identity_matrix(n)
+    total = [[0] * n for _ in range(n)]
+    for _ in range(g.e):
+        total = [[a + b for a, b in zip(r, s)] for r, s in zip(total, acc)]
+        acc = mat_mul(theta, acc)
+    return [[total[i][j] for i in range(n)] for j in range(n)]
+
+
+# inertial actions of order 2, 3 and 4; (p, r) = (13, 2) admits e | 168
+_INERTIAL = [
+    ("GL2", WeylElement(((0, 1), (1, 0)))),
+    ("GL2", WeylElement(((0, -1), (-1, 0)))),
+    ("GL2", WeylElement(((-1, 0), (0, -1)))),
+    ("GL2", WeylElement(((0, -1), (1, 0)))),
+    ("GL3", U3_TWIST),
+    ("GL3", WeylElement(((0, 1, 0), (0, 0, 1), (1, 0, 0)))),
+    ("SL3", U3_TWIST),
+    ("SL3", WeylElement(((0, 1, 0), (0, 0, 1), (1, 0, 0)))),
+]
+
+
+@pytest.mark.parametrize("label, theta", _INERTIAL)
+@pytest.mark.parametrize("e", [1, 2, 3, 4, 6, 7, 8, 12, 14])
+def test_norm_image_matches_the_e_step_sum(label, theta, e):
+    rd = build_root_datum(label)
+    g = GammaData(p=13, e=e, r=2, psi=ident(rd.dim), inertial=theta)
+    assert norm_image(rd, g) == _norm_by_steps(rd, g)
+
+
+def test_tate_h0_answers_at_a_large_e():
+    # e products took about 1.1 s at e = 10^5 for GL3; the order of the
+    # inertial action bounds them now
+    gl3 = build_root_datum("GL3")
+    e = 10**6
+    g = GammaData(p=7, e=e, r=split_gamma(gl3, 7, e).r, psi=ident(3), inertial=U3_TWIST)
+    start = time.perf_counter()
+    assert tate_h0(gl3, g) == [e // 2]  # order e/2, as at e = 6
+    assert time.perf_counter() - start < 1.0
 
 
 def test_tate_trivial_action_order():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from alcovekit import weyl_affine
-from alcovekit.rootdata import CapExceeded, build_root_datum, weyl_group
+from alcovekit.rootdata import CapExceeded, WeylElement, build_root_datum, weyl_group
 from alcovekit.weyl_affine import (
     AffineWeylElement,
     _descent,
@@ -246,6 +246,32 @@ def test_descent_from_one_wall_pairing_matches_the_length_test(label):
         i, below = _descent(z, lz, base)
         ref_i, ref_below = _product_descent(z, lz, base)
         assert i == ref_i and below.key() == ref_below.key(), (label, z)
+
+
+def test_word_pass_applies_each_element_to_the_barycenter_once(monkeypatch):
+    # the pass after the closure applied each element to the barycenter in
+    # length and again in _is_descent: 65 of its 97 applies for GL4 (1,1,0,0)
+    rd = build_root_datum("GL4")
+    base = base_alcove(rd)
+    counts = {"apply": 0, "barycenter": 0}
+    real_apply, real_closure = WeylElement.apply, weyl_affine._lower_closure
+
+    def apply_spy(self, v):
+        counts["apply"] += 1
+        counts["barycenter"] += v is base.walls[1]
+        return real_apply(self, v)
+
+    def closure_spy(*args):
+        found = real_closure(*args)
+        counts.update(apply=0, barycenter=0)  # count the word pass alone
+        return found
+
+    monkeypatch.setattr(WeylElement, "apply", apply_spy)
+    monkeypatch.setattr(weyl_affine, "_lower_closure", closure_spy)
+    adm = admissible_set(rd, (1, 1, 0, 0), base)
+    # one image per element, and one product s~_i z per element of positive length
+    assert len(adm) == 33
+    assert counts == {"apply": 65, "barycenter": 33}
 
 
 def _product_bfs(rd, bound, base):
