@@ -18,7 +18,7 @@ import math
 import os
 import random
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -121,22 +121,14 @@ def _dumps(obj, default=None, newline: str = "\n") -> str:
     return _dumps(default(obj), default, newline)
 
 
-class _Texts:
-    """A JSON list written as texts(newline): the text of each item, at the
-    line break and indentation `newline` of its closing bracket, exactly as
-    _dumps would write the item there."""
-
-    def __init__(self, texts: Callable[[str], Iterable[str]]):
-        self.texts = texts
-
-
 def _write(obj, write, default=None, newline: str = "\n") -> None:
     """Write the text of _dumps(obj, default, newline) through `write`, in pieces.
 
-    A dict is written key by key, and an Iterator or _Texts as a JSON list
-    one item at a time, each item through `_dumps` or its own text; so a
-    payload list given either way is never held whole, as a list or as text.
-    Anything else is one `_dumps` piece.
+    A dict is written key by key, and a callable as a JSON list: called with
+    the line break and indentation of its items' closing brackets, it yields
+    their texts, written one at a time, so a payload list given that way is
+    never held whole, as a list or as text.  Anything else is one `_dumps`
+    piece.
     """
     inner = newline + "  "
     if isinstance(obj, dict) and obj:
@@ -146,11 +138,9 @@ def _write(obj, write, default=None, newline: str = "\n") -> None:
             _write(v, write, default, inner)
             sep = "," + inner
         write(newline + "}")
-    elif isinstance(obj, (Iterator, _Texts)):
-        texts = (obj.texts(inner) if isinstance(obj, _Texts)
-                 else (_dumps(v, default, inner) for v in obj))
+    elif callable(obj):
         sep = "[" + inner
-        for text in texts:
+        for text in obj(inner):
             write(sep + text)
             sep = "," + inner
         write("[]" if sep[0] == "[" else newline + "]")
@@ -228,7 +218,7 @@ def _cmd_census(args) -> CommandResult:
     return CommandResult("ok", {
         "group": args.group, "p": args.p, "e": args.e, "r": g.r,
         "total": res.total, "invariant": res.invariant_count,
-        "classes": _Texts(functools.partial(_census_texts, rd, res.classes)),
+        "classes": functools.partial(_census_texts, rd, res.classes),
     })
 
 

@@ -26,7 +26,7 @@ import functools
 import math
 from typing import Sequence
 
-from .galois import _frobenius_witness
+from .galois import _frobenius_map, _frobenius_witness
 from .rootdata import build_root_datum, split_gamma
 from .weyl_affine import admissible_set, base_alcove, elements_of_length_at_most
 
@@ -75,11 +75,12 @@ def sl2_node_colors(p: int, e: int) -> list[tuple[int, str]]:
     """
     rd = build_root_datum("SL2")
     g = split_gamma(rd, p, e)
+    frob = _frobenius_map(g)
     out = []
     for n in range(e + 1):
         if n % 2 == 1:
             out.append((n, LAYOUT["node_white"]))
-        elif _frobenius_witness(rd, g, (-(n // 2), n // 2)) is None:
+        elif _frobenius_witness(rd, g, (-(n // 2), n // 2), frob) is None:
             out.append((n, LAYOUT["node_red"]))
         else:
             out.append((n, LAYOUT["node_green"]))

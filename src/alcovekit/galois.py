@@ -28,7 +28,6 @@ from .rootdata import (
     RefusedError,
     RootDatum,
     WeylElement,
-    _action_in_basis,
 )
 
 
@@ -152,34 +151,43 @@ def check_cocycle_relations(t: GaloisType) -> dict[str, bool]:
     return {"gamma_order": gamma_order, "sigma_braid": braid, "sigma_wrap": wrap}
 
 
-def _frobenius_witness(rd: RootDatum, g: GammaData, num: Sequence[int],
-                       psi_inv: WeylElement | None = None):
-    """The least-length w in W with lambda - w(p psi^{-1} lambda) in e X_*, and m.
+def _frobenius_map(g: GammaData) -> tuple[tuple[int, int], ...]:
+    """p psi^{-1} as its rows' (column, p * sign) pairs."""
+    psi_inv = g.psi.inv()
+    return tuple(zip(psi_inv.cols, [g.p * s for s in psi_inv.signs]))
 
-    lambda = num / rd.den in ambient coordinates, and m is that difference
-    over e.  In GL_n, SL_n, PGL_n and their products an integral vector in
-    the span of X_* lies in X_* (in Q^vee for PGL_n), so the test is that
-    num - w(image), image = p psi^{-1} num, is 0 mod e den.  W permutes each
-    block, so w pairs the indices of num with those of image in the same
-    residue class.  Paired in index order, class by class, w is the unique
-    solution of least length (any other inverts two indices of one class),
-    and the first in weyl_group's order.  Returns (w, m), or None.  psi_inv,
-    if given, is g.psi.inv(), formed once by a caller with many num.
+
+def _frobenius_witness(rd: RootDatum, g: GammaData, num: Sequence[int],
+                       frob: tuple[tuple[int, int], ...] | None = None):
+    """The least-length w in W with num - w(p psi^{-1} num) = 0 mod e den, and m.
+
+    lambda = num / rd.den in ambient coordinates, and m, that difference over
+    e den, is integral: in X_* on GL_n and SL_n blocks, in Q^vee on PGL_n.
+    W permutes each block, so a solution exists exactly when, block by block,
+    num and image = p psi^{-1} num have the same sorted residues mod e den.
+    Then w pairs the indices of num with those of image in the same residue
+    class, in index order: the unique solution of least length (any other
+    inverts two indices of one class), and the first in weyl_group's order.
+    Returns (w, m), or None.  frob is _frobenius_map(g), formed once by a
+    caller with many num.
     """
     mod = g.e * rd.den
-    if psi_inv is None:
-        psi_inv = g.psi.inv()
-    image = [g.p * c for c in psi_inv.apply(num)]
-    cols = []
-    for off, n in zip(accumulate(rd.block_sizes, initial=0), rd.block_sizes):
+    if frob is None:
+        frob = _frobenius_map(g)
+    residues = [a % mod for a in num]
+    images = [s * num[c] % mod for c, s in frob]
+    cols, off = [], 0
+    for n in rd.block_sizes:
+        end = off + n
+        block = residues[off:end]
+        if sorted(block) != sorted(images[off:end]):
+            return None
         free: dict[int, list[int]] = {}  # residue -> its image indices, last first
-        for c in reversed(range(off, off + n)):
-            free.setdefault(image[c] % mod, []).append(c)
-        for a in num[off:off + n]:
-            paired = free.get(a % mod)
-            if not paired:
-                return None
-            cols.append(paired.pop())
+        for c in reversed(range(off, end)):
+            free.setdefault(images[c], []).append(c)
+        cols += [free[a].pop() for a in block]
+        off = end
+    image = [s * num[c] for c, s in frob]
     m = tuple((a - image[c]) // mod for a, c in zip(num, cols))
     return WeylElement._make(tuple(cols), (1,) * rd.dim), m
 
@@ -189,9 +197,12 @@ def frobenius_invariant(t: GaloisType):
 
     Returns (flag, witness) where witness = (w_star, m): with x's slot-0
     coordinate eta = -lambda / e, lambda = w_0^{-1}(lambda_0), the condition
-    w_star(p psi^{-1}(eta)) - m = eta with m in X_* and w_star of least length
-    (_frobenius_witness).  A lambda outside X_* is a ValueError.  Ramified
-    inertial actions are refused: there is no finite orbit test for them here.
+    w_star(p psi^{-1}(eta)) - m = eta with m integral and w_star of least
+    length (_frobenius_witness).  An integral m lies in X_* on GL_n and SL_n
+    blocks, and in the coroot lattice Q^vee, smaller than X_*, on PGL_n
+    blocks, where an m in X_* but not in Q^vee is not accepted.  A lambda
+    outside X_* is a ValueError.  Ramified inertial actions are refused:
+    there is no finite orbit test for them here.
 
     Gamma-fixedness is decided on the integer vectors v_j = w_j^{-1}(lambda_j):
     the point's slots are eta_j = -v_j / e, and scaling by -1/e is injective
@@ -233,11 +244,6 @@ class CensusResult:
     classes: tuple[CensusClass, ...]
 
 
-def _gl_canon(c: Sequence[int], e: int) -> tuple[int, ...]:
-    """GL_n: W permutes the coordinates, so the least image is the sorted residues."""
-    return tuple(sorted(c))
-
-
 def _sl_greedy(rest: list[int], e: int) -> tuple[int, ...]:
     """The least partial sums mod e, all but the last (0), over the orderings
     of the sorted residues in rest, which sum to 0 mod e; rest is used up.
@@ -252,12 +258,6 @@ def _sl_greedy(rest: list[int], e: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _sl_canon(c: Sequence[int], e: int) -> tuple[int, ...]:
-    """SL_n: the basis e_k - e_{k+1} gives coordinates c_k = v_0 + ... + v_k of
-    the ambient v, and W permutes v, a multiset of n residues summing to 0."""
-    return _sl_greedy(sorted([(b - a) % e for a, b in zip((0, *c), (*c, 0))]), e)
-
-
 def _least_rotation(gaps: Sequence[int]) -> tuple[int, ...]:
     """The lexicographically least rotation of gaps; it starts with a least gap."""
     m = min(gaps)
@@ -267,26 +267,15 @@ def _least_rotation(gaps: Sequence[int]) -> tuple[int, ...]:
     return min((*gaps[k:], *gaps[:k]) for k, g in enumerate(gaps) if g == m)
 
 
-def _pgl_canon(c: Sequence[int], e: int) -> tuple[int, ...]:
-    """PGL_n: the basis e_k - (1/n) sum e gives coordinates c_k = u_k - u_last
-    of a lift u in Z^n, so a class is a multiset of n residues up to a common
-    shift.  Sorted, the residues cut the circle Z/e into n gaps, and moving
-    one of them to 0 and sorting the rest gives the partial sums of the gaps
-    from it on: the least image takes the least rotation of the gaps."""
-    s = sorted((*c, 0))
-    gaps = [b - a for a, b in zip(s, s[1:])]
-    gaps.append(s[0] + e - s[-1])
-    return tuple(accumulate(_least_rotation(gaps)[:-1]))
-
-
 def _gl_classes(n: int, e: int) -> list[tuple[int, ...]]:
     return list(combinations_with_replacement(range(e), n))
 
 
 def _sl_classes(n: int, e: int) -> list[tuple[int, ...]]:
-    """Each sorted multiset of n residues summing to 0 mod e (n - 1 of them,
-    and the one that makes the sum 0 when it is the largest), in its greedy
-    form, sorted."""
+    """SL_n: the basis e_k - e_{k+1} gives coordinates c_k = v_0 + ... + v_k of
+    the ambient v, and W permutes v, a multiset of n residues summing to 0:
+    each sorted one (n - 1 residues, and a largest that makes the sum 0), in
+    its greedy form, sorted."""
     out = []
     for head in combinations_with_replacement(range(e), n - 1):
         last = -sum(head) % e
@@ -297,8 +286,12 @@ def _sl_classes(n: int, e: int) -> list[tuple[int, ...]]:
 
 
 def _pgl_classes(n: int, e: int) -> list[tuple[int, ...]]:
-    """The gap sequences (see _pgl_canon) that are their own least rotation.
-    Such a sequence starts with a least gap m <= e / n, and its other gaps are
+    """PGL_n: the basis e_k - (1/n) sum e gives coordinates c_k = u_k - u_last
+    of a lift u in Z^n, so a class is a multiset of n residues up to a common
+    shift.  Sorted, the residues cut the circle Z/e into n gaps, and moving
+    one of them to 0 and sorting the rest gives the partial sums of the gaps
+    from it on, so the classes are the gap sequences that are their own least
+    rotation.  One starts with a least gap m <= e / n, and its other gaps are
     m + h_t with h summing to e - n m.  The partial sums of h, taken in
     combinations_with_replacement order, list the sequences, and so their
     coordinates (the partial sums of the gaps), in lexicographic order.  One
@@ -313,9 +306,8 @@ def _pgl_classes(n: int, e: int) -> list[tuple[int, ...]]:
     return out
 
 
-# kind -> (its classes in lexicographic order, the canonical form of a point)
-_BLOCKS = {"GL": (_gl_classes, _gl_canon), "SL": (_sl_classes, _sl_canon),
-           "PGL": (_pgl_classes, _pgl_canon)}
+# kind -> its classes, as least W-images of basis coordinates, in lexicographic order
+_BLOCKS = {"GL": _gl_classes, "SL": _sl_classes, "PGL": _pgl_classes}
 
 
 def _concatenated(blocks: list) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -338,18 +330,10 @@ def census(rd: RootDatum, g: GammaData) -> CensusResult:
     W is the product of the blocks' symmetric groups, so a class is one class
     of each block, and its canonical coordinates are theirs concatenated.
     Each block lists its classes in lexicographic order from a closed form
-    (_BLOCKS), and the classes come out sorted in itertools.product order:
-    for GL_n, the multisets of n residues; for SL_n, those summing to 0, each
-    in its greedy least form; for PGL_n, the multisets up to a common shift,
-    as the gap sequences around Z/e that are least among their rotations.
-
-    Frobenius invariance is decided with frobenius_invariant's verdict and
-    witness.  Write c for lambda's basis coordinates and F = p psi^{-1}.  If
-    lambda is invariant, F c mod e lies in the W-orbit of c, so its canonical
-    form, block by block, is c: classes failing this lookup get
-    (False, None).  The rest take the least-length w with num - w(F num) = 0
-    mod e den (_frobenius_witness).  CapExceeded past rank 3, e = 10^4 or
-    e^rank = 10^6.
+    (_BLOCKS), and the classes come out sorted in itertools.product order.
+    Every class takes frobenius_invariant's one decision, _frobenius_witness,
+    with p psi^{-1} formed once per census.  CapExceeded past rank 3,
+    e = 10^4 or e^rank = 10^6.
     """
     if not g.split():
         raise RefusedError("census requires a split inertial action")
@@ -358,29 +342,19 @@ def census(rd: RootDatum, g: GammaData) -> CensusResult:
     e = g.e
     if e**rd.rank > 10**6:
         raise CapExceeded("census enumeration domain exceeds cap")
-    # each block's classes, as coordinates and as ambient numerators, and its
-    # span of coordinates
-    blocks, spans, row, off = [], [], 0, 0
+    # each block's classes, as coordinates and as ambient numerators
+    blocks, row, off = [], 0, 0
     for kind, n in zip(rd.block_kinds, rd.block_sizes):
-        classes_of, canon = _BLOCKS[kind]
         k = n if kind == "GL" else n - 1
         columns = list(zip(*(b[off:off + n] for b in rd.cochar_basis[row:row + k])))
-        coords = classes_of(n, e)
+        coords = _BLOCKS[kind](n, e)
         blocks.append((coords, [tuple([sum(map(mul, c, col)) for col in columns])
                                 for c in coords]))
-        spans.append((canon, row, row + k))
         row, off = row + k, off + n
-    psi_inv = g.psi.inv()
-    frob = [[g.p * a for a in r] for r in _action_in_basis(rd, psi_inv)]
+    frob = _frobenius_map(g)
     classes = []
     for coords, num in _concatenated(blocks):
-        image = [sum(map(mul, r, coords)) % e for r in frob]
-        for canon, a, b in spans:
-            if canon(image[a:b], e) != coords[a:b]:
-                wit = None
-                break
-        else:
-            wit = _frobenius_witness(rd, g, num, psi_inv)
+        wit = _frobenius_witness(rd, g, num, frob)
         classes.append(CensusClass(num, rd.den, coords, wit is not None, wit))
     return CensusResult(len(classes), sum(c.invariant for c in classes), tuple(classes))
 

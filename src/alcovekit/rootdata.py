@@ -268,6 +268,14 @@ def weyl_group(rd: RootDatum) -> list[WeylElement]:
     return _WEYL_CACHE[rd]
 
 
+def _order(w: WeylElement) -> int:
+    """The least k >= 1 with w^k = 1; a signed permutation has finite order."""
+    x, k = w, 1
+    while not x.is_identity():
+        x, k = x * w, k + 1
+    return k
+
+
 @dataclass(frozen=True)
 class GammaData:
     """Arithmetic of the tame Galois group {gamma, sigma : gamma^e=1, sigma^r=1}.
@@ -292,12 +300,10 @@ class GammaData:
             raise ValueError("tameness requires p not dividing e")
         if pow(self.p, self.r, self.e) != 1 % self.e:
             raise ValueError(f"e={self.e} must divide p^r - 1 for r={self.r}")
-        # psi^r = 1 iff the order of psi divides r
-        w, order = self.psi, 1
-        while not w.is_identity() and order < self.r:
-            w, order = w * self.psi, order + 1
-        if not w.is_identity() or self.r % order:
+        if self.r % _order(self.psi):
             raise ValueError("psi must have order dividing r")
+        if self.e % _order(self.inertial):
+            raise ValueError("the inertial action must have order dividing e")
 
     @cached_property  # kept in the instance __dict__; no field, so ==, hash and repr ignore it
     def q(self) -> int:
@@ -387,20 +393,19 @@ def fixed_sublattice_u(rd: RootDatum, g: GammaData) -> list[list[int]]:
 def norm_image(rd: RootDatum, g: GammaData) -> list[list[int]]:
     """Generators (basis coords) of the image of the inertia norm map.
 
-    N = sum_{i<e} theta^i for the inertial action theta.  theta is a signed
-    permutation, of some finite order o, so with (q, s) = divmod(e, o),
-    N = q * sum_{i<o} theta^i + sum_{i<s} theta^i: min(o, e) powers, not e.
+    N = sum_{i<e} theta^i for the inertial action theta.  Its order o on the
+    lattice divides its order on the ambient space, which GammaData makes
+    divide e, so N = (e / o) * sum_{i<o} theta^i: o powers, not e.
     """
     theta = _action_in_basis(rd, g.inertial)
     n = rd.rank
     ident = identity_matrix(n)
     powers = [ident]
-    while len(powers) < g.e and (nxt := mat_mul(theta, powers[-1])) != ident:
+    while (nxt := mat_mul(theta, powers[-1])) != ident:
         powers.append(nxt)
-    q, s = divmod(g.e, len(powers))
+    q = g.e // len(powers)
     # columns of the sum are N(basis vectors)
-    return [[q * sum(m[i][j] for m in powers) + sum(m[i][j] for m in powers[:s])
-             for i in range(n)] for j in range(n)]
+    return [[q * sum(m[i][j] for m in powers) for i in range(n)] for j in range(n)]
 
 
 def tate_h0(rd: RootDatum, g: GammaData) -> list[int]:

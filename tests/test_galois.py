@@ -264,7 +264,7 @@ def test_census_matches_the_reference_class_by_class(label, p, e):
 
 
 def test_census_decides_without_the_general_scan(monkeypatch):
-    # census works in basis coordinates: no GaloisType, Fraction scan or
+    # census works on integer numerators: no GaloisType, Fraction scan or
     # lattice solve per class
     import alcovekit.galois as galois
     from alcovekit.rootdata import RootDatum
@@ -347,17 +347,13 @@ def test_census_matches_the_marking_sweep_class_by_class(rd, g):
                                    "PGL2", "PGL3", "PGL4"])
 @pytest.mark.parametrize("e", [7, 12])
 def test_block_canonical_forms_are_the_least_images(label, e):
-    # every point of (Z/e)^rank: the closed form equals the least W-image,
-    # and the block's class list is the sorted set of them
+    # the block's class list is the sorted set of the least W-images of
+    # every point of (Z/e)^rank
     rd = build_root_datum(label)
-    classes_of, canon = galois._BLOCKS[rd.block_kinds[0]]
     actions = _basis_actions(rd)
-    least = set()
-    for coords in itertools.product(range(e), repeat=rd.rank):
-        want = _least_image(actions, coords, e)
-        assert canon(coords, e) == want, coords
-        least.add(want)
-    assert classes_of(rd.dim, e) == sorted(least)
+    least = {_least_image(actions, coords, e)
+             for coords in itertools.product(range(e), repeat=rd.rank)}
+    assert galois._BLOCKS[rd.block_kinds[0]](rd.dim, e) == sorted(least)
 
 
 @pytest.mark.parametrize("rd, g", list(_twisted_gammas()))
@@ -500,6 +496,56 @@ def test_census_class_lookup_alone_would_overcount_for_pgl(label, p, e, misses):
     assert all(_lookup_passes(rd, g, actions, c.coords) for c in classes if c.invariant)
     assert sum(not c.invariant and _lookup_passes(rd, g, actions, c.coords)
                for c in classes) == misses
+
+
+def _in_cochar_count(rd, g, classes):
+    """The classes with some w in W for which m = (lambda - w(p psi^{-1} lambda)) / e
+    lies in X_*, by a scan over W with a lattice test: the condition without
+    the witness's integrality."""
+    psi_inv = g.psi.inv()
+    count = 0
+    for c in classes:
+        image = tuple(g.p * x for x in psi_inv.apply(c.lam))
+        count += any(rd.in_cochar_lattice([(a - b) / g.e for a, b in zip(c.lam, w.apply(image))])
+                     for w in weyl_group(rd))
+    return count
+
+
+@pytest.mark.parametrize("label, p, e, invariant, x_star", [
+    ("GL3", 7, 24, 110, 110), ("SL3", 7, 24, 19, 19), ("PGL2", 7, 24, 4, 7),
+    ("PGL3", 7, 24, 7, 19), ("PGL2xPGL3", 7, 12, 20, 65), ("SL2xPGL2", 5, 8, 6, 9),
+])
+def test_invariance_requires_an_integral_translation(label, p, e, invariant, x_star):
+    # census asks m to be integral: in X_* on GL and SL blocks, in Q^vee,
+    # smaller than X_*, on PGL blocks.  With any m in X_* the count is that of
+    # the orbit lookup in basis coordinates, and larger on the PGL inputs
+    rd = build_root_datum(label)
+    g = split_gamma(rd, p, e)
+    classes = census(rd, g).classes
+    assert sum(c.invariant for c in classes) == invariant
+    assert _in_cochar_count(rd, g, classes) == x_star
+    actions = _basis_actions(rd)
+    assert sum(_lookup_passes(rd, g, actions, c.coords) for c in classes) == x_star
+
+
+def test_census_takes_no_basis_coordinate_action(monkeypatch):
+    # the witness is the one invariance decision: no p psi^{-1} matrix in
+    # basis coordinates
+    import alcovekit.rootdata as rootdata
+
+    def boom(*args, **kwargs):
+        raise AssertionError("census called _action_in_basis")
+
+    cases = list(_twisted_gammas())
+    for label, p, e in (("PGL3", 13, 12), ("GL2xGL1", 5, 8), ("SL2", 7, 24)):
+        rd = build_root_datum(label)
+        cases.append((rd, split_gamma(rd, p, e)))
+    want = [_swept_census(rd, g) for rd, g in cases]
+    monkeypatch.setattr(rootdata, "_action_in_basis", boom)
+    monkeypatch.setattr(galois, "_action_in_basis", boom, raising=False)
+    for (rd, g), ref in zip(cases, want):
+        res = census(rd, g)
+        assert [(c.coords, c.num, c.invariant, c.witness) for c in res.classes] == ref
 
 
 def test_invariance_constant_on_classes():

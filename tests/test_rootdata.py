@@ -160,7 +160,15 @@ _INERTIAL = [
 @pytest.mark.parametrize("label, theta", _INERTIAL)
 @pytest.mark.parametrize("e", [1, 2, 3, 4, 6, 7, 8, 12, 14])
 def test_norm_image_matches_the_e_step_sum(label, theta, e):
+    # an inertial action whose order does not divide e is refused
     rd = build_root_datum(label)
+    order, power = 1, theta
+    while not power.is_identity():
+        order, power = order + 1, power * theta
+    if e % order:
+        with pytest.raises(ValueError, match="^the inertial action must have order dividing e$"):
+            GammaData(p=13, e=e, r=2, psi=ident(rd.dim), inertial=theta)
+        return
     g = GammaData(p=13, e=e, r=2, psi=ident(rd.dim), inertial=theta)
     assert norm_image(rd, g) == _norm_by_steps(rd, g)
 
@@ -217,6 +225,8 @@ def test_gamma_validation():
         GammaData(p=3, e=6, r=2, psi=ident(2), inertial=ident(2))  # p | e
     with pytest.raises(ValueError):
         GammaData(p=7, e=3, r=0, psi=ident(2), inertial=ident(2))  # r = 0: q - 1 = 0
+    with pytest.raises(ValueError):  # an inertial action of order 4 at e = 6
+        GammaData(p=13, e=6, r=2, psi=ident(2), inertial=WeylElement(((0, -1), (1, 0))))
     g = split_gamma(sl2, 7, 24)
     assert g.r == 2 and g.q == 49 and g.split()
     for p in (0, 1, 6, -7):
