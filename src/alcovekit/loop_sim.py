@@ -20,10 +20,11 @@ from typing import Sequence
 from .apartment import ValuationPattern
 from .rootdata import CapExceeded, RefusedError, check_prime
 
-# det expands each minor once, in at most n*2^(n-1) series products.  As a CLI run on
-# a 2-core VM, `straighten --p 7` takes 0.2 s at --n 6, 0.4 s at --n 8 and 0.7 s at
-# --n 9 (1.4 s at --n 6 when every minor was expanded anew); the cap stays 8 until
-# one cap on predicted cost replaces the separate size caps
+# det expands each minor once, in at most n*2^(n-1) series products.  As CLI runs on
+# a 2-core VM, `straighten --p 7` takes 0.13 s at --n 6, 0.19 s at --n 8 and 0.29 s
+# at --n 9 with one inverse of B X (0.15, 0.26 and 0.46 s with B, U, t^nu and V
+# inverted one at a time); the cap stays 8 until one cap on predicted cost replaces
+# the separate size caps
 MAX_LOOP_N = 8
 # a of Z/p^a.  As CLI runs on a 2-core VM, `straighten --p 7 --a A --f 400 --window 8`
 # takes 0.6 s at A = 128, 1.5 s at 192 and 38 s at 512; `compare` (a^2 products
@@ -465,17 +466,20 @@ class LoopElement:
         full = tuple(range(self.n))
         return _Laplace(self).minor(full, full)[0]
 
-    def inverse(self, window: int | None = None) -> "LoopElement":
+    def inverse(self, window: int | None = None,
+                laplace: "_Laplace | None" = None) -> "LoopElement":
         """adj(self) * det(self)^-1, the determinant inverted with `window`.
 
         The determinant and the n^2 cofactors come from one Laplace
-        expansion (`_Laplace`).  Entry (i, j) is (-1)^(i+j) M_ji det^-1, M_ji
-        the minor without row j and column i: det^-1 and -det^-1 are packed
-        once, up to the furthest exponent any cofactor product needs, and each
-        product is one `_dot` known below its own `_mul_window`.
+        expansion (`_Laplace`), or from `laplace`, an expansion of self that
+        the caller has already begun.  Entry (i, j) is (-1)^(i+j) M_ji det^-1,
+        M_ji the minor without row j and column i: det^-1 and -det^-1 are
+        packed once, up to the furthest exponent any cofactor product needs,
+        and each product is one `_dot` known below its own `_mul_window`.
         """
         full, ring = tuple(range(self.n)), self.ring
-        laplace = _Laplace(self)
+        if laplace is None:
+            laplace = _Laplace(self)
         dinv = laplace.minor(full, full)[0].inverse(window)
         if self.n == 1:
             return LoopElement(ring, ((dinv,),))
@@ -632,9 +636,56 @@ def product_of(factors: Sequence[LoopElement]) -> LoopElement:
     return reduce(mul, factors)
 
 
-def inverse_of(factors: Sequence[LoopElement], window: int | None = None) -> LoopElement:
-    """Invert a product through its factors; unit factors invert without erosion."""
-    return reduce(mul, [f.inverse(window) for f in reversed(factors)])
+def inverse_of(factors: Sequence[LoopElement], window: int | None = None,
+               tail: LoopElement | None = None) -> LoopElement:
+    """The inverse of the product of `factors`, one Laplace inverse per run.
+
+    A run is a maximal stretch of exact factors whose determinants have a
+    unit lowest term; it is multiplied out exactly and inverted once.  Every
+    other factor is inverted on its own: a windowed factor, and an exact one
+    whose determinant has nilpotent terms below its unit term, such as the
+    (v+p)^h of a v+p core at a >= 2.  So every determinant inverted is one of
+    two kinds:
+    - a run's: exact, with a unit lowest term, like each of its factors'.
+      Newton's iteration lifts its inverse, known to `window` as each
+      factor's would be, so merging the run loses no window;
+    - a lone factor's: the window a windowed factor's inverse loses, and the
+      geometric sum of a nilpotent term below the unit term, stay that
+      factor's own and are never spread over a merged product, where the
+      sum would run on a dense series.
+    At a = 1 every exact factor qualifies, since its coefficients lie in
+    F_p, so no determinant is tested.  At a >= 2 the test begins the
+    factor's Laplace expansion, which its inverse reuses when it stands
+    alone.
+
+    `tail`, when the caller holds it, is the product of factors[1:]; a run
+    that takes in all of them starts from it.
+    """
+    runs, joins = [], False  # [first, end, laplace of a lone factor]
+    for i, f in enumerate(factors):
+        laplace, unit = None, False
+        if f.min_prec() is None:
+            if f.ring.a == 1:
+                unit = True
+            else:
+                full = tuple(range(f.n))
+                laplace = _Laplace(f)
+                d = laplace.minor(full, full)[0]
+                unit = bool(d.coeffs) and d.coeffs[0][1] % f.ring.p != 0
+        if unit and joins:
+            runs[-1] = [runs[-1][0], i + 1, None]
+        else:
+            runs.append([i, i + 1, laplace])
+        joins = unit
+
+    def invert(first: int, end: int, laplace: _Laplace | None) -> LoopElement:
+        if end - first == 1:
+            return factors[first].inverse(window, laplace)
+        if tail is not None and first <= 1 and end == len(factors):
+            return (tail if first else factors[0] * tail).inverse(window)
+        return product_of(factors[first:end]).inverse(window)
+
+    return reduce(mul, [invert(*run) for run in reversed(runs)])
 
 
 def conjugation_depth_bound(x_factors: Sequence[LoopElement], a_elem: LoopElement,
@@ -671,12 +722,16 @@ def straighten_right(x, b: LoopElement, f: int, h_mu: int,
                      window: int | None = None) -> StraighteningResult:
     """Solve A^{-1} X phi(A) = B X by Banach iteration of Psi_B(A) = X phi(A) X^{-1} B^{-1}.
 
-    `x` may be a LoopElement or a sequence of factors (U, t^nu, V); passing
-    the factors keeps the inverse free of precision erosion.  Refuses when
-    the contraction bound (p-1)f - h_mu - 2a + 2 is not positive.  Raises
-    ValueError for a `start` known to less than `window`, and for a window
-    the iterates cannot keep: X phi(A) X^{-1} B^{-1} is known to p * window
-    plus the least exponents of X and X^{-1} B^{-1}.
+    `x` may be a LoopElement or a sequence of factors (U, t^nu, V).  The
+    iteration needs only Y = X^{-1} B^{-1} = (B X)^{-1}, formed as
+    `inverse_of([B, U, t^nu, V])`: one inverse of B X at a = 1, and at
+    a >= 2, where a v+p core's determinant (v+p)^h has p^h below its unit
+    term, three (B U, the core and V).  Each factor that is windowed, or
+    has such a determinant, is inverted alone, so the window and the work
+    its inverse costs stay its own.  Refuses when the contraction bound
+    (p-1)f - h_mu - 2a + 2 is not positive.  Raises ValueError for a `start`
+    known to less than `window`, and for a window the iterates cannot keep:
+    X phi(A) Y is known to p * window plus the least exponents of X and Y.
 
     The answer satisfies A = Psi_B(A) below the window, and the residual
     A^{-1} X phi(A) (B X)^{-1} is A^{-1} Psi_B(A), so `residual_is_one`
@@ -699,7 +754,7 @@ def straighten_right(x, b: LoopElement, f: int, h_mu: int,
         raise ValueError(f"the start is known to u^{start.min_prec()}, short of window {window}")
     # generous internal windows so every iterate stays known down to `window`
     slack = window + ring.e * (abs(h_mu) * x_prod.n + 4 * ring.a + 8)
-    xb = inverse_of(x_factors, slack) * b.inverse(slack)
+    xb = inverse_of([b] + x_factors, slack, tail=x_prod)
     low = sum(min(_vanishing_below(s) for row in el.rows for s in row) for el in (xb, x_prod))
     if ring.p * window + low < window:
         raise ValueError(f"the iterates are known to u^(p*window{low:+d}) only, short of the "
@@ -716,16 +771,29 @@ def straighten_right(x, b: LoopElement, f: int, h_mu: int,
             raise PrecisionError("window slack exhausted during iteration")
         # depth of the update a_cur^{-1} a_next: a_cur is an integral unit, so
         # a_cur^{-1} a_next - 1 = a_cur^{-1} (a_next - a_cur) has the valuation
-        # of a_next - a_cur
-        diff = a_next - a_cur
-        trace.append(_zero_depth(diff))
-        if all(s.is_zero() for row in diff.rows for s in row):
+        # of a_next - a_cur.  Both are cut to the window, so that is the least
+        # exponent at which an entry's terms differ, or the window
+        differ = min([_first_difference(s.coeffs, t.coeffs, window)
+                      for r_next, r_cur in zip(a_next.rows, a_cur.rows)
+                      for s, t in zip(r_next, r_cur)])
+        trace.append(differ // ring.e)
+        if differ == window:
             break
         a_cur = a_next
     else:
         raise PrecisionError("straightening did not converge within the window")
     # both are known to the window, so a_cur is a_next: Psi_B(A) = A there
     return StraighteningResult(a_cur, len(trace), _is_integral_unit(a_cur), tuple(trace))
+
+
+def _first_difference(a: tuple, b: tuple, window: int) -> int:
+    """The least exponent at which the sorted terms a and b differ, or
+    `window` when they agree."""
+    for (ka, va), (kb, vb) in zip(a, b):
+        if ka != kb or va != vb:
+            return min(ka, kb)
+    longer = a[len(b):] or b[len(a):]
+    return longer[0][0] if longer else window
 
 
 def _v_plus_p_power(ring: Ring, k: int) -> TruncSeries:

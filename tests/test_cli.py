@@ -704,16 +704,17 @@ class _Discard:
 
 
 def test_census_output_is_streamed(monkeypatch):
-    # 7.8 MB of JSON: joined whole, the document held about 5.8 times that
+    # 0.57 MB of JSON: joined whole, the document held about 5.7 times that;
+    # streamed, the peak is about 1.1 times, most of it the census classes
     sink = _Discard()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
     try:
-        code = cli.main(["census", "--group", "GL3", "--p", "7", "--e", "60", "--emit", "json"])
+        code = cli.main(["census", "--group", "GL3", "--p", "7", "--e", "24", "--emit", "json"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 0 and sink.chars > 7_000_000
+    assert code == 0 and sink.chars > 500_000
     assert peak < 2 * sink.chars  # the output is ASCII, so characters are bytes
 
 

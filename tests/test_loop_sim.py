@@ -1,10 +1,15 @@
+import contextlib
+from functools import reduce
+import io
+import itertools
 import math
+from operator import mul
 import random
 
 import pytest
 
 from alcovekit.apartment import point_from_type, parahoric_pattern
-from alcovekit import loop_sim
+from alcovekit import cli, loop_sim
 from alcovekit.loop_sim import (
     MAX_A,
     MAX_LOOP_N,
@@ -678,6 +683,113 @@ def test_update_depths_match_the_inverse_based_trace():
         a_ref, trace = _trace_by_inverse(xf, b, 1, 1, window)
         assert list(res.trace) == trace
         assert res.a_elem.equals(a_ref)
+
+
+# ---------------------------------------------------------------------------
+# inverse_of inverts each run of exact unit-determinant factors as one product,
+# and the fixed-point loop reads each update depth off the terms of the two
+# iterates.  The reference inverts factor by factor, inverts B once more, and
+# takes the depth from the difference of the iterates.
+
+def _inverse_factorwise(factors, window=None):
+    return reduce(mul, [f.inverse(window) for f in reversed(factors)])
+
+
+def _straighten_by_difference(xf, b, f, h_mu, window):
+    x = product_of(xf)
+    ring = x.ring
+    gap = straightening_gap(ring.p, ring.a, f, h_mu)
+    if gap <= 0:
+        raise RefusedError(
+            f"straightening bound violated: (p-1)f - h_mu - 2a + 2 = {gap} <= 0")
+    slack = window + ring.e * (abs(h_mu) * x.n + 4 * ring.a + 8)
+    xb = _inverse_factorwise(xf, slack) * b.inverse(slack)
+    low = sum(min(loop_sim._vanishing_below(s) for row in el.rows for s in row)
+              for el in (xb, x))
+    if ring.p * window + low < window:
+        raise ValueError(f"the iterates are known to u^(p*window{low:+d}) only, short of the "
+                         f"window {window}: the least window that works is {-(low // (ring.p - 1))}")
+    a_cur = LoopElement.identity(ring, x.n).with_prec(window)
+    trace = []
+    for _ in range((window // ring.e) // gap + 4):
+        a_next = (x * (a_cur.phi() * xb)).with_prec(window)
+        if a_next.min_prec() < window:
+            raise PrecisionError("window slack exhausted during iteration")
+        diff = a_next - a_cur
+        trace.append(loop_sim._zero_depth(diff))
+        if all(s.is_zero() for row in diff.rows for s in row):
+            break
+        a_cur = a_next
+    else:
+        raise PrecisionError("straightening did not converge within the window")
+    return a_cur, len(trace), tuple(trace), loop_sim._is_integral_unit(a_cur)
+
+
+def _result_or_error(fn):
+    try:
+        return fn()
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _loop_state(el):
+    return [[_state(s) for s in row] for row in el.rows]
+
+
+# (p, a, n, mu).  Inverting the whole product, windowed core included, at once
+# turns six inputs of the first three cells (a windowed v+p core at a = 3) into
+# PrecisionError: (5, .., window 4, f 2), (7, .., 8, 2) and (11, .., 4 or 8, 1 or 2)
+DIFFERENTIAL_CELLS = ((5, 3, 4, (1, 1, 1, -1)), (7, 3, 4, (1, 1, 1, -1)),
+                      (11, 3, 4, (1, 1, 1, -1)), (7, 1, 3, (1, 0, 0)), (5, 2, 2, (1, 0)),
+                      (3, 1, 1, (1,)), (7, 2, 3, (1, 1, -1)), (3, 2, 2, (2, 0)))
+
+
+def test_run_inverses_match_the_factorwise_reference():
+    kinds = set()
+    for (p, a, n, mu), vp, window, f in itertools.product(DIFFERENTIAL_CELLS, (False, True),
+                                                          (4, 8), (1, 2)):
+        ring = Ring(p, a, 1)
+        rng = random.Random(f"{p}{a}{n}{mu}{vp}{window}{f}")
+        xf = random_bounded_x(rng, ring, n, mu, 3, use_v_plus_p=vp, window=window + 20)
+        b = random_depth_element(rng, ring, n, f, f + 4)
+        h_mu = max(mu) - min(mu)
+
+        def solve():
+            res = straighten_right(xf, b, f, h_mu, window=window)
+            return (_loop_state(res.a_elem), res.iterations, res.trace, res.residual_is_one)
+
+        def solve_by_difference():
+            a_elem, iterations, trace, one = _straighten_by_difference(xf, b, f, h_mu, window)
+            return _loop_state(a_elem), iterations, trace, one
+
+        got = _result_or_error(solve)
+        assert got == _result_or_error(solve_by_difference), (p, a, n, mu, vp, window, f)
+        kinds.add(got[0] if isinstance(got[0], type) else "ok")
+        depth = 1 + rng.randrange(3)
+        a_elem = random_depth_element(rng, ring, n, depth, depth + 5).with_prec(window)
+        conj = product_of(list(xf) + [a_elem]) * _inverse_factorwise(xf, window + 20)
+        want = identity_depth(conj)
+        assert conjugation_depth_bound(xf, a_elem, depth, h_mu, a, window=window + 20) == \
+            (want >= depth - h_mu - 2 * a + 2, want)
+    assert kinds == {"ok", RefusedError}
+
+
+def test_straighten_makes_one_inverse_per_run(monkeypatch):
+    # B U t^nu V is one run at a = 1; at a = 2 the core's determinant
+    # (v+p)^h has the nilpotent p^h below its unit term, so it is inverted alone
+    calls = []
+    real = LoopElement.inverse
+
+    def spy(self, window=None, laplace=None):
+        calls.append(self.n)
+        return real(self, window, laplace)
+
+    monkeypatch.setattr(LoopElement, "inverse", spy)
+    for extra, want in (([], 1), (["--a", "2"], 3)):
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["straighten", "--p", "7", "--n", "3"] + extra) == 0
+        assert calls == [3] * want
 
 
 # ---------------------------------------------------------------------------
