@@ -32,6 +32,19 @@ MAX_LOOP_N = 8
 # 2.7 s at a 4,000-digit n
 MAX_A = 128
 
+# work counters, read and reset by stats(): `_dot` calls, LoopElement inverses,
+# straightening iterates computed, and last steps certified without one
+_dots = _inverses = _iterates = _certified = 0
+
+
+def stats() -> dict[str, int]:
+    """The work counters since the last call; resets them."""
+    global _dots, _inverses, _iterates, _certified
+    out = {"dot_calls": _dots, "inverse_calls": _inverses,
+           "iterations_computed": _iterates, "steps_certified": _certified}
+    _dots = _inverses = _iterates = _certified = 0
+    return out
+
 
 class PrecisionError(RuntimeError):
     pass
@@ -391,6 +404,8 @@ def _dot(ring: Ring, pairs, nb: int, prec: int | None) -> TruncSeries:
     The products are summed as integers, each shifted to the least base, and
     unpacked once: below prec every term is known, so the sum is exact there.
     """
+    global _dots
+    _dots += 1
     parts = [(a[0] + b[0], a[1] * b[1]) for a, b in pairs if a and b]
     if not parts:
         return TruncSeries(ring, (), prec)
@@ -477,6 +492,8 @@ class LoopElement:
         packed once, up to the furthest exponent any cofactor product needs,
         and each product is one `_dot` known below its own `_mul_window`.
         """
+        global _inverses
+        _inverses += 1
         full, ring = tuple(range(self.n)), self.ring
         if laplace is None:
             laplace = _Laplace(self)
@@ -520,6 +537,11 @@ class LoopElement:
             tuple(s.with_prec(_min_prec(s.prec, prec)) for s in row) for row in self.rows))
 
 
+def _check_size(n: int) -> None:
+    if n > MAX_LOOP_N:
+        raise CapExceeded(f"determinant of a {n}x{n} loop element: the limit is {MAX_LOOP_N}")
+
+
 class _Laplace:
     """The minors of one loop element, each expanded along its first row once.
 
@@ -534,9 +556,7 @@ class _Laplace:
     """
 
     def __init__(self, el: LoopElement):
-        if el.n > MAX_LOOP_N:
-            raise CapExceeded(f"determinant of a {el.n}x{el.n} loop element: "
-                              f"the limit is {MAX_LOOP_N}")
+        _check_size(el.n)
         self.el = el
         terms = max(len(s.coeffs) for row in el.rows for s in row)
         self.nb = _slot_bytes(el.n * terms, el.ring.modulus)
@@ -712,9 +732,25 @@ def straightening_gap(p: int, a: int, f: int, h_mu: int) -> int:
 
 
 def _is_integral_unit(a: LoopElement) -> bool:
-    """a is in GL_n(R[[u]]): no term below u^0, and det(a) is a unit mod (p, u)."""
-    return (all(s.lo == 0 for row in a.rows for s in row)
-            and a.with_prec(1).det().coeff(0) % a.ring.p != 0)
+    """a is in GL_n(R[[u]]): no term below u^0, and det(a) is a unit mod (p, u).
+
+    det(a) mod (p, u) is the determinant of the constant terms over F_p:
+    Gaussian elimination clears one column a step with a pivot row.
+    PrecisionError when an entry does not know its constant term;
+    CapExceeded above MAX_LOOP_N, as for det."""
+    if not all(s.lo == 0 for row in a.rows for s in row):
+        return False
+    _check_size(a.n)
+    p = a.ring.p
+    rows = [[s.coeff(0) % p for s in row] for row in a.rows]
+    while rows:
+        pivot = next((r for r in rows if r[0]), None)
+        if pivot is None:
+            return False
+        rows.remove(pivot)
+        f = pow(pivot[0], -1, p)
+        rows = [[(x - r[0] * f * y) % p for x, y in zip(r[1:], pivot[1:])] for r in rows]
+    return True
 
 
 def straighten_right(x, b: LoopElement, f: int, h_mu: int,
@@ -733,10 +769,20 @@ def straighten_right(x, b: LoopElement, f: int, h_mu: int,
     known to less than `window`, and for a window the iterates cannot keep:
     X phi(A) Y is known to p * window plus the least exponents of X and Y.
 
+    The loop stops once an iterate repeats the last below the window.  If
+    A_{k+1} - A_k vanishes below d and p d + low >= window, low the least
+    exponents of X and Y added, then A_{k+2} - A_{k+1} = X phi(A_{k+1} - A_k) Y
+    vanishes on the window: A_{k+1} is returned without forming A_{k+2}, and
+    the trace ends with window // e as if it had been formed.  That step is
+    certified only where the cap leaves room for it and `_keeps_window`
+    shows its product known to the window, so every error stays where the
+    formed iterate would raise it.
+
     The answer satisfies A = Psi_B(A) below the window, and the residual
     A^{-1} X phi(A) (B X)^{-1} is A^{-1} Psi_B(A), so `residual_is_one`
     holds when A is an integral unit.
     """
+    global _iterates, _certified
     x_factors = [x] if isinstance(x, LoopElement) else list(x)
     x_prod = product_of(x_factors)
     ring = x_prod.ring
@@ -761,12 +807,13 @@ def straighten_right(x, b: LoopElement, f: int, h_mu: int,
                          f"window {window}: the least window that works is {-(low // (ring.p - 1))}")
     a_cur = start if start is not None else LoopElement.identity(ring, x_prod.n)
     a_cur = a_cur.with_prec(window)
-    trace = []
-    for _ in range((window // ring.e) // gap + 4):
+    trace, cap = [], (window // ring.e) // gap + 4
+    for step in range(cap):
         # phi spreads the window over p times the exponents; each product
         # that takes it meets a finite-window factor, so only the part below
         # that window is multiplied
         a_next = (x_prod * (a_cur.phi() * xb)).with_prec(window)
+        _iterates += 1
         if a_next.min_prec() < window:
             raise PrecisionError("window slack exhausted during iteration")
         # depth of the update a_cur^{-1} a_next: a_cur is an integral unit, so
@@ -780,10 +827,30 @@ def straighten_right(x, b: LoopElement, f: int, h_mu: int,
         if differ == window:
             break
         a_cur = a_next
+        # the next update vanishes below p differ + low (see above)
+        if (step + 1 < cap and ring.p * differ + low >= window
+                and _keeps_window(a_next, x_prod, xb, window)):
+            trace.append(window // ring.e)
+            _certified += 1
+            break
     else:
         raise PrecisionError("straightening did not converge within the window")
     # both are known to the window, so a_cur is a_next: Psi_B(A) = A there
     return StraighteningResult(a_cur, len(trace), _is_integral_unit(a_cur), tuple(trace))
+
+
+def _keeps_window(a: LoopElement, x: LoopElement, y: LoopElement, window: int) -> bool:
+    """X (phi(a) Y) is known to the window, for a windowed a.  `_mul_window`
+    is monotone in the precs and least exponents of its factors, so on the
+    least of each over the entries it bounds every entry's prec from below;
+    phi(a) Y is taken to start at the sum of the least exponents, a lower
+    bound, which can only lower the predicted prec."""
+    lo_a, lo_x, lo_y = [min(_vanishing_below(s) for row in el.rows for s in row)
+                        for el in (a, x, y)]
+    p = a.ring.p
+    inner = _mul_window((p * a.min_prec(), p * lo_a, None), (y.min_prec(), lo_y, None))
+    return _min_prec(_mul_window((x.min_prec(), lo_x, None), (inner, p * lo_a + lo_y, None)),
+                     window) >= window
 
 
 def _first_difference(a: tuple, b: tuple, window: int) -> int:
@@ -797,11 +864,11 @@ def _first_difference(a: tuple, b: tuple, window: int) -> int:
 
 
 def _v_plus_p_power(ring: Ring, k: int) -> TruncSeries:
-    """(v+p)^k by the binomial theorem: sum over j < a of C(k, j) p^j v^(k-j),
+    """(v+p)^k, k >= 0, by the binomial theorem: sum over j < a of C(k, j) p^j v^(k-j),
     since p^j = 0 mod p^a from j = a on.  C(k, j) is carried exactly as
     p^t times a unit mod p^a, so k may have thousands of digits."""
-    p, a, m = ring.p, ring.a, ring.modulus
-    coeffs, t, unit = {k: 1}, 0, 1
+    p, a, m, e = ring.p, ring.a, ring.modulus, ring.e
+    coeffs, t, unit = {e * k: 1}, 0, 1
     for j in range(1, min(k, a - 1) + 1):
         # C(k, j) = C(k, j-1) (k - j + 1) / j
         for x, step in ((k - j + 1, 1), (j, -1)):
@@ -809,7 +876,7 @@ def _v_plus_p_power(ring: Ring, k: int) -> TruncSeries:
                 x, t = x // p, t + step
             unit = unit * pow(x, step, m) % m
         if t + j < a:
-            coeffs[k - j] = unit * p ** (t + j)
+            coeffs[e * (k - j)] = unit * p ** (t + j)
     return TruncSeries.make(ring, coeffs)
 
 
@@ -896,18 +963,13 @@ def random_bounded_x(rng: random.Random, ring: Ring, n: int, mu: Sequence[int],
             nu[i + 1] += 1
     nu.sort(reverse=True)
     if use_v_plus_p:
-        vp = TruncSeries.v_plus_p(ring)
-        core_rows = []
-        for i in range(n):
-            row = [TruncSeries.zero(ring) for _ in range(n)]
-            s = TruncSeries.one(ring)
-            k = nu[i]
-            base = vp if k >= 0 else vp.inverse(window or 4 * ring.p * ring.e)
-            for _ in range(abs(k)):
-                s = s * base
-            row[i] = s
-            core_rows.append(tuple(row))
-        core = LoopElement(ring, tuple(core_rows))
+        # (v+p)^k from the binomial theorem; (v+p)^-k as k products of a windowed inverse
+        inv = (TruncSeries.v_plus_p(ring).inverse(window or 4 * ring.p * ring.e)
+               if nu[-1] < 0 else None)
+        diag = [_v_plus_p_power(ring, k) if k >= 0 else reduce(mul, [inv] * -k) for k in nu]
+        zero = TruncSeries.zero(ring)
+        core = LoopElement(ring, tuple(tuple(d if i == j else zero for j in range(n))
+                                       for i, d in enumerate(diag)))
     else:
         core = LoopElement.diag_v_power(ring, nu)
     u = random_positive_unit(rng, ring, n, deg)

@@ -349,6 +349,33 @@ def test_v_plus_p_power_matches_repeated_products():
                 power = power * TruncSeries.v_plus_p(ring)
 
 
+def test_bounded_x_core_matches_repeated_products():
+    # the v+p core takes (v+p)^k, k >= 0, from the binomial theorem, in
+    # place of k products by v+p; (v+p)^-k stays k products of the windowed inverse
+    seen = set()
+    for p, a, e in itertools.product((3, 5, 7), (1, 2, 3, 5), (1, 2)):
+        ring = Ring(p, a, e)
+        vp, power = TruncSeries.v_plus_p(ring), TruncSeries.one(ring)
+        for k in range(30):
+            got = loop_sim._v_plus_p_power(ring, k)
+            assert (got.coeffs, got.prec) == (power.coeffs, power.prec), (p, a, e, k)
+            power = power * vp
+        # the core of random_bounded_x: diag((v+p)^k) over a nu with the total of mu
+        refs, inv = {}, vp.inverse(12)
+        for k in range(-4, 5):
+            want = TruncSeries.one(ring)
+            for _ in range(abs(k)):
+                want = want * (vp if k >= 0 else inv)
+            refs[_state(want)] = k
+        for mu in ((3, 0), (2, -1), (1, 1, -2)):
+            rng = random.Random(f"{p}{a}{e}{mu}")
+            core = random_bounded_x(rng, ring, len(mu), mu, 3, use_v_plus_p=True, window=12)[1]
+            nu = [refs[_state(core.rows[i][i])] for i in range(len(mu))]
+            assert sum(nu) == sum(mu), (p, a, e, mu)
+            seen.update(nu)
+    assert min(seen) < 0 < max(seen)
+
+
 def test_compare_quotients_at_the_largest_a():
     # a = 128 with a 25-digit prime just under check_prime's bound: p^(a-1)
     # has 3,100 digits, so no power could be formed by products
@@ -695,7 +722,7 @@ def _inverse_factorwise(factors, window=None):
     return reduce(mul, [f.inverse(window) for f in reversed(factors)])
 
 
-def _straighten_by_difference(xf, b, f, h_mu, window):
+def _straighten_by_difference(xf, b, f, h_mu, window, start=None):
     x = product_of(xf)
     ring = x.ring
     gap = straightening_gap(ring.p, ring.a, f, h_mu)
@@ -709,7 +736,7 @@ def _straighten_by_difference(xf, b, f, h_mu, window):
     if ring.p * window + low < window:
         raise ValueError(f"the iterates are known to u^(p*window{low:+d}) only, short of the "
                          f"window {window}: the least window that works is {-(low // (ring.p - 1))}")
-    a_cur = LoopElement.identity(ring, x.n).with_prec(window)
+    a_cur = (start if start is not None else LoopElement.identity(ring, x.n)).with_prec(window)
     trace = []
     for _ in range((window // ring.e) // gap + 4):
         a_next = (x * (a_cur.phi() * xb)).with_prec(window)
@@ -793,6 +820,101 @@ def test_straighten_makes_one_inverse_per_run(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# straighten_right skips the confirming iteration when the contraction bound
+# p d + low >= window certifies it.  The reference above runs every iteration.
+
+def _started_input(p, a, n, h_mu, f, e, window, seed, start):
+    ring = Ring(p, a, e)
+    rng = random.Random(seed)
+    xf = random_bounded_x(rng, ring, n, (h_mu,) + (0,) * (n - 1), 3,
+                          use_v_plus_p=bool(seed % 2), window=window + 20)
+    b = random_depth_element(rng, ring, n, f, f + 4)
+    if start == "unit":
+        a0 = loop_sim.random_positive_unit(rng, ring, n, 4)
+    else:
+        a0 = random_depth_element(rng, ring, n, 1, 6)
+    return xf, b, a0.with_prec(window)
+
+
+# (p, a, n, h_mu, f, e, window, seed, start) -> what decides the run, and the
+# iterates computed and steps certified.  A start far from the answer takes
+# more steps than the default identity start.
+STARTED_CELLS = {
+    (3, 1, 2, 1, 1, 1, 8, 0, "depth1"): ("certified", 3, 1),
+    (3, 1, 2, 1, 1, 1, 16, 0, "depth1"): ("certified", 4, 1),
+    (3, 2, 3, 2, 4, 1, 16, 1, "depth1"): ("certified", 7, 1),
+    (5, 2, 2, 2, 4, 1, 60, 1, "depth1"): ("certified", 4, 1),
+    (5, 1, 2, 2, 1, 2, 8, 0, "unit"): ("certified", 2, 1),
+    # p d + low falls short of the window until the iterates agree
+    (3, 1, 2, 2, 2, 2, 6, 4, "unit"): ("confirmed", 3, 0),
+    (3, 1, 2, 3, 2, 2, 24, 0, "unit"): ("confirmed", 4, 0),
+    # the bound holds after the cap's last iteration (4 = 16 // 21 + 4): with
+    # no room for the confirming iteration, the run does not converge
+    (3, 1, 2, 1, 11, 1, 16, 2, "depth1"): ("did not converge", 4, 0),
+    (3, 1, 2, 2, 2, 2, 8, 0, "unit"): ("did not converge", 6, 0),
+    (3, 2, 3, 2, 4, 1, 8, 1, "depth1"): ("did not converge", 6, 0),
+    (3, 1, 2, 1, 1, 1, 8, 0, "unit"): ("window slack", 4, 0),
+}
+
+
+def test_certified_step_matches_the_every_iteration_reference():
+    for cell, (kind, computed, certified) in STARTED_CELLS.items():
+        p, a, n, h_mu, f, e, window, seed, start = cell
+        xf, b, a0 = _started_input(*cell)
+
+        def solve():
+            res = straighten_right(xf, b, f, h_mu, start=a0, window=window)
+            return (_loop_state(res.a_elem), res.iterations, res.trace, res.residual_is_one)
+
+        def solve_every_iteration():
+            a_elem, iterations, trace, one = _straighten_by_difference(
+                xf, b, f, h_mu, window, start=a0)
+            return _loop_state(a_elem), iterations, trace, one
+
+        loop_sim.stats()
+        got = _result_or_error(solve)
+        counts = loop_sim.stats()
+        assert got == _result_or_error(solve_every_iteration), cell
+        if isinstance(got[0], type):
+            assert got[0] is PrecisionError and got[1].startswith(
+                {"did not converge": "straightening did not converge",
+                 "window slack": "window slack exhausted"}[kind]), cell
+        else:
+            assert got[1] == computed + certified and kind in ("certified", "confirmed"), cell
+        assert (counts["iterations_computed"], counts["steps_certified"]) == \
+            (computed, certified), cell
+
+
+def test_straighten_computes_two_iterates_and_certifies_one():
+    loop_sim.stats()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["straighten", "--p", "7", "--n", "3"]) == 0
+    counts = loop_sim.stats()
+    assert (counts["iterations_computed"], counts["steps_certified"]) == (2, 1)
+    assert counts["inverse_calls"] == 1 and counts["dot_calls"] > 0
+    assert set(loop_sim.stats().values()) == {0}
+
+
+def test_window_certificate_is_a_lower_bound():
+    # _keeps_window reads only the least prec and exponent of each factor's
+    # entries; whenever it holds, the product it predicts is known to the window
+    rng = random.Random(29)
+    held = 0
+    for ring in LAPLACE_RINGS:
+        for n in (1, 2, 3):
+            for _ in range(6):
+                a, x, y = [_laplace_element(rng, ring, n, rng.choice(("dense", "sparse")))
+                           for _ in range(3)]
+                a = a.with_prec(rng.randrange(-2, 12))  # the iterate is windowed
+                prec = (x * (a.phi() * y)).min_prec()
+                for window in range(-8, 40, 3):
+                    if loop_sim._keeps_window(a, x, y, window):
+                        held += 1
+                        assert prec is None or prec >= window, (ring, n, window)
+    assert held
+
+
+# ---------------------------------------------------------------------------
 # straighten_right certifies its answer from the last iterate.  The residual
 # A^{-1} X phi(A) X^{-1} B^{-1}, with A^{-1} a windowed inverse, is the reference.
 
@@ -862,6 +984,72 @@ def test_integral_unit_check():
     # determinant p + v: its constant term is 0 mod p
     assert not loop_sim._is_integral_unit(LoopElement(ring, ((one, zero), (zero, p + v))))
     assert not loop_sim._is_integral_unit(LoopElement(ring, ((one, one), (one, one + v))))
+
+
+def _unit_by_laplace(a):
+    """The integral-unit test through a Laplace determinant at prec 1."""
+    return (all(s.lo == 0 for row in a.rows for s in row)
+            and a.with_prec(1).det().coeff(0) % a.ring.p != 0)
+
+
+def _constant_terms_element(rng, ring, consts):
+    """An exact element whose constant terms are `consts`, with random terms
+    at u^1 .. u^3."""
+    return LoopElement(ring, tuple(
+        tuple(TruncSeries.make(ring, {0: c, **{k: rng.randrange(ring.modulus)
+                                                for k in range(1, 4)}}) for c in row)
+        for row in consts))
+
+
+def test_integral_unit_matches_the_laplace_determinant():
+    rng = random.Random(2917)
+    kinds = set()
+    for n, a, p in itertools.product(range(1, MAX_LOOP_N + 1), (1, 2, 3), (2, 3, 7)):
+        ring = Ring(p, a)
+        for _ in range(3):
+            full = loop_sim.random_positive_unit(rng, ring, n, 3)
+            # row n-1 a combination of the others mod p, lifted by p times
+            # random terms: det = 0 mod p, and for a >= 2 mostly not mod p^a
+            top = [[rng.randrange(p) for _ in range(n)] for _ in range(n - 1)]
+            mix = [rng.randrange(p) for _ in range(n - 1)]
+            last = [sum(c * row[j] for c, row in zip(mix, top)) % p for j in range(n)]
+            consts = [[(c + p * rng.randrange(ring.modulus)) % ring.modulus for c in row]
+                      for row in top + [last]]
+            singular = _constant_terms_element(rng, ring, consts)
+            for el in (full, singular):
+                got = loop_sim._is_integral_unit(el)
+                assert got == _unit_by_laplace(el), (n, a, p)
+                det0 = el.det().coeff(0)
+                kinds.add((got, det0 % p == 0, det0 % ring.modulus == 0))
+    # units, and non-units whose determinant is 0 mod p but not mod p^a
+    assert {(True, False, False), (False, True, False)} <= kinds
+
+
+def test_integral_unit_keeps_the_laplace_errors():
+    ring = Ring(5, 2)
+    one, zero = TruncSeries.one(ring), TruncSeries.zero(ring)
+    # a u^-1 entry: not integral, whatever the determinant
+    pole = LoopElement(ring, ((one, TruncSeries.monomial(ring, -1)), (zero, one)))
+    assert loop_sim._is_integral_unit(pole) is _unit_by_laplace(pole) is False
+    # an entry known only below u^0, and the size cap
+    unknown = LoopElement(ring, ((TruncSeries.zero(ring, prec=0), zero), (zero, one)))
+    for el, exc in ((unknown, PrecisionError),
+                    (LoopElement.identity(ring, MAX_LOOP_N + 1), CapExceeded)):
+        errors = []
+        for check in (loop_sim._is_integral_unit, _unit_by_laplace):
+            with pytest.raises(exc) as info:
+                check(el)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+
+def test_straighten_past_the_size_cap_keeps_its_envelope():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["--emit", "json", "straighten", "--p", "7", "--n", "9"]) == 2
+    assert out.getvalue() == (
+        '{\n  "payload": {\n    "error": "determinant of a 9x9 loop element: the limit is 8"\n'
+        '  },\n  "schema": 1,\n  "status": "error"\n}\n')
 
 
 def test_a_start_short_of_the_window_is_refused():
