@@ -11,7 +11,6 @@ marked `"internal": true`.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
@@ -21,8 +20,9 @@ import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
-from . import acceptance, figures
+from . import figures
 from .apartment import ApartmentPoint, ZERO_PLUS, is_d_generic, parahoric_pattern
 from .galois import GaloisType, census, frobenius_invariant
 from .loop_sim import (
@@ -302,7 +302,7 @@ def _cmd_straighten(args) -> CommandResult:
         "residual_is_identity": res.residual_is_one,
         "update_depths": list(res.trace),
     }
-    if getattr(args, "emit", "text") == "json":
+    if args.emit == "json":
         payload["solution"] = [
             [{str(k): v for k, v in s.coeffs} for s in row] for row in res.a_elem.rows
         ]
@@ -350,6 +350,9 @@ def _cmd_figure(args) -> CommandResult:
 
 
 def _cmd_verify(args) -> CommandResult:
+    # imported here, so that only a process that verifies compiles it
+    from . import acceptance
+
     results = acceptance.run_all()
     lines = []
     for r in results:
@@ -366,83 +369,120 @@ def _cmd_verify(args) -> CommandResult:
                          payload, trace="\n".join(lines))
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--emit", choices=("json", "text"), default=argparse.SUPPRESS)
-    ap = argparse.ArgumentParser(
-        prog="alcovekit",
-        description="Exact Bruhat-Tits combinatorics: types, alcoves, loop groups.",
-        parents=[common],
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-    _parents = {"parents": [common]}
+# a flag is (kind, default): kind is int, a tuple of the values it takes, or
+# the name its str value has in the usage text; a default of ... marks a
+# required flag
+_EMIT = {"emit": (("json", "text"), "text")}
+_GPE = {"group": ("GROUP", ...), "p": (int, ...), "e": (int, ...)}
+_GROUP_MU = {"group": ("GROUP", ...), "mu": ("INTS", ...)}
 
-    def common_group(sp):
-        sp.add_argument("--group", required=True)
-        sp.add_argument("--p", type=int, required=True)
-        sp.add_argument("--e", type=int, required=True)
+# command -> (handler, help line, flags); every command also takes --emit
+_COMMANDS = {name: (handler, text, {**flags, **_EMIT}) for name, (handler, text, flags) in {
+    "census": (_cmd_census, "type classes at fixed (p, e)", _GPE),
+    "frobinv": (_cmd_frobinv, "Frobenius invariance of one type",
+                {**_GPE, "lam": ("INTS", ...)}),
+    "generic": (_cmd_generic, "d-genericity of an apartment point",
+                {**_GPE, "eta": ("FRACS", ...), "d": ("FRAC", ...)}),
+    "adm": (_cmd_adm, "admissible set of a dominant cocharacter", _GROUP_MU),
+    "hmu": (_cmd_hmu, "height of a cocharacter", _GROUP_MU),
+    "pattern": (_cmd_pattern, "parahoric valuation pattern at a point",
+                {**_GPE, "eta": ("FRACS", ...), "f": ("FRAC|0+", "0")}),
+    "straighten": (_cmd_straighten, "run the straightening solver",
+                   {"p": (int, ...), "a": (int, 1), "f": (int, 1), "hmu": (int, 1),
+                    "n": (int, 2), "seed": (int, 0), "window": (int, None)}),
+    "compare": (_cmd_compare, "v versus v+p congruence identities",
+                {"p": (int, ...), "a": (int, ...), "n": (int, ...)}),
+    "figure": (_cmd_figure, "render an apartment figure to SVG",
+               {"kind": ((*_FIGURE_KINDS, *_FIGURE_KINDS.values()), ...),
+                "p": (int, 7), "e": (int, 24), "depth": (int, None),
+                "mu": ("INTS", "1,0,0"), "out": ("PATH", ...)}),
+    "verify": (_cmd_verify, "run the full acceptance suite", {}),
+}.items()}
 
-    sp = sub.add_parser("census", help="type classes at fixed (p, e)", **_parents)
-    common_group(sp)
-    sp.set_defaults(func=_cmd_census)
 
-    sp = sub.add_parser("frobinv", help="Frobenius invariance of one type", **_parents)
-    common_group(sp)
-    sp.add_argument("--lam", required=True, help="comma separated integers")
-    sp.set_defaults(func=_cmd_frobinv)
+class _UsageError(Exception):
+    """A malformed command line: (message, the command it names or None)."""
 
-    sp = sub.add_parser("generic", help="d-genericity of an apartment point", **_parents)
-    common_group(sp)
-    sp.add_argument("--eta", required=True, help="comma separated rationals")
-    sp.add_argument("--d", required=True)
-    sp.set_defaults(func=_cmd_generic)
 
-    sp = sub.add_parser("adm", help="admissible set of a dominant cocharacter", **_parents)
-    sp.add_argument("--group", required=True)
-    sp.add_argument("--mu", required=True)
-    sp.set_defaults(func=_cmd_adm)
+def _flag_usage(flags: dict) -> str:
+    words = []
+    for name, (kind, default) in flags.items():
+        value = "INT" if kind is int else "|".join(kind) if type(kind) is tuple else kind
+        words.append(f"--{name} {value}" if default is ... else f"[--{name} {value}]")
+    return " ".join(words)
 
-    sp = sub.add_parser("hmu", help="height of a cocharacter", **_parents)
-    sp.add_argument("--group", required=True)
-    sp.add_argument("--mu", required=True)
-    sp.set_defaults(func=_cmd_hmu)
 
-    sp = sub.add_parser("pattern", help="parahoric valuation pattern at a point", **_parents)
-    common_group(sp)
-    sp.add_argument("--eta", required=True)
-    sp.add_argument("--f", default="0", help="constant concave level, or 0+")
-    sp.set_defaults(func=_cmd_pattern)
+_USAGE = "usage: alcovekit [--emit json|text] <command> [--flag value | --flag=value]..."
 
-    sp = sub.add_parser("straighten", help="run the straightening solver", **_parents)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--a", type=int, default=1)
-    sp.add_argument("--f", type=int, default=1)
-    sp.add_argument("--hmu", type=int, default=1)
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--window", type=int, default=None)
-    sp.set_defaults(func=_cmd_straighten)
 
-    sp = sub.add_parser("compare", help="v versus v+p congruence identities", **_parents)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.set_defaults(func=_cmd_compare)
+def _usage(command: str | None) -> str:
+    """The usage line of one command, or of the whole grammar."""
+    if command is None:
+        return _USAGE
+    return f"usage: alcovekit {command} {_flag_usage(_COMMANDS[command][2])}"
 
-    sp = sub.add_parser("figure", help="render an apartment figure to SVG", **_parents)
-    sp.add_argument("--kind", required=True,
-                    choices=tuple(_FIGURE_KINDS) + tuple(_FIGURE_KINDS.values()))
-    sp.add_argument("--p", type=int, default=7)
-    sp.add_argument("--e", type=int, default=24)
-    sp.add_argument("--depth", type=int, default=None)
-    sp.add_argument("--mu", default="1,0,0")
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=_cmd_figure)
 
-    sp = sub.add_parser("verify", help="run the full acceptance suite", **_parents)
-    sp.set_defaults(func=_cmd_verify)
-    return ap
+def _help() -> str:
+    lines = [_USAGE, "", "Exact Bruhat-Tits combinatorics: types, alcoves, loop groups.", "",
+             "A value may begin with '-' but not with '--' (write that one as --flag=value);",
+             "flags are not abbreviated.", "", "commands:"]
+    for name, (_, text, flags) in _COMMANDS.items():
+        lines += [f"  {name:<11} {text}", f"      {_flag_usage(flags)}"]
+    return "\n".join(lines)
+
+
+def _parse(argv) -> tuple | None:
+    """(handler, args) for one command line, or None for -h / --help.
+
+    One pass over [--emit json|text] <command> (--flag value | --flag=value)...
+    against _COMMANDS.  --emit may come before or after the command, a
+    repeated flag keeps its last value, and the flags' defaults fill in the
+    rest.  _UsageError on anything else.
+    """
+    command, flags, values = None, _EMIT, {}
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok in ("-h", "--help"):
+            return None
+        if not tok.startswith("--"):
+            if command is not None:
+                raise _UsageError(f"unrecognized arguments: {tok}", command)
+            if tok not in _COMMANDS:
+                raise _UsageError(f"invalid command: {tok!r} (choose from "
+                                  f"{', '.join(_COMMANDS)})", None)
+            command, flags = tok, _COMMANDS[tok][2]
+            continue
+        name, eq, value = tok[2:].partition("=")
+        spec = flags.get(name)
+        if spec is None:
+            raise _UsageError(f"unrecognized arguments: {tok}", command)
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise _UsageError(f"argument --{name}: expected one argument", command)
+        kind = spec[0]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _UsageError(f"argument --{name}: invalid int value: {value!r}",
+                                  command) from None
+        elif type(kind) is tuple and value not in kind:
+            raise _UsageError(f"argument --{name}: invalid choice: {value!r} (choose from "
+                              f"{', '.join(kind)})", command)
+        values[name] = value
+    if command is None:
+        raise _UsageError("a command is required", None)
+    missing = []
+    for name, (_, default) in flags.items():
+        if name not in values:
+            if default is ...:
+                missing.append("--" + name)
+            values[name] = default
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}",
+                          command)
+    return _COMMANDS[command][0], SimpleNamespace(**values)
 
 
 def _emit(result: CommandResult, emit: str) -> None:
@@ -462,14 +502,18 @@ def _emit(result: CommandResult, emit: str) -> None:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    emit = getattr(args, "emit", "text")
+        parsed = _parse(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        message, command = exc.args
+        print(f"{_usage(command)}\nalcovekit: error: {message}", file=sys.stderr)
+        return 2
+    if parsed is None:
+        print(_help())
+        return 0
+    func, args = parsed
     try:
-        result = args.func(args)
+        result = func(args)
         code = 0 if result.status == "ok" else 1
     except RefusedError as exc:
         result, code = CommandResult("refused", {"reason": str(exc)}), 1
@@ -480,7 +524,7 @@ def main(argv=None) -> int:
         result, code = CommandResult("error", {"error": f"{type(exc).__name__}: {exc}",
                                                "internal": True}), 3
     try:
-        _emit(result, emit)
+        _emit(result, args.emit)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout early; keep the exit-time flush silent

@@ -30,6 +30,19 @@ from .rootdata import (
     WeylElement,
 )
 
+# work counters, read and reset by stats(): census calls, classes listed and
+# invariant classes among them
+_censuses = _classes = _invariant = 0
+
+
+def stats() -> dict[str, int]:
+    """The work counters since the last call; resets them."""
+    global _censuses, _classes, _invariant
+    out = {"census_calls": _censuses, "classes_listed": _classes,
+           "invariant_classes": _invariant}
+    _censuses = _classes = _invariant = 0
+    return out
+
 
 @dataclass(frozen=True)
 class GaloisType:
@@ -356,7 +369,12 @@ def census(rd: RootDatum, g: GammaData) -> CensusResult:
     for coords, num in _concatenated(blocks):
         wit = _frobenius_witness(rd, g, num, frob)
         classes.append(CensusClass(num, rd.den, coords, wit is not None, wit))
-    return CensusResult(len(classes), sum(c.invariant for c in classes), tuple(classes))
+    invariant = sum(c.invariant for c in classes)
+    global _censuses, _classes, _invariant
+    _censuses += 1
+    _classes += len(classes)
+    _invariant += invariant
+    return CensusResult(len(classes), invariant, tuple(classes))
 
 
 @dataclass(frozen=True)

@@ -197,6 +197,18 @@ MAX_BRUHAT_WORK = 16384
 
 # (b.key(), base.walls) -> the interval below b, as {key: element}
 _closures: dict = {}
+# work counters, read and reset by stats(): _lower_closure calls, the elements
+# they found and the reflection products they formed
+_closure_calls = _found = _products = 0
+
+
+def stats() -> dict[str, int]:
+    """The work counters since the last call; resets them."""
+    global _closure_calls, _found, _products
+    out = {"lower_closure_calls": _closure_calls, "elements_found": _found,
+           "reflection_products": _products}
+    _closure_calls = _found = _products = 0
+    return out
 
 
 def _check_work(ell: int, size: int) -> None:
@@ -226,12 +238,14 @@ def _lower_closure(tops: Sequence[AffineWeylElement], base: BaseAlcove,
     finite = [rd.reflection(a) for a in rd.positive_roots]
     refl: dict[tuple[int, int], AffineWeylElement] = {}  # (wall, k) -> reflection
     todo = list(found.values())
+    products = 0
     while todo:
         z = todo.pop()
         wy = z.finite.apply(y)
         nu = z.translation
         for m, (i, j, floor0) in enumerate(walls):
             f1 = (wy[i] - wy[j]) // denom - nu[i] + nu[j]
+            products += abs(f1 - floor0)
             for k in range(min(f1, floor0) + 1, max(f1, floor0) + 1):
                 r = refl.get((m, k))
                 if r is None:
@@ -243,6 +257,10 @@ def _lower_closure(tops: Sequence[AffineWeylElement], base: BaseAlcove,
                     found[x.key()] = x
                     todo.append(x)
                     _check_work(ell, len(found))
+    global _closure_calls, _found, _products
+    _closure_calls += 1
+    _found += len(found)
+    _products += products
     return found
 
 

@@ -245,10 +245,8 @@ def test_figure_at_the_caps(tmp_path, capsys, argv):
 
 def test_readme_cli_examples(tmp_path, capsys):
     # every line of the README's CLI block, with the counts its comments state
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     ran = []
-    for line in block.splitlines():
+    for line in _readme_cli_lines():
         command, _, comment = line.partition("#")
         argv = shlex.split(command)
         assert argv[0] == "alcovekit", line
@@ -279,6 +277,202 @@ def test_readme_cli_examples(tmp_path, capsys):
 def test_usage_error():
     assert cli.main(["nonsense"]) == 2
     assert cli.main(["adm"]) == 2  # missing required arguments
+
+
+def _argparse_reference():
+    """The argparse parser the command table replaced, as the reference for its grammar."""
+    import argparse
+
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--emit", choices=("json", "text"), default=argparse.SUPPRESS)
+    ap = argparse.ArgumentParser(
+        prog="alcovekit",
+        description="Exact Bruhat-Tits combinatorics: types, alcoves, loop groups.",
+        parents=[common],
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+    _parents = {"parents": [common]}
+
+    def common_group(sp):
+        sp.add_argument("--group", required=True)
+        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--e", type=int, required=True)
+
+    sp = sub.add_parser("census", help="type classes at fixed (p, e)", **_parents)
+    common_group(sp)
+    sp.set_defaults(func=cli._cmd_census)
+
+    sp = sub.add_parser("frobinv", help="Frobenius invariance of one type", **_parents)
+    common_group(sp)
+    sp.add_argument("--lam", required=True, help="comma separated integers")
+    sp.set_defaults(func=cli._cmd_frobinv)
+
+    sp = sub.add_parser("generic", help="d-genericity of an apartment point", **_parents)
+    common_group(sp)
+    sp.add_argument("--eta", required=True, help="comma separated rationals")
+    sp.add_argument("--d", required=True)
+    sp.set_defaults(func=cli._cmd_generic)
+
+    sp = sub.add_parser("adm", help="admissible set of a dominant cocharacter", **_parents)
+    sp.add_argument("--group", required=True)
+    sp.add_argument("--mu", required=True)
+    sp.set_defaults(func=cli._cmd_adm)
+
+    sp = sub.add_parser("hmu", help="height of a cocharacter", **_parents)
+    sp.add_argument("--group", required=True)
+    sp.add_argument("--mu", required=True)
+    sp.set_defaults(func=cli._cmd_hmu)
+
+    sp = sub.add_parser("pattern", help="parahoric valuation pattern at a point", **_parents)
+    common_group(sp)
+    sp.add_argument("--eta", required=True)
+    sp.add_argument("--f", default="0", help="constant concave level, or 0+")
+    sp.set_defaults(func=cli._cmd_pattern)
+
+    sp = sub.add_parser("straighten", help="run the straightening solver", **_parents)
+    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--a", type=int, default=1)
+    sp.add_argument("--f", type=int, default=1)
+    sp.add_argument("--hmu", type=int, default=1)
+    sp.add_argument("--n", type=int, default=2)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--window", type=int, default=None)
+    sp.set_defaults(func=cli._cmd_straighten)
+
+    sp = sub.add_parser("compare", help="v versus v+p congruence identities", **_parents)
+    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--a", type=int, required=True)
+    sp.add_argument("--n", type=int, required=True)
+    sp.set_defaults(func=cli._cmd_compare)
+
+    sp = sub.add_parser("figure", help="render an apartment figure to SVG", **_parents)
+    sp.add_argument("--kind", required=True,
+                    choices=tuple(cli._FIGURE_KINDS) + tuple(cli._FIGURE_KINDS.values()))
+    sp.add_argument("--p", type=int, default=7)
+    sp.add_argument("--e", type=int, default=24)
+    sp.add_argument("--depth", type=int, default=None)
+    sp.add_argument("--mu", default="1,0,0")
+    sp.add_argument("--out", required=True)
+    sp.set_defaults(func=cli._cmd_figure)
+
+    sp = sub.add_parser("verify", help="run the full acceptance suite", **_parents)
+    sp.set_defaults(func=cli._cmd_verify)
+    return ap
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+# argv shaped as the benchmark's requests: values after "=", negative ones
+# included, and every flag of straighten, compare and figure
+_BENCHMARK_SHAPED = [
+    "frobinv --group GL3 --p 5 --e 8 --lam=3,-2,0",
+    "frobinv --group PGL3 --p 3 --e 13 --lam=-12,5,7",
+    "generic --group PGL3 --p 3 --e 13 --eta=5/13,-2/13,-3/13 --d 1",
+    "generic --group SL2 --p 7 --e 24 --eta=-23/24,23/24 --d 0",
+    "pattern --group GL2 --p 7 --e 24 --eta=1/24,-5/24 --f 0+",
+    "pattern --group GL3 --p 5 --e 24 --eta=1/24,-5/24,0/1 --f 1/2",
+    "hmu --group GL2xGL2 --mu=1,-3,0,2",
+    "straighten --p 5 --a 2 --f 2 --hmu 1 --n 3 --seed 271828",
+    "compare --p 7 --a 2 --n 10",
+    "figure --kind sl2 --p 7 --e 48 --out .perfbench_out/fig.svg",
+    "figure --kind genericity --p 19 --depth 6 --out .perfbench_out/fig.svg",
+    "figure --kind admissible --mu 1,1,0 --out .perfbench_out/fig.svg",
+    "adm --group GL3xGL3 --mu=1,0,0,1,0,0",
+]
+
+
+def _parity_argvs():
+    argvs = [shlex.split(row[1]) for row in CLI_DIGESTS]
+    argvs += [["adm", "--group", group, "--mu", mu] for group, mu, _, _ in ADM_DIGESTS]
+    argvs += [shlex.split(line.partition("#")[0])[1:] for line in _readme_cli_lines()]
+    return argvs + [shlex.split(line) for line in _BENCHMARK_SHAPED]
+
+
+@pytest.mark.parametrize("emit", [[], ["--emit", "json"], ["--emit=text"]])
+def test_table_parses_as_argparse_did(emit):
+    ref = _argparse_reference()
+    for argv in _parity_argvs():
+        for line in (emit + argv, argv + emit):
+            expected = vars(ref.parse_args(line))
+            func = expected.pop("func")
+            del expected["command"]
+            expected.setdefault("emit", "text")
+            handler, args = cli._parse(line)
+            assert handler is func and vars(args) == expected, line
+
+
+_USAGE_ERRORS = [
+    [],                                                  # no command
+    ["--emit", "json"],
+    ["nonsense"],                                        # unknown command
+    ["adm", "--group", "GL3", "--mu", "1,0,0", "--bogus", "1"],   # unknown flag
+    ["adm", "--group", "GL3", "--mu", "1,0,0", "extra"],
+    ["hmu", "--group", "GL3", "--mu"],                   # missing value
+    ["hmu", "--group", "--mu", "1,0,0"],
+    ["adm", "--group", "GL3", "--mu", "1,0,0", "--emit"],
+    ["adm"],                                             # missing required flags
+    ["adm", "--group", "GL3"],
+    ["figure", "--kind", "sl2"],
+    ["compare", "--p", "x", "--a", "1", "--n", "2"],     # bad int
+    ["straighten", "--p=7.0"],
+    ["figure", "--kind", "hexagon", "--out", "f.svg"],   # bad choice
+    ["--emit", "xml", "hmu", "--group", "GL3", "--mu", "1,0,0"],
+    ["hmu", "--group", "GL3", "--mu", "1,0,0", "--emit=yaml"],
+]
+
+
+@pytest.mark.parametrize("argv", _USAGE_ERRORS, ids=" ".join)
+def test_usage_errors_exit_2_with_empty_stdout(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        _argparse_reference().parse_args(argv)
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: alcovekit")
+    assert err.splitlines()[-1].startswith("alcovekit: error: ")
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    ("frobinv --group SL2 --p 7 --e 24 --lam -3,3", "frobinv --group SL2 --p 7 --e 24 --lam=-3,3"),
+    ("generic --group SL2 --p 7 --e 24 --eta -1/8,1/8 --d 1",
+     "generic --group SL2 --p 7 --e 24 --eta=-1/8,1/8 --d 1"),
+])
+def test_values_may_begin_with_a_dash(capsys, spaced, joined):
+    with pytest.raises(SystemExit):  # argparse took -3,3 for a flag
+        _argparse_reference().parse_args(shlex.split(spaced))
+    capsys.readouterr()
+    assert cli.main(shlex.split(spaced) + ["--emit", "json"]) == 0
+    out = capsys.readouterr().out
+    assert cli.main(shlex.split(joined) + ["--emit", "json"]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_flags_are_not_abbreviated(capsys):
+    argv = ["adm", "--gro", "GL3", "--mu", "1,0,0"]
+    assert _argparse_reference().parse_args(argv).group == "GL3"
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["adm", "--help"], ["--emit", "json", "-h"]])
+def test_help_lists_every_command(capsys, argv):
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("usage: alcovekit")
+    for name, (_, text, _) in cli._COMMANDS.items():
+        assert f"  {name:<11} {text}" in out
+
+
+def test_cli_import_leaves_argparse_and_acceptance_out():
+    src = str(Path(alcovekit.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, alcovekit.cli; "
+         "print(sorted({'argparse', 'gettext', 'alcovekit.acceptance'} & set(sys.modules)))"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "[]\n"
 
 
 def test_error_status(capsys):
@@ -499,12 +693,10 @@ def test_large_e_is_an_error_within_a_second(capsys, argv):
     assert code == 2 and doc["status"] == "error"
 
 
-def test_parser_is_built_once(capsys):
-    assert cli.build_parser() is cli.build_parser()
+def test_repeated_requests_answer_alike(capsys):
     run_json(capsys, ["hmu", "--group", "GL3", "--mu", "1,0,0"])
     code, doc = run_json(capsys, ["hmu", "--group", "GL3", "--mu", "1,0,0"])
     assert code == 0 and doc["payload"] == {"mu": [1, 0, 0], "h_mu": 1}
-    assert cli.build_parser.cache_info().misses == 1
 
 
 # SHA-256 of CLI output recorded with json.dumps(indent=2, sort_keys=True) as

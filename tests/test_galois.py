@@ -939,3 +939,14 @@ def test_monomial_checks_survive_optimized_mode():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_stats_count_census_classes():
+    galois.stats()
+    gl3 = build_root_datum("GL3")
+    res = census(gl3, split_gamma(gl3, 7, 24))
+    assert (res.total, res.invariant_count) == (2600, 110)
+    census(SL2, G24)
+    assert galois.stats() == {"census_calls": 2, "classes_listed": 2600 + 13,
+                              "invariant_classes": 110 + 7}
+    assert set(galois.stats().values()) == {0}

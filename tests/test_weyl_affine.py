@@ -472,3 +472,28 @@ def test_admissible_set_is_the_union_of_the_subword_intervals(label, mu):
     for z, word, om in adm:
         w, o = reduced_word(z, base)
         assert word == w and om.key() == o.key()
+
+
+def test_stats_count_the_closure_work(monkeypatch):
+    # Adm(1,0,0) of GL3 is one closure from the three v^{w mu}
+    weyl_affine.stats()
+    assert len(admissible_set(GL3, (1, 0, 0), BASE3)) == 7
+    assert weyl_affine.stats() == {"lower_closure_calls": 1, "elements_found": 7,
+                                   "reflection_products": 9}
+    # the products are the closure's calls of AffineWeylElement.__mul__
+    calls = []
+    mul = AffineWeylElement.__mul__
+    monkeypatch.setattr(AffineWeylElement, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    for rd, base, mu in [(GL3, BASE3, (2, 1, 0)), (GL2, BASE2, (3, 0))]:
+        top = translation_element(rd, mu)
+        ell = length(top, base)
+        calls.clear()
+        found = weyl_affine._lower_closure([top], base, ell)
+        assert weyl_affine.stats() == {"lower_closure_calls": 1, "elements_found": len(found),
+                                       "reflection_products": len(calls)}
+    # bruhat_leq forms the interval below an upper element once
+    monkeypatch.setattr(weyl_affine, "_closures", {})
+    b = translation_element(GL3, (1, 0, 0))
+    for a in (affine_identity(GL3), b):
+        bruhat_leq(a, b, BASE3)
+    assert weyl_affine.stats()["lower_closure_calls"] == 1
