@@ -3,11 +3,12 @@
 Modules:
   rootdata     based root data, Weyl groups, fundamental groups, Tate H^0
   apartment    rational apartment points, Frobenius, genericity, patterns
-  galois       Galois types, censuses, strictification, Shapiro transport
+  galois       Galois types, censuses, strictification
   weyl_affine  Iwahori-Weyl combinatorics: lengths, words, Bruhat, Adm(mu)
   loop_sim     truncated loop groups over Z/p^a and the straightening solver
   figures      deterministic SVG apartment pictures
   acceptance   the nine-criterion verification gate
+  cli          the command table and its one-pass parser
 """
 from .rootdata import (
     CapExceeded,
@@ -29,8 +30,6 @@ from .apartment import (
     ZERO_PLUS,
     frobenius,
     is_d_generic,
-    is_deep_lowest_alcove,
-    is_lowest_alcove,
     parahoric_pattern,
     point_from_type,
 )
@@ -42,8 +41,6 @@ from .galois import (
     check_cocycle_relations,
     cocycle_values,
     frobenius_invariant,
-    shapiro,
-    shapiro_inverse,
     strictify,
     type_from_s_mu,
 )
@@ -65,8 +62,6 @@ from .loop_sim import (
     TruncSeries,
     congruence_compare,
     conjugation_depth_bound,
-    membership,
-    phi_c,
     straighten_right,
 )
 from .monomial import MonomialMatrix

@@ -99,26 +99,6 @@ def is_d_generic(x: ApartmentPoint, d) -> bool:
     return True
 
 
-def is_lowest_alcove(x: ApartmentPoint) -> bool:
-    """0 <= <a, x-o> < 1 for every positive root a (slot 0)."""
-    eta = x.eta(0)
-    for i, j in x.rd.positive_roots:
-        t = eta[i] - eta[j]
-        if not (0 <= t < 1):
-            return False
-    return True
-
-
-def is_deep_lowest_alcove(rd: RootDatum, mu_eta: Sequence[int], d, p: int) -> bool:
-    """d < <a, mu+eta> < p - d for every positive root a (the n_a = 0 case)."""
-    d = Fraction(d)
-    for i, j in rd.positive_roots:
-        t = mu_eta[i] - mu_eta[j]
-        if not (d < t < p - d):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class ValuationPattern:
     """Entrywise valuation bounds of the parahoric-type subgroup at a point.
@@ -133,10 +113,6 @@ class ValuationPattern:
     torus_level: Fraction
     e: int
 
-    def bounds_u(self) -> tuple[tuple[int, ...], ...]:
-        """The same bounds as integers in u-units (u^e = v)."""
-        return tuple(tuple(int(b * self.e) for b in row) for row in self.lower_bounds)
-
 
 def parahoric_pattern(x: ApartmentPoint, f, j: int = 0) -> ValuationPattern:
     """GL_n valuation pattern at x with constant concave function f.
@@ -146,6 +122,8 @@ def parahoric_pattern(x: ApartmentPoint, f, j: int = 0) -> ValuationPattern:
     """
     if len(x.rd.block_sizes) != 1 or x.rd.label.startswith(("SL", "PGL")):
         raise ValueError("valuation patterns are defined entrywise only for GL_n")
+    if f is not ZERO_PLUS and Fraction(f) < 0:
+        raise ValueError(f"the concave function f must be at least 0, got {f}")
     n = x.rd.dim
     e = x.gamma.e
     eta = x.eta(j)

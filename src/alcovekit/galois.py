@@ -428,31 +428,6 @@ def strictify(b: Sequence[MonomialMatrix], p: int) -> CoboundaryChain:
     return CoboundaryChain(s, slots, tuple(c), bext)
 
 
-def shapiro(g: GammaData, f_values: Sequence[MonomialMatrix]) -> tuple[MonomialMatrix, ...]:
-    """g_j = ^{sigma^j} f(sigma^{-j}) for f_values = [f(1), f(sigma^{-1}), ...].
-
-    The sigma-action on values is psi with the coefficient Frobenius
-    (global exponents times p per application).
-    """
-    if len(f_values) != g.r:
-        raise ValueError("need one value per coset representative")
-    out = []
-    for j, (val, power) in enumerate(zip(f_values, _perm_powers(g.psi.perm(), g.r))):
-        m = val.coef_frobenius(pow(g.p, j, val.mod) if val.mod > 1 else 1)
-        out.append(m.conjugate_by_permutation(power))
-    return tuple(out)
-
-
-def shapiro_inverse(g: GammaData, tup: Sequence[MonomialMatrix]) -> tuple[MonomialMatrix, ...]:
-    out = []
-    for j, (val, power) in enumerate(zip(tup, _perm_powers(g.psi.inv().perm(), len(tup)))):
-        m = val.conjugate_by_permutation(power)
-        p_inv = pow(g.p, -1, val.mod) if val.mod > 1 else 1
-        m = m.coef_frobenius(pow(p_inv, j, val.mod) if val.mod > 1 else 1)
-        out.append(m)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class TypeConstruction:
     t: GaloisType

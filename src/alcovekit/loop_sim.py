@@ -1,4 +1,4 @@
-"""Truncated loop-group simulator over Z/p^a: Frobenius twists and straightening.
+"""Truncated loop-group simulator over Z/p^a: Frobenius and straightening.
 
 Series are Laurent polynomials in u (with u^e = v; the default simulator runs
 at e = 1 so u is v itself) with coefficients in Z/p^a, tracked exactly below a
@@ -17,7 +17,6 @@ import random
 import struct
 from typing import Sequence
 
-from .apartment import ValuationPattern
 from .rootdata import CapExceeded, RefusedError, check_prime
 
 # det expands each minor once, in at most n*2^(n-1) series products.  As CLI runs on
@@ -593,15 +592,6 @@ class _Laplace:
         return self.packed[key, stop]
 
 
-def phi_c(a: LoopElement, c: LoopElement | None = None,
-          window: int | None = None) -> LoopElement:
-    """The twisted Frobenius A -> c phi(A) c^{-1}."""
-    fa = a.phi()
-    if c is None:
-        return fa
-    return c * (fa * c.inverse(window))
-
-
 def identity_depth(a: LoopElement) -> int:
     """Largest certified n with a = 1 mod v^n entrywise (v-units)."""
     return _zero_depth(a - LoopElement.identity(a.ring, a.n))
@@ -617,39 +607,6 @@ def _vanishing_below(s: TruncSeries) -> int:
     an exact zero vanishes everywhere and stands in as u^(e 10^9)."""
     low = _ends(s)[1]
     return low if low is not None else s.ring.e * 10**9
-
-
-def membership(a: LoopElement, pattern: ValuationPattern) -> tuple[bool, int]:
-    """Entrywise check against the pattern, plus the measured congruence depth.
-
-    The depth is the largest n with a in the pattern's level-n congruence
-    subgroup: off-diagonal slots gain n, diagonal entries are 1 mod v^n.
-    """
-    e = pattern.e
-    if a.ring.e != e:
-        raise ValueError(f"ring has e={a.ring.e}, the pattern needs e={e}")
-    bounds = pattern.bounds_u()
-    n = pattern.n
-    ok = True
-    depth = None
-    for i in range(n):
-        for j in range(n):
-            s = a.rows[i][j]
-            if i == j:
-                v = _vanishing_below(s - TruncSeries.one(a.ring))
-                lead = s.coeff(0) if (s.prec is None or s.prec > 0) else 0
-                if lead % a.ring.p == 0:
-                    ok = False
-                if pattern.torus_level > 0 and v < pattern.torus_level * e:
-                    ok = False
-                slot_depth = v // e
-            else:
-                v = _vanishing_below(s)
-                if s.val() is not None and s.val() < bounds[i][j]:
-                    ok = False
-                slot_depth = (v - bounds[i][j]) // e
-            depth = slot_depth if depth is None else min(depth, slot_depth)
-    return ok, int(depth if depth is not None else 0)
 
 
 def product_of(factors: Sequence[LoopElement]) -> LoopElement:
@@ -774,9 +731,20 @@ def straighten_right(x, b: LoopElement, f: int, h_mu: int,
     exponents of X and Y added, then A_{k+2} - A_{k+1} = X phi(A_{k+1} - A_k) Y
     vanishes on the window: A_{k+1} is returned without forming A_{k+2}, and
     the trace ends with window // e as if it had been formed.  That step is
-    certified only where the cap leaves room for it and `_keeps_window`
-    shows its product known to the window, so every error stays where the
-    formed iterate would raise it.
+    certified only where the cap leaves room for it.  The skipped product
+    X phi(A_{k+1}) Y is known to the window, so every error stays where the
+    formed iterate would raise it:
+    - both iterates are cut to the window, so phi of either has prec
+      p window;
+    - an entry of A_{k+1} whose support starts below d starts where A_k's
+      entry starts, since the two agree below d: its products with Y have
+      the precs they had in the last product formed;
+    - every other entry starts at d or later, so its products with Y know
+      p d plus the least exponent of Y, and the inner product changes only
+      from there; X times it knows p d + low >= window, as no factor's
+      prec lies below the start of its support;
+    - so the skipped product is known wherever the last formed one was,
+      and that one was known to the window or the loop had raised.
 
     The answer satisfies A = Psi_B(A) below the window, and the residual
     A^{-1} X phi(A) (B X)^{-1} is A^{-1} Psi_B(A), so `residual_is_one`
@@ -828,8 +796,7 @@ def straighten_right(x, b: LoopElement, f: int, h_mu: int,
             break
         a_cur = a_next
         # the next update vanishes below p differ + low (see above)
-        if (step + 1 < cap and ring.p * differ + low >= window
-                and _keeps_window(a_next, x_prod, xb, window)):
+        if step + 1 < cap and ring.p * differ + low >= window:
             trace.append(window // ring.e)
             _certified += 1
             break
@@ -837,20 +804,6 @@ def straighten_right(x, b: LoopElement, f: int, h_mu: int,
         raise PrecisionError("straightening did not converge within the window")
     # both are known to the window, so a_cur is a_next: Psi_B(A) = A there
     return StraighteningResult(a_cur, len(trace), _is_integral_unit(a_cur), tuple(trace))
-
-
-def _keeps_window(a: LoopElement, x: LoopElement, y: LoopElement, window: int) -> bool:
-    """X (phi(a) Y) is known to the window, for a windowed a.  `_mul_window`
-    is monotone in the precs and least exponents of its factors, so on the
-    least of each over the entries it bounds every entry's prec from below;
-    phi(a) Y is taken to start at the sum of the least exponents, a lower
-    bound, which can only lower the predicted prec."""
-    lo_a, lo_x, lo_y = [min(_vanishing_below(s) for row in el.rows for s in row)
-                        for el in (a, x, y)]
-    p = a.ring.p
-    inner = _mul_window((p * a.min_prec(), p * lo_a, None), (y.min_prec(), lo_y, None))
-    return _min_prec(_mul_window((x.min_prec(), lo_x, None), (inner, p * lo_a + lo_y, None)),
-                     window) >= window
 
 
 def _first_difference(a: tuple, b: tuple, window: int) -> int:

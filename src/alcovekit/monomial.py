@@ -75,12 +75,6 @@ class MonomialMatrix:
             upows[j] = -self.upows[i]
         return MonomialMatrix(self.n, self.mod, tuple(cols), tuple(exps), tuple(upows))
 
-    def coef_frobenius(self, p: int) -> "MonomialMatrix":
-        return MonomialMatrix(
-            self.n, self.mod, self.cols,
-            tuple((e * p) % self.mod for e in self.exps), self.upows,
-        )
-
     def conjugate_by_permutation(self, perm: Sequence[int]) -> "MonomialMatrix":
         """P M P^{-1} for the permutation matrix P: e_j -> e_{perm[j]}."""
         inv = [0] * self.n

@@ -9,8 +9,6 @@ from alcovekit.apartment import (
     ValuationPattern,
     frobenius,
     is_d_generic,
-    is_deep_lowest_alcove,
-    is_lowest_alcove,
     parahoric_pattern,
     point_from_type,
 )
@@ -130,36 +128,6 @@ def test_genericity_antitone():
             assert is_d_generic(x, dsmall)
 
 
-def test_lowest_alcove():
-    assert is_lowest_alcove(sl2_point(0))
-    assert is_lowest_alcove(sl2_point(-3))  # pairing 1/4
-    rd = build_root_datum("SL2")
-    g = split_gamma(rd, 7, 24)
-    boundary = ApartmentPoint(rd, g, ((F(1, 2), F(-1, 2)),) * 2)  # pairing 1
-    assert not is_lowest_alcove(boundary)
-
-
-def test_generic_lowest_iff_open_interval():
-    # 0-generic and lowest alcove together mean 0 < <a, x-o> < 1
-    rng = random.Random(3)
-    rd = build_root_datum("GL3")
-    g = split_gamma(rd, 7, 3)
-    for _ in range(100):
-        eta = tuple(F(rng.randrange(-6, 7), 6) for _ in range(3))
-        x = ApartmentPoint(rd, g, (eta,) * g.r)
-        lhs = is_d_generic(x, 0) and is_lowest_alcove(x)
-        rhs = all(0 < eta[i] - eta[j] < 1 for i, j in rd.positive_roots)
-        assert lhs == rhs
-
-
-def test_deep_lowest_alcove():
-    rd = build_root_datum("GL3")
-    assert is_deep_lowest_alcove(rd, (18, 12, 7), 3, 19)
-    assert not is_deep_lowest_alcove(rd, (1, 0, 0), 1, 19)
-    # d < 0 is vacuous once the pairings sit inside (0, p)
-    assert is_deep_lowest_alcove(rd, (3, 2, 1), -1, 5)
-
-
 def test_parahoric_pattern_gl3():
     rd = build_root_datum("GL3")
     e = 6
@@ -167,7 +135,7 @@ def test_parahoric_pattern_gl3():
     eta = (F(1, 3 * e), F(0), F(-1, 3 * e))
     x = ApartmentPoint(rd, g, (eta,) * g.r)
     pat = parahoric_pattern(x, 0)
-    assert pat.bounds_u() == ((0, 0, 0), (1, 0, 0), (1, 1, 0))
+    assert pat.lower_bounds == ((0, 0, 0), (F(1, 6), 0, 0), (F(1, 6), F(1, 6), 0))
     assert pat.torus_level == 0
 
 
@@ -176,10 +144,10 @@ def test_parahoric_pattern_gl2_and_hyperspecial():
     g = split_gamma(rd, 5, 4)  # e = p - 1
     x = point_from_type(rd, g, [(0, 1)] * g.r, [ident(2)] * g.r)
     pat = parahoric_pattern(x, 0)
-    assert pat.bounds_u() == ((0, -1), (1, 0))
+    assert pat.lower_bounds == ((0, F(-1, 4)), (F(1, 4), 0))
     o = point_from_type(rd, g, [(0, 0)] * g.r, [ident(2)] * g.r)
     pat0 = parahoric_pattern(o, 0)
-    assert pat0.bounds_u() == ((0, 0), (0, 0))
+    assert pat0.lower_bounds == ((0, 0), (0, 0))
 
 
 def test_pattern_zero_plus_and_level():
@@ -188,14 +156,14 @@ def test_pattern_zero_plus_and_level():
     x = point_from_type(rd, g, [(0, 1)] * g.r, [ident(2)] * g.r)
     pat = parahoric_pattern(x, ZERO_PLUS)
     # ceil becomes floor + 1 at the jump
-    assert pat.bounds_u() == ((0, 0), (2, 0))
+    assert pat.lower_bounds == ((0, 0), (F(1, 2), 0))
     assert pat.torus_level == F(1, 4)
     # the congruence subgroup two levels deeper: off-diagonal bounds + 2
     pat0 = parahoric_pattern(x, 0)
     lb = tuple(tuple(b + 2 if i != k else F(0) for k, b in enumerate(row))
                for i, row in enumerate(pat0.lower_bounds))
     lvl = ValuationPattern(pat0.n, lb, pat0.torus_level + 2, pat0.e)
-    assert lvl.bounds_u() == ((0, 7), (9, 0))
+    assert lvl.lower_bounds == ((0, F(7, 4)), (F(9, 4), 0))
 
 
 def test_pattern_pair_sums():

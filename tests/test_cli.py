@@ -535,6 +535,8 @@ def test_wrong_length_vector_is_an_error(capsys):
     ["frobinv", "--group", "SL2", "--p", "7", "--e", "-24", "--lam=-3,3"],
     ["generic", "--group", "GL2", "--p", "5", "--e", "10", "--eta", "0,0", "--d", "1"],
     ["pattern", "--group", "GL2", "--p", "5", "--e", "0", "--eta", "0,-1/4"],
+    # a negative depth describes no subgroup: was "torus_level": "-1/1"
+    ["pattern", "--group", "GL2", "--p", "5", "--e", "4", "--eta", "0,-1/4", "--f", "-1"],
     # lambda outside X_*: were answered with "invariant": false
     ["frobinv", "--group", "SL2", "--p", "7", "--e", "24", "--lam=1,0"],
     ["frobinv", "--group", "PGL2", "--p", "7", "--e", "24", "--lam=1,0"],

@@ -16,8 +16,6 @@ from alcovekit.galois import (
     check_cocycle_relations,
     cocycle_values,
     frobenius_invariant,
-    shapiro,
-    shapiro_inverse,
     strictify,
     type_from_s_mu,
 )
@@ -673,40 +671,6 @@ def test_strictify_skips_the_check_without_a_small_field(monkeypatch):
     assert _strictify_fields(monkeypatch, [MonomialMatrix.identity(2, 10**6 + 3)], 2) == []
 
 
-def test_shapiro():
-    rd = build_root_datum("GL2")
-    g = split_gamma(rd, 5, 8)  # r = 2
-    mod = g.q - 1
-    ones = [MonomialMatrix.identity(2, mod)] * g.r
-    assert all(m.is_identity() for m in shapiro(g, ones))
-    A = MonomialMatrix.from_signed_matrix(((0, 1), (1, 0)), mod)
-    B = MonomialMatrix.from_signed_matrix(((0, -1), (1, 0)), mod)
-    out = shapiro(g, [A, B])
-    assert out[0].entries() == A.entries()
-    # psi is trivial for GL2 and the entries are signs, so g_1 = B
-    assert out[1].entries() == B.entries()
-    back = shapiro_inverse(g, out)
-    assert [m.entries() for m in back] == [A.entries(), B.entries()]
-
-
-def test_shapiro_roundtrip_random():
-    rng = random.Random(17)
-    rd = build_root_datum("GL3")
-    g = split_gamma(rd, 7, 4)  # r = 2
-    assert g.r == 2
-    mod = g.q - 1
-    for _ in range(50):
-        vals = []
-        for _ in range(g.r):
-            perm = list(range(3))
-            rng.shuffle(perm)
-            exps = [rng.randrange(mod) for _ in range(3)]
-            vals.append(MonomialMatrix(3, mod, tuple(perm), tuple(exps), (0, 0, 0)))
-        out = shapiro(g, vals)
-        back = shapiro_inverse(g, out)
-        assert [m.entries() for m in back] == [m.entries() for m in vals]
-
-
 def _gl3x2(p):
     rd = build_root_datum("GL3xGL3")
     psi = WeylElement(tuple(tuple(1 if j == (i + 3) % 6 else 0 for j in range(6))
@@ -908,7 +872,7 @@ def test_signed_psi_is_refused_as_a_permutation():
     twist = WeylElement(((0, 0, -1), (0, -1, 0), (-1, 0, 0)))
     g = GammaData(p=5, e=24, r=2, psi=twist, inertial=ident(3))
     with pytest.raises(RefusedError):
-        shapiro(g, [MonomialMatrix.identity(3, 24)] * 2)
+        cocycle_values(GaloisType.from_lambda(gl3, g, (0, 0, 0)))
     with pytest.raises(ValueError):
         type_from_s_mu(gl3, ident(3), (0, 0, 0), g)
 

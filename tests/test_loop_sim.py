@@ -8,7 +8,6 @@ import random
 
 import pytest
 
-from alcovekit.apartment import point_from_type, parahoric_pattern
 from alcovekit import cli, loop_sim
 from alcovekit.loop_sim import (
     MAX_A,
@@ -21,8 +20,6 @@ from alcovekit.loop_sim import (
     conjugation_depth_bound,
     identity_depth,
     inverse_of,
-    membership,
-    phi_c,
     product_of,
     random_bounded_x,
     random_depth_element,
@@ -34,14 +31,7 @@ from alcovekit.rootdata import (
     CapExceeded,
     RefusedError,
     check_prime,
-    WeylElement,
-    build_root_datum,
-    split_gamma,
 )
-
-
-def ident(n):
-    return WeylElement.identity(n)
 
 
 def test_ring_validation():
@@ -109,106 +99,6 @@ def test_phi_ring_homomorphism():
         assert (s1 + s2).phi().equals(s1.phi() + s2.phi())
 
 
-def test_phi_c_identity_twist():
-    ring = Ring(5, 1, 1)
-    rng = random.Random(8)
-    a = random_depth_element(rng, ring, 2, 1, 4)
-    assert phi_c(a).equals(a.phi())
-
-
-def _gl2_pattern_and_c(p):
-    """The worked GL2 picture: e = p-1, x = u^(0,1).o and c = diag(1, v^{-1})."""
-    rd = build_root_datum("GL2")
-    g = split_gamma(rd, p, p - 1)
-    assert g.r == 1
-    x = point_from_type(rd, g, [(0, 1)], [ident(2)])
-    pat = parahoric_pattern(x, 0)
-    ring = Ring(p, 1, p - 1)
-    # c = v^{(0,-1)}: u-powers (0, -e)
-    c = LoopElement.from_monomial(ring, [0, 1], [0, -(p - 1)])
-    return ring, pat, c
-
-
-def _pattern_element(rng, ring, pat, level=0, plus=False, terms=3):
-    """Random v-rational member of the pattern's level subgroup.
-
-    Off-diagonal slots sit at v-level `level` above the pattern; the diagonal
-    is a unit congruent to 1 mod v^(level + plus).
-    """
-    e = ring.e
-    bounds = pat.bounds_u()
-    diag_level = level + (1 if plus else 0)
-    rows = []
-    for i in range(pat.n):
-        row = []
-        for j in range(pat.n):
-            if i == j:
-                coeffs = {0: 1}
-                for t in range(max(diag_level, 1), max(diag_level, 1) + terms):
-                    coeffs[e * t] = rng.randrange(ring.modulus)
-                row.append(TruncSeries.make(ring, coeffs))
-                continue
-            base = -((-bounds[i][j]) // e) + level  # ceil(ulb/e) + level, v-units
-            coeffs = {}
-            for t in range(terms):
-                coeffs[e * (base + t)] = rng.randrange(ring.modulus)
-            row.append(TruncSeries.make(ring, coeffs))
-        rows.append(tuple(row))
-    return LoopElement(ring, tuple(rows))
-
-
-def test_membership_examples():
-    ring, pat, _ = _gl2_pattern_and_c(5)
-    ident_el = LoopElement.identity(ring, 2, prec=40)
-    ok, depth = membership(ident_el, pat)
-    # member at every level the window can certify
-    assert ok and depth >= 40 // ring.e - 1
-    # a u-unit below the diagonal violates the parahoric pattern
-    bad = LoopElement(ring, (
-        (TruncSeries.one(ring), TruncSeries.zero(ring)),
-        (TruncSeries.one(ring), TruncSeries.one(ring))))
-    ok, _ = membership(bad, pat)
-    assert not ok
-    # 1 + v^n E_12 has depth n at the hyperspecial point
-    ring1 = Ring(5, 1, 1)
-    rd = build_root_datum("GL2")
-    g = split_gamma(rd, 5, 4)
-    o = point_from_type(rd, g, [(0, 0)], [ident(2)])
-    pat0 = parahoric_pattern(o, 0)
-    for n in (1, 3):
-        el = LoopElement(Ring(5, 1, 4), (
-            (TruncSeries.one(Ring(5, 1, 4)), TruncSeries.monomial(Ring(5, 1, 4), 4 * n)),
-            (TruncSeries.zero(Ring(5, 1, 4)), TruncSeries.one(Ring(5, 1, 4)))))
-        ok, depth = membership(el, pat0)
-        assert ok and depth == n
-
-
-def test_phi_c_preserves_parahoric():
-    # c phi(A) c^{-1} stays in the pattern of x when c . phi(x) = x
-    rng = random.Random(44)
-    ring, pat, c = _gl2_pattern_and_c(5)
-    for _ in range(25):
-        a = _pattern_element(rng, ring, pat)
-        image = phi_c(a, c)
-        ok, _ = membership(image, pat)
-        assert ok
-
-
-def test_phi_c_depth_jump():
-    # level n+ goes to level pn + d for the 1-generic x of the GL2 picture
-    rng = random.Random(45)
-    ring, pat, c = _gl2_pattern_and_c(5)
-    d = 1
-    for n in (1, 2):
-        for _ in range(10):
-            a = _pattern_element(rng, ring, pat, level=n, plus=True)
-            ok_in, depth_in = membership(a, pat)
-            assert ok_in and depth_in >= n
-            image = phi_c(a, c)
-            ok, depth = membership(image, pat)
-            assert ok and depth >= 5 * n + d
-
-
 def test_conjugation_x_identity():
     ring = Ring(7, 1, 1)
     rng = random.Random(6)
@@ -253,10 +143,10 @@ def test_straighten_roundtrip_and_uniqueness():
     res2 = straighten_right(xf, b, 1, 1, window=28,
                             start=random_depth_element(rng, ring, 2, 1, 4).with_prec(28))
     assert res.a_elem.equals(res2.a_elem)
-    # B' = A^{-1} X phi_c(A) X^{-1} recovers B
+    # B' = A^{-1} X phi(A) X^{-1} recovers B
     x = product_of(xf)
     a = res.a_elem
-    bprime = a.inverse(60) * x * phi_c(a, None, 60) * inverse_of(xf, 60)
+    bprime = a.inverse(60) * x * a.phi() * inverse_of(xf, 60)
     assert bprime.equals(b)
 
 
@@ -895,25 +785,6 @@ def test_straighten_computes_two_iterates_and_certifies_one():
     assert set(loop_sim.stats().values()) == {0}
 
 
-def test_window_certificate_is_a_lower_bound():
-    # _keeps_window reads only the least prec and exponent of each factor's
-    # entries; whenever it holds, the product it predicts is known to the window
-    rng = random.Random(29)
-    held = 0
-    for ring in LAPLACE_RINGS:
-        for n in (1, 2, 3):
-            for _ in range(6):
-                a, x, y = [_laplace_element(rng, ring, n, rng.choice(("dense", "sparse")))
-                           for _ in range(3)]
-                a = a.with_prec(rng.randrange(-2, 12))  # the iterate is windowed
-                prec = (x * (a.phi() * y)).min_prec()
-                for window in range(-8, 40, 3):
-                    if loop_sim._keeps_window(a, x, y, window):
-                        held += 1
-                        assert prec is None or prec >= window, (ring, n, window)
-    assert held
-
-
 # ---------------------------------------------------------------------------
 # straighten_right certifies its answer from the last iterate.  The residual
 # A^{-1} X phi(A) X^{-1} B^{-1}, with A^{-1} a windowed inverse, is the reference.
@@ -951,6 +822,28 @@ def test_certificate_matches_the_residual_by_inverse():
                     assert res.residual_is_one == residual.is_identity()
                     # the residual never knew more than the window the certificate covers
                     assert residual.min_prec() <= window
+
+
+def test_certified_step_skips_a_product_known_to_the_window():
+    # the certified last step is not formed: X phi(A) Y, with the Y that
+    # straighten_right builds, must be known to the window and equal A there
+    certified = 0
+    for k, (p, a, n, h_mu, f) in enumerate(CERTIFICATE_GRID):
+        for use_v_plus_p, window in itertools.product((False, True), (3, 2 * p, 64, 200)):
+            xf, b, start = _straightening_input(p, a, n, h_mu, f, use_v_plus_p, window, k)
+            x = product_of(xf)
+            slack = window + h_mu * n + 4 * a + 8
+            y = inverse_of([b] + list(xf), slack, tail=x)
+            for st in (None, start):
+                loop_sim.stats()
+                ans = straighten_right(xf, b, f, h_mu, start=st, window=window).a_elem
+                if not loop_sim.stats()["steps_certified"]:
+                    continue
+                certified += 1
+                skipped = (x * (ans.phi() * y)).with_prec(window)
+                assert skipped.min_prec() >= window, (p, a, n, use_v_plus_p, window, st)
+                assert skipped.equals(ans), (p, a, n, use_v_plus_p, window, st)
+    assert certified
 
 
 def test_a_perturbed_answer_fails_both_checks():
