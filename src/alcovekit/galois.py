@@ -11,13 +11,13 @@ sigma-twist additionally applies the pinned automorphism psi.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
 from math import lcm
 from operator import mul
-from typing import Iterator, Sequence
+from typing import NamedTuple, Sequence
 
 from .apartment import ApartmentPoint, frobenius, point_from_type
 from .ff import GF
@@ -30,17 +30,18 @@ from .rootdata import (
     WeylElement,
 )
 
-# work counters, read and reset by stats(): census calls, classes listed and
-# invariant classes among them
-_censuses = _classes = _invariant = 0
+# work counters, read and reset by stats(): census calls, classes listed,
+# invariant classes among them, and _frobenius_witness calls from census and
+# frobenius_invariant
+_censuses = _classes = _invariant = _witnesses = 0
 
 
 def stats() -> dict[str, int]:
     """The work counters since the last call; resets them."""
-    global _censuses, _classes, _invariant
+    global _censuses, _classes, _invariant, _witnesses
     out = {"census_calls": _censuses, "classes_listed": _classes,
-           "invariant_classes": _invariant}
-    _censuses = _classes = _invariant = 0
+           "invariant_classes": _invariant, "witness_calls": _witnesses}
+    _censuses = _classes = _invariant = _witnesses = 0
     return out
 
 
@@ -232,12 +233,13 @@ def frobenius_invariant(t: GaloisType):
     lam = vs[0]
     if not t.rd.in_cochar_lattice(lam):
         raise ValueError(f"lambda={lam} is not in the cocharacter lattice of {t.rd.label}")
+    global _witnesses
+    _witnesses += 1
     wit = _frobenius_witness(t.rd, g, [int(c * t.rd.den) for c in lam])
     return wit is not None, wit
 
 
-@dataclass(frozen=True)
-class CensusClass:
+class CensusClass(NamedTuple):
     num: tuple[int, ...]          # ambient representative times den
     den: int
     coords: tuple[int, ...]       # canonical basis coordinates mod e
@@ -323,16 +325,65 @@ def _pgl_classes(n: int, e: int) -> list[tuple[int, ...]]:
 _BLOCKS = {"GL": _gl_classes, "SL": _sl_classes, "PGL": _pgl_classes}
 
 
-def _concatenated(blocks: list) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(coords, num) for one class of each block, concatenated, for every
-    choice in itertools.product order; blocks holds (coords, nums) lists."""
-    if not blocks:
-        yield (), ()
-        return
-    *head, (coords, nums) = blocks
-    for c, v in _concatenated(head):
-        for bc, bv in zip(coords, nums):
-            yield c + bc, v + bv
+def _census_tables(rd: RootDatum, g: GammaData,
+                   frob: tuple[tuple[int, int], ...]) -> tuple[list, list[int]]:
+    """Each block's classes, as (coords, nums), and the positions in
+    itertools.product order of the classes that pass _frobenius_witness's
+    test: num and its image p psi^{-1} num (frob) have the same sorted
+    residues mod e den block by block.
+
+    psi maps each block b onto one source block, whose coordinates give b's
+    image.  Sorted residues name a class of b (no two share them), so b has
+    a table from its classes' sorted residues to their indices, and a row
+    giving, for each class of the source block, the class of b whose sorted
+    residues its image has, or None.  A class passes when each block's index
+    is the row's entry at its source block's index, so the passing classes
+    follow psi's cycles on the blocks.  A psi that does not permute the
+    blocks is a ValueError.  The tables and rows are dropped on return.
+    """
+    mod, sizes = g.e * rd.den, rd.block_sizes
+    starts = [*accumulate(sizes, initial=0)]
+    # each block's classes and their table.  A GL block of a den-1 datum has
+    # the identity basis: its coordinates are its numerators, and their own
+    # sorted residues
+    blocks, tables, row = [], [], 0
+    for kind, n, off in zip(rd.block_kinds, sizes, starts):
+        k = n if kind == "GL" else n - 1
+        nums = keys = coords = _BLOCKS[kind](n, g.e)
+        if kind != "GL" or rd.den != 1:
+            columns = list(zip(*(b[off:off + n] for b in rd.cochar_basis[row:row + k])))
+            nums = [tuple([sum(map(mul, c, col)) for col in columns]) for c in coords]
+            keys = [tuple(sorted([a % mod for a in v])) for v in nums]
+        blocks.append((coords, nums))
+        tables.append(dict(zip(keys, range(len(keys)))))
+        row += k
+    # each block's source block and row
+    targets, rows = {}, []
+    for table, n, off in zip(tables, sizes, starts):
+        src = bisect_right(starts, frob[off][0]) - 1
+        local = [(c - starts[src], s) for c, s in frob[off:off + n]]
+        if sorted(c for c, _ in local) != list(range(sizes[src])):
+            raise ValueError(f"psi must permute the blocks of {rd.label}")
+        targets[src] = len(rows)
+        rows.append([table.get(tuple(sorted([s * v[c] % mod for c, s in local])))
+                     for v in blocks[src][1]])
+    # strides[b]: the number of classes of the blocks after b
+    strides = [*accumulate([len(c) for c, _ in blocks][:0:-1], mul, initial=1)][::-1]
+    # the passing classes' positions, a cycle of psi's action on the blocks
+    # at a time: from each index at the cycle's least block, the rows fix
+    # the others, and must lead back to it
+    positions = [0]
+    for first, (coords, _) in enumerate(blocks):
+        cycle = [first]
+        while (b := targets[cycle[-1]]) > first:
+            cycle.append(b)
+        if b == first:
+            walk = [(i, i, i * strides[first]) for i in range(len(coords))]
+            for b in cycle[1:]:
+                walk = [(i, k, pos + k * strides[b]) for i, j, pos in walk
+                        if (k := rows[b][j]) is not None]
+            positions = [a + pos for a in positions for i, j, pos in walk if rows[first][j] == i]
+    return blocks, positions
 
 
 def census(rd: RootDatum, g: GammaData) -> CensusResult:
@@ -344,37 +395,38 @@ def census(rd: RootDatum, g: GammaData) -> CensusResult:
     of each block, and its canonical coordinates are theirs concatenated.
     Each block lists its classes in lexicographic order from a closed form
     (_BLOCKS), and the classes come out sorted in itertools.product order.
-    Every class takes frobenius_invariant's one decision, _frobenius_witness,
-    with p psi^{-1} formed once per census.  CapExceeded past rank 3,
-    e = 10^4 or e^rank = 10^6.
+
+    Invariance is decided on per-block tables (_census_tables), and only
+    the invariant classes take _frobenius_witness, for the witness, with
+    p psi^{-1} formed once per census.  A psi that does not permute the
+    blocks is a ValueError.  CapExceeded past rank 3, e = 10^4 or
+    e^rank = 10^6.
     """
     if not g.split():
         raise RefusedError("census requires a split inertial action")
     if rd.rank > 3 or g.e > 10**4:
         raise CapExceeded("census limited to rank <= 3 and e <= 10^4")
-    e = g.e
-    if e**rd.rank > 10**6:
+    if g.e**rd.rank > 10**6:
         raise CapExceeded("census enumeration domain exceeds cap")
-    # each block's classes, as coordinates and as ambient numerators
-    blocks, row, off = [], 0, 0
-    for kind, n in zip(rd.block_kinds, rd.block_sizes):
-        k = n if kind == "GL" else n - 1
-        columns = list(zip(*(b[off:off + n] for b in rd.cochar_basis[row:row + k])))
-        coords = _BLOCKS[kind](n, e)
-        blocks.append((coords, [tuple([sum(map(mul, c, col)) for col in columns])
-                                for c in coords]))
-        row, off = row + k, off + n
     frob = _frobenius_map(g)
-    classes = []
-    for coords, num in _concatenated(blocks):
+    blocks, positions = _census_tables(rd, g, frob)
+    classes = [CensusClass((), rd.den, (), False, None)]
+    for block_coords, block_nums in blocks:
+        classes = [CensusClass(num + v, den, coords + c, False, None)
+                   for num, den, coords, _, _ in classes
+                   for c, v in zip(block_coords, block_nums)]
+    for pos in positions:
+        num, den, coords, _, _ = classes[pos]
         wit = _frobenius_witness(rd, g, num, frob)
-        classes.append(CensusClass(num, rd.den, coords, wit is not None, wit))
-    invariant = sum(c.invariant for c in classes)
-    global _censuses, _classes, _invariant
+        if wit is None:
+            raise AssertionError("the residue tables and the Frobenius witness disagree")
+        classes[pos] = CensusClass(num, den, coords, True, wit)
+    global _censuses, _classes, _invariant, _witnesses
     _censuses += 1
     _classes += len(classes)
-    _invariant += invariant
-    return CensusResult(len(classes), invariant, tuple(classes))
+    _invariant += len(positions)
+    _witnesses += len(positions)
+    return CensusResult(len(classes), len(positions), tuple(classes))
 
 
 @dataclass(frozen=True)

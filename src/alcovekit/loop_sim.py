@@ -614,7 +614,7 @@ def product_of(factors: Sequence[LoopElement]) -> LoopElement:
 
 
 def inverse_of(factors: Sequence[LoopElement], window: int | None = None,
-               tail: LoopElement | None = None) -> LoopElement:
+               tail: tuple[int, LoopElement] | None = None) -> LoopElement:
     """The inverse of the product of `factors`, one Laplace inverse per run.
 
     A run is a maximal stretch of exact factors whose determinants have a
@@ -631,18 +631,19 @@ def inverse_of(factors: Sequence[LoopElement], window: int | None = None,
       factor's own and are never spread over a merged product, where the
       sum would run on a dense series.
     At a = 1 every exact factor qualifies, since its coefficients lie in
-    F_p, so no determinant is tested.  At a >= 2 the test begins the
-    factor's Laplace expansion, which its inverse reuses when it stands
-    alone.
+    F_p, so no determinant is tested.  At a >= 2 an integral unit
+    (`_is_integral_unit`) qualifies: its determinant's lowest term is its
+    constant term, a unit.  Any other factor's test begins its Laplace
+    expansion, which its inverse reuses when it stands alone.
 
-    `tail`, when the caller holds it, is the product of factors[1:]; a run
-    that takes in all of them starts from it.
+    `tail`, when the caller holds it, is (k, the product of factors[k:]); a
+    run from at most k that takes in all of them starts from it.
     """
     runs, joins = [], False  # [first, end, laplace of a lone factor]
     for i, f in enumerate(factors):
         laplace, unit = None, False
         if f.min_prec() is None:
-            if f.ring.a == 1:
+            if f.ring.a == 1 or _is_integral_unit(f):
                 unit = True
             else:
                 full = tuple(range(f.n))
@@ -658,8 +659,8 @@ def inverse_of(factors: Sequence[LoopElement], window: int | None = None,
     def invert(first: int, end: int, laplace: _Laplace | None) -> LoopElement:
         if end - first == 1:
             return factors[first].inverse(window, laplace)
-        if tail is not None and first <= 1 and end == len(factors):
-            return (tail if first else factors[0] * tail).inverse(window)
+        if tail is not None and first <= tail[0] and end == len(factors):
+            return product_of([*factors[first:tail[0]], tail[1]]).inverse(window)
         return product_of(factors[first:end]).inverse(window)
 
     return reduce(mul, [invert(*run) for run in reversed(runs)])
@@ -669,7 +670,8 @@ def conjugation_depth_bound(x_factors: Sequence[LoopElement], a_elem: LoopElemen
                             n: int, h_mu: int, a_exp: int,
                             window: int | None = None) -> tuple[bool, int]:
     """Check depth(X A X^{-1}) >= n - h_mu - 2a + 2 and report the measured depth."""
-    conj = product_of(list(x_factors) + [a_elem]) * inverse_of(x_factors, window)
+    x = product_of(x_factors)
+    conj = (x * a_elem) * inverse_of(x_factors, window, tail=(0, x))
     measured = identity_depth(conj)
     bound = n - h_mu - 2 * a_exp + 2
     return measured >= bound, measured
@@ -768,7 +770,7 @@ def straighten_right(x, b: LoopElement, f: int, h_mu: int,
         raise ValueError(f"the start is known to u^{start.min_prec()}, short of window {window}")
     # generous internal windows so every iterate stays known down to `window`
     slack = window + ring.e * (abs(h_mu) * x_prod.n + 4 * ring.a + 8)
-    xb = inverse_of([b] + x_factors, slack, tail=x_prod)
+    xb = inverse_of([b] + x_factors, slack, tail=(1, x_prod))
     low = sum(min(_vanishing_below(s) for row in el.rows for s in row) for el in (xb, x_prod))
     if ring.p * window + low < window:
         raise ValueError(f"the iterates are known to u^(p*window{low:+d}) only, short of the "

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from alcovekit import galois
+from alcovekit import galois, rootdata
 from alcovekit.galois import (
     CocycleValues,
     GaloisType,
@@ -330,6 +330,28 @@ def _sweep_cases():
                                  for i in range(rd.dim)))
         g = GammaData(p=p, e=e, r=2, psi=swap, inertial=ident(rd.dim))
         yield pytest.param(rd, g, id=f"{label}-{p}-{e}-swapped")
+    # psi cycles three blocks, with and without a sign, and swaps two blocks
+    # while it fixes the third
+    rd = build_root_datum("GL1xGL1xGL1")
+    for name, (cols, signs, p, e, r, _) in CYCLED_PSI.items():
+        g = GammaData(p=p, e=e, r=r, psi=_permutation(cols, signs), inertial=ident(3))
+        yield pytest.param(rd, g, id=f"GL1xGL1xGL1-{p}-{e}-{name}")
+
+
+# name -> (cols, signs, p, e, r, invariant classes) of a psi on GL1xGL1xGL1
+CYCLED_PSI = {
+    "cycled": ((1, 2, 0), (1, 1, 1), 5, 8, 6, 4),
+    "cycled-signed": ((1, 2, 0), (1, 1, -1), 5, 8, 6, 2),
+    "cycled-one-way": ((1, 2, 0), (1, 1, 1), 11, 7, 3, 7),
+    "swapped-fixed": ((1, 0, 2), (1, 1, 1), 5, 8, 2, 32),
+}
+
+
+def _permutation(cols, signs=None):
+    """The signed permutation w with (w v)_i = signs[i] v[cols[i]]."""
+    signs = signs or (1,) * len(cols)
+    return WeylElement(tuple(tuple(s * int(j == c) for j in range(len(cols)))
+                             for c, s in zip(cols, signs)))
 
 
 @pytest.mark.parametrize("rd, g", list(_sweep_cases()))
@@ -339,6 +361,80 @@ def test_census_matches_the_marking_sweep_class_by_class(rd, g):
     assert [(c.coords, c.num, c.invariant, c.witness) for c in res.classes] == want
     assert all(c.den == rd.den for c in res.classes)
     assert (res.total, res.invariant_count) == (len(want), sum(f for _, _, f, _ in want))
+
+
+@pytest.mark.parametrize("cols, signs, p, e, r, invariant", list(CYCLED_PSI.values()),
+                         ids=list(CYCLED_PSI))
+def test_census_follows_the_cycles_of_psi_on_the_blocks(cols, signs, p, e, r, invariant):
+    # a class (a_0, a_1, a_2) of GL1^3 is invariant when a_i = p s a_k mod e,
+    # where psi^{-1} puts s a_k in block i.  Along the 3-cycle at (5, 8),
+    # a = p^3 a = 5 a, so the three are equal and even: 4 classes; with a
+    # sign a = -5 a, so a is 0 or 4: 2 classes.  At (11, 7) p^3 = 1 mod 7, so
+    # each a_0 gives one class (a_0, 4 a_0, 2 a_0): 7 classes, and reading
+    # the cycle the wrong way round would give (a_0, 2 a_0, 4 a_0).  Under
+    # the swap a_0 = 5 a_1 for any a_1, and a_2 = 5 a_2 is even: 32 classes
+    rd = build_root_datum("GL1xGL1xGL1")
+    g = GammaData(p=p, e=e, r=r, psi=_permutation(cols, signs), inertial=ident(3))
+    res = census(rd, g)
+    assert (res.total, res.invariant_count) == (e**3, invariant)
+    inv = g.psi.inv()
+    for c in res.classes:
+        want = all(a == p * s * c.coords[k] % e
+                   for a, k, s in zip(c.coords, inv.cols, inv.signs))
+        assert c.invariant == want
+
+
+def test_census_refuses_a_psi_that_does_not_permute_the_blocks():
+    # (w v)_1 = v_2 reads the GL1 block into the GL2 block
+    rd = build_root_datum("GL2xGL1")
+    g = GammaData(p=5, e=8, r=2, psi=_permutation((0, 2, 1)), inertial=ident(3))
+    with pytest.raises(ValueError, match=r"^psi must permute the blocks of GL2xGL1$"):
+        census(rd, g)
+
+
+@pytest.mark.parametrize("kind, n", [("GL", 1), ("GL", 2), ("GL", 3), ("GL", 4), ("SL", 2),
+                                     ("SL", 3), ("SL", 4), ("PGL", 2), ("PGL", 3), ("PGL", 4)])
+@pytest.mark.parametrize("e", [2, 5, 7, 12, 24])
+def test_block_classes_have_distinct_sorted_residues(kind, n, e):
+    # census finds a block's class by the sorted residues of its numerators
+    # mod e den, so no two classes of a block may share them, whatever the
+    # datum's den.  With the identity basis (GL, den 1) they are the
+    # coordinates themselves
+    for den in (n, 2 * n, 3 * n) if kind == "PGL" else (1, 2, 6):
+        basis = rootdata._block_basis(kind, n, den)
+        coords = galois._BLOCKS[kind](n, e)
+        keys = [tuple(sorted(sum(c * b[k] for c, b in zip(cls, basis)) % (e * den)
+                             for k in range(n)))
+                for cls in coords]
+        assert len(set(keys)) == len(keys) == len(coords)
+        if kind == "GL" and den == 1:
+            assert keys == coords
+
+
+# the census rows of the benchmark's types workload
+TYPES_GRID = [
+    ("GL3", 7, 24), ("GL3", 3, 13), ("GL3", 5, 8), ("SL3", 7, 24), ("SL3", 3, 13), ("SL3", 5, 8),
+    ("PGL3", 7, 24), ("PGL3", 3, 13), ("PGL3", 5, 8), ("GL2", 7, 24), ("GL2", 5, 8),
+    ("GL2", 3, 13), ("GL2", 5, 24), ("SL2", 7, 24), ("SL2", 5, 8), ("SL2", 13, 84),
+    ("PGL2", 7, 24), ("PGL2", 5, 8),
+]
+
+
+def test_census_builds_a_witness_for_the_invariant_classes_only():
+    galois.stats()
+    total = invariant = 0
+    for label, p, e in TYPES_GRID:
+        rd = build_root_datum(label)
+        res = census(rd, split_gamma(rd, p, e))
+        counts = galois.stats()
+        assert counts["witness_calls"] == counts["invariant_classes"] == res.invariant_count
+        total, invariant = total + res.total, invariant + res.invariant_count
+    assert (total, invariant) == (4299, 279)
+    # frobenius_invariant builds one witness a call
+    for lam in ((-3, 3), (1, -1)):
+        frobenius_invariant(GaloisType.from_lambda(SL2, G24, lam))
+    assert galois.stats() == {"census_calls": 0, "classes_listed": 0,
+                              "invariant_classes": 0, "witness_calls": 2}
 
 
 @pytest.mark.parametrize("label", ["GL1", "GL2", "GL3", "SL2", "SL3", "SL4",
@@ -912,5 +1008,5 @@ def test_stats_count_census_classes():
     assert (res.total, res.invariant_count) == (2600, 110)
     census(SL2, G24)
     assert galois.stats() == {"census_calls": 2, "classes_listed": 2600 + 13,
-                              "invariant_classes": 110 + 7}
+                              "invariant_classes": 110 + 7, "witness_calls": 110 + 7}
     assert set(galois.stats().values()) == {0}

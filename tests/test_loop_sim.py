@@ -709,6 +709,45 @@ def test_straighten_makes_one_inverse_per_run(monkeypatch):
         assert calls == [3] * want
 
 
+def test_conjugation_depth_bound_forms_x_once(monkeypatch):
+    # X = (U t^nu) V is formed once and, where U, t^nu and V make one run,
+    # inverted as it is: two products for X, one for X A, one for X A X^-1
+    ring = Ring(7, 1)
+    rng = random.Random(11)
+    xf = random_bounded_x(rng, ring, 3, (1, 0, 0), 3)
+    a_elem = random_depth_element(rng, ring, 3, 2, 7).with_prec(40)
+    want = conjugation_depth_bound(xf, a_elem, 2, 1, 1, window=60)
+    products = []
+    real = LoopElement.__mul__
+
+    def spy(self, other):
+        products.append(self.n)
+        return real(self, other)
+
+    monkeypatch.setattr(LoopElement, "__mul__", spy)
+    assert conjugation_depth_bound(xf, a_elem, 2, 1, 1, window=60) == want
+    assert len(products) == 4
+
+
+def test_integral_units_join_a_run_without_an_expansion(monkeypatch):
+    # at a = 2 B, U and V are integral units, so only the core's
+    # determinant is tested by a Laplace expansion, which its inverse
+    # reuses; B U and V expand once each, as they are inverted
+    built = []
+    real = loop_sim._Laplace.__init__
+
+    def spy(self, el):
+        built.append(el.n)
+        real(self, el)
+
+    monkeypatch.setattr(loop_sim._Laplace, "__init__", spy)
+    for extra, want in (([], 1), (["--a", "2"], 3)):
+        built.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["straighten", "--p", "7", "--n", "3"] + extra) == 0
+        assert built == [3] * want
+
+
 # ---------------------------------------------------------------------------
 # straighten_right skips the confirming iteration when the contraction bound
 # p d + low >= window certifies it.  The reference above runs every iteration.
@@ -833,7 +872,7 @@ def test_certified_step_skips_a_product_known_to_the_window():
             xf, b, start = _straightening_input(p, a, n, h_mu, f, use_v_plus_p, window, k)
             x = product_of(xf)
             slack = window + h_mu * n + 4 * a + 8
-            y = inverse_of([b] + list(xf), slack, tail=x)
+            y = inverse_of([b] + list(xf), slack, tail=(1, x))
             for st in (None, start):
                 loop_sim.stats()
                 ans = straighten_right(xf, b, f, h_mu, start=st, window=window).a_elem
