@@ -177,29 +177,29 @@ def _frobenius_witness(rd: RootDatum, g: GammaData, num: Sequence[int],
 
     lambda = num / rd.den in ambient coordinates, and m, that difference over
     e den, is integral: in X_* on GL_n and SL_n blocks, in Q^vee on PGL_n.
-    W permutes each block, so a solution exists exactly when, block by block,
-    num and image = p psi^{-1} num have the same sorted residues mod e den.
-    Then w pairs the indices of num with those of image in the same residue
-    class, in index order: the unique solution of least length (any other
-    inverts two indices of one class), and the first in weyl_group's order.
+    W permutes each block, so w pairs the indices of num, block by block and
+    in index order, with those of image = p psi^{-1} num in the same residue
+    class mod e den, each taking the next unused one: the unique solution of
+    least length (any other inverts two indices of one class), and the first
+    in weyl_group's order.  The pairing fails, and there is no solution,
+    exactly when a block's residues and images differ as multisets.
     Returns (w, m), or None.  frob is _frobenius_map(g), formed once by a
     caller with many num.
     """
     mod = g.e * rd.den
     if frob is None:
         frob = _frobenius_map(g)
-    residues = [a % mod for a in num]
     images = [s * num[c] % mod for c, s in frob]
     cols, off = [], 0
     for n in rd.block_sizes:
         end = off + n
-        block = residues[off:end]
-        if sorted(block) != sorted(images[off:end]):
-            return None
         free: dict[int, list[int]] = {}  # residue -> its image indices, last first
         for c in reversed(range(off, end)):
             free.setdefault(images[c], []).append(c)
-        cols += [free[a].pop() for a in block]
+        try:
+            cols += [free[a % mod].pop() for a in num[off:end]]
+        except (KeyError, IndexError):  # a residue with no unused image left
+            return None
         off = end
     image = [s * num[c] for c, s in frob]
     m = tuple((a - image[c]) // mod for a, c in zip(num, cols))
@@ -273,15 +273,6 @@ def _sl_greedy(rest: list[int], e: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _least_rotation(gaps: Sequence[int]) -> tuple[int, ...]:
-    """The lexicographically least rotation of gaps; it starts with a least gap."""
-    m = min(gaps)
-    if gaps.count(m) == 1:
-        k = gaps.index(m)
-        return (*gaps[k:], *gaps[:k])
-    return min((*gaps[k:], *gaps[:k]) for k, g in enumerate(gaps) if g == m)
-
-
 def _gl_classes(n: int, e: int) -> list[tuple[int, ...]]:
     return list(combinations_with_replacement(range(e), n))
 
@@ -310,13 +301,16 @@ def _pgl_classes(n: int, e: int) -> list[tuple[int, ...]]:
     m + h_t with h summing to e - n m.  The partial sums of h, taken in
     combinations_with_replacement order, list the sequences, and so their
     coordinates (the partial sums of the gaps), in lexicographic order.  One
-    that starts with its only least gap is its own least rotation."""
+    that starts with its only least gap is its own least rotation.  At n = 2
+    the only h is (0, rest): one empty tuple of partial sums, where a pool of
+    rest + 1 entries would cost O(e) for each m."""
     out = []
     for m in range(e // n + 1):
         rest = e - n * m
-        for bars in combinations_with_replacement(range(rest + 1), n - 2):
+        for bars in combinations_with_replacement(range(rest + 1), n - 2) if n > 2 else [()]:
             gaps = (m, *[m + b - a for a, b in zip((0, *bars), (*bars, rest))])
-            if gaps.count(m) == 1 or _least_rotation(gaps) == gaps:
+            if gaps.count(m) == 1 or gaps == min(
+                    (*gaps[k:], *gaps[:k]) for k, g in enumerate(gaps) if g == m):
                 out.append(tuple(accumulate(gaps[:-1])))
     return out
 
@@ -328,8 +322,8 @@ _BLOCKS = {"GL": _gl_classes, "SL": _sl_classes, "PGL": _pgl_classes}
 def _census_tables(rd: RootDatum, g: GammaData,
                    frob: tuple[tuple[int, int], ...]) -> tuple[list, list[int]]:
     """Each block's classes, as (coords, nums), and the positions in
-    itertools.product order of the classes that pass _frobenius_witness's
-    test: num and its image p psi^{-1} num (frob) have the same sorted
+    itertools.product order of the classes whose _frobenius_witness pairing
+    succeeds: num and its image p psi^{-1} num (frob) have the same sorted
     residues mod e den block by block.
 
     psi maps each block b onto one source block, whose coordinates give b's

@@ -79,13 +79,24 @@ class BaseAlcove:
 
 
 def base_alcove(rd: RootDatum) -> BaseAlcove:
-    """The base alcove for block GL-type data (vertices o, o-(1,0,..), ...)."""
+    """The base alcove for block GL-type data (vertices o, o-(1,0,..), ...).
+
+    Each block's Omega generator, the Omega part of v^{e_first}, is the
+    length-0 rotation v^{e_first} w with (w y)_first = y_last and
+    (w y)_k = y_{k-1} for the block's other coordinates k.
+    """
     refl: list[AffineWeylElement] = []
     simple_walls: list[tuple[int, int, int]] = []
+    omegas: list[AffineWeylElement] = []
     denom = math.lcm(*rd.block_sizes)
     y = [0] * rd.dim
     off = 0
     for size in rd.block_sizes:
+        nu, cols = [0] * rd.dim, list(range(rd.dim))
+        nu[off] = 1
+        cols[off:off + size] = [off + size - 1, *range(off, off + size - 1)]
+        rotation = WeylElement._make(tuple(cols), (1,) * rd.dim)
+        omegas.append(AffineWeylElement(rd, tuple(nu), rotation))
         for i in range(off, off + size - 1):
             refl.append(AffineWeylElement(rd, (0,) * rd.dim, rd.reflection((i, i + 1))))
             simple_walls.append((i, i + 1, 0))
@@ -100,15 +111,6 @@ def base_alcove(rd: RootDatum) -> BaseAlcove:
         off += size
     walls = (denom, tuple(y),
              tuple((i, j, (y[i] - y[j]) // denom) for i, j in rd.positive_roots))
-    alc = BaseAlcove(rd, tuple(refl), (), walls, tuple(simple_walls))
-    omegas = []
-    off = 0
-    for size in rd.block_sizes:
-        nu = [0] * rd.dim
-        nu[off] = 1
-        _, om = reduced_word(translation_element(rd, nu), alc)
-        omegas.append(om)
-        off += size
     return BaseAlcove(rd, tuple(refl), tuple(omegas), walls, tuple(simple_walls))
 
 

@@ -15,7 +15,6 @@ import pytest
 
 import alcovekit
 from alcovekit import cli, galois, loop_sim, rootdata, weyl_affine
-from alcovekit.rootdata import WeylElement
 from alcovekit.loop_sim import PrecisionError
 from test_galois import CENSUS_CASES
 
@@ -55,14 +54,14 @@ def test_adm_takes_each_reduced_word_once(capsys, monkeypatch):
     elements = doc["payload"]["elements"]
     assert code == 0 and doc["payload"]["size"] == 33
     assert all(e["length"] == len(e["word"]) for e in elements)
-    # reduced_word runs only for the base alcove's Omega generator v^(1,0,0,0),
-    # whose walk descends 3 times; then each of the 32 elements of Adm with
-    # positive length finds its first descent once, and its word is memoized
-    assert words == [((1, 0, 0, 0), WeylElement.identity(4))]
-    assert len(descents) == 3 + 32
+    # reduced_word never runs: the base alcove's Omega generator comes from
+    # its closed form, and each of the 32 elements of Adm with positive length
+    # finds its first descent once, and its word is memoized
+    assert words == []
+    assert len(descents) == 32
     positive = sorted((tuple(e["translation"]), tuple(e["finite"]))
                       for e in elements if e["length"] > 0)
-    assert sorted((t, w.perm()) for t, w in descents[3:]) == positive
+    assert sorted((t, w.perm()) for t, w in descents) == positive
 
 
 # SHA-256 of `adm --emit json`, recorded with the 2^l subword enumeration:

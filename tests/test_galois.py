@@ -548,6 +548,113 @@ def test_witness_is_the_first_solution_in_weyl_order(label):
                     {"none", True} if max(rd.block_sizes) < 2 else {"none", True, False})
 
 
+def _sorted_then_paired_witness(rd, g, num):
+    """_frobenius_witness as it was with a sort test: each block's residues
+    and images are compared sorted before the pairing is built."""
+    mod = g.e * rd.den
+    frob = galois._frobenius_map(g)
+    residues = [a % mod for a in num]
+    images = [s * num[c] % mod for c, s in frob]
+    cols, off = [], 0
+    for n in rd.block_sizes:
+        end = off + n
+        block = residues[off:end]
+        if sorted(block) != sorted(images[off:end]):
+            return None
+        free = {}
+        for c in reversed(range(off, end)):
+            free.setdefault(images[c], []).append(c)
+        cols += [free[a].pop() for a in block]
+        off = end
+    image = [s * num[c] for c, s in frob]
+    m = tuple((a - image[c]) // mod for a, c in zip(num, cols))
+    return WeylElement._make(tuple(cols), (1,) * rd.dim), m
+
+
+def _witness_grid():
+    """(rd, g) with psi fixing, swapping and cycling blocks, with signs, with
+    den > 1, and at p = 1, p = -1 and neither mod e."""
+    for label in ("GL3", "GL2xGL1", "SL2xPGL3", "PGL4", "GL2xGL2", "PGL2xPGL2"):
+        rd = build_root_datum(label)
+        for p, e in ((13, 12), (101, 50), (7, 8), (5, 8), (7, 24)):
+            yield rd, split_gamma(rd, p, e)
+    yield from _twisted_gammas()
+    for label, p, e in (("GL2xGL2", 13, 12), ("SL2xSL2", 7, 12), ("PGL2xPGL2", 7, 12),
+                        ("PGL2xPGL2", 13, 12)):
+        rd = build_root_datum(label)
+        half = rd.dim // 2
+        swap = _permutation([(i + half) % rd.dim for i in range(rd.dim)])
+        yield rd, GammaData(p=p, e=e, r=2, psi=swap, inertial=ident(rd.dim))
+    rd = build_root_datum("GL1xGL1xGL1")
+    for cols, signs, p, e, r, _ in CYCLED_PSI.values():
+        yield rd, GammaData(p=p, e=e, r=r, psi=_permutation(cols, signs), inertial=ident(3))
+
+
+def test_witness_pairing_decides_as_the_sorted_residues_did():
+    # the pairing gives each residue the next unused image index of its
+    # value, so it fails exactly where the sorted residues and images differ
+    rng = random.Random(33)
+    verdicts = set()
+    for rd, g in _witness_grid():
+        for _ in range(80):
+            # few distinct residues, so that ties and near misses are common
+            num = [rd.den * rng.randrange(-2, 3) * rng.choice((1, g.e)) + rng.choice((0, rd.den))
+                   for _ in range(rd.dim)]
+            want = _sorted_then_paired_witness(rd, g, num)
+            assert galois._frobenius_witness(rd, g, num) == want, (rd.label, g, num)
+            verdicts.add(want is None)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("label, num", [
+    # at (5, 8) the GL2 block (1, 5) maps to (5, 1); the other block's
+    # residues and images differ by one residue, absent from the images
+    ("GL2xGL2", (1, 5, 0, 3)), ("GL2xGL2", (0, 3, 1, 5)),
+    # (1, 1, 5) maps to (5, 5, 1): the same set, but one 1 short
+    ("GL3", (1, 1, 5)), ("GL2xGL3", (1, 5, 1, 1, 5)),
+])
+def test_witness_is_none_when_one_residue_differs(label, num):
+    rd = build_root_datum(label)
+    g = split_gamma(rd, 5, 8)
+    assert galois._frobenius_witness(rd, g, num) is None
+    assert _sorted_then_paired_witness(rd, g, num) is None
+
+
+def _parent_pgl_classes(n, e):
+    """_pgl_classes as it was: a pool of rest + 1 bars at every n, and the
+    least rotation taken by a helper with its own unique-least-gap shortcut."""
+    def least_rotation(gaps):
+        m = min(gaps)
+        if gaps.count(m) == 1:
+            k = gaps.index(m)
+            return (*gaps[k:], *gaps[:k])
+        return min((*gaps[k:], *gaps[:k]) for k, g in enumerate(gaps) if g == m)
+
+    out = []
+    for m in range(e // n + 1):
+        rest = e - n * m
+        for bars in itertools.combinations_with_replacement(range(rest + 1), n - 2):
+            gaps = (m, *[m + b - a for a, b in zip((0, *bars), (*bars, rest))])
+            if gaps.count(m) == 1 or least_rotation(gaps) == gaps:
+                out.append(tuple(itertools.accumulate(gaps[:-1])))
+    return out
+
+
+def test_pgl2_classes_take_linear_time():
+    # n = 2 has one gap sequence per least gap m; the class list does not
+    # build a pool of e - 2m + 1 bars for each m
+    start = time.perf_counter()
+    classes = galois._pgl_classes(2, 10**5)
+    assert time.perf_counter() - start < 1.0
+    assert classes == [(m,) for m in range(10**5 // 2 + 1)]
+
+
+@pytest.mark.parametrize("n, top", [(2, 60), (3, 60), (4, 60), (5, 30)])
+def test_pgl_classes_match_the_earlier_listing(n, top):
+    for e in range(1, top + 1):
+        assert galois._pgl_classes(n, e) == _parent_pgl_classes(n, e), (n, e)
+
+
 def test_gamma_fixedness_at_large_r_matches_the_point_check():
     # Gamma-fixedness is decided on the integer vectors w_j^{-1}(lambda_j);
     # on a type written out to r slots, the point-based check builds all r

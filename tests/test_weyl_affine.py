@@ -40,6 +40,23 @@ def test_base_alcove_data():
     assert length(om, BASE3) == 0
 
 
+@pytest.mark.parametrize("label", ["GL1", "GL2", "GL3", "GL4", "GL5", "SL3", "PGL3",
+                                   "GL2xGL3", "GL1xGL2xSL3", "SL2xPGL3"])
+def test_omega_generators_are_the_omega_parts_of_the_block_translations(label):
+    # each block's closed-form rotation is what the gallery walk of
+    # v^{e_first} leaves once its reduced word is taken off
+    rd = build_root_datum(label)
+    base = base_alcove(rd)
+    firsts = list(itertools.accumulate(rd.block_sizes, initial=0))[:-1]
+    assert len(base.omega_generators) == len(firsts)
+    for first, om in zip(firsts, base.omega_generators):
+        nu = [0] * rd.dim
+        nu[first] = 1
+        _, want = reduced_word(translation_element(rd, nu), base)
+        assert om.key() == want.key()
+        assert length(om, base) == 0
+
+
 def test_lengths():
     assert length(affine_identity(GL3), BASE3) == 0
     assert length(translation_element(GL3, (1, 0, 0)), BASE3) == 2
